@@ -1,25 +1,14 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-pyx = os.path.join("src", "pigeonproof", "_fastcheck.pyx")
-if os.path.exists(pyx):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "pigeonproof._fastcheck",
-                    [pyx],
-                    extra_compile_args=["-O2"],
-                    optional=True,
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The compiled checking core is optional: without a C compiler the build
+# still succeeds and pigeonproof runs on its pure-Python engine.
+setup(
+    ext_modules=[
+        Extension(
+            "pigeonproof._fastcheck",
+            ["src/pigeonproof/_fastcheck.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

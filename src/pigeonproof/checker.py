@@ -5,11 +5,13 @@ conflicts) or, failing that, RAT on its first literal.  Additions then join
 the working formula; deletions remove one clause with the same literal
 multiset.  A proof is accepted the moment the empty clause checks out.
 
-Two interchangeable propagation backends exist: a compiled core (built from
-``_fastcheck.pyx``) and the pure-Python :class:`~pigeonproof.propagation.
-ClauseDatabase`.  The faster one available is selected at import time; both
-produce identical verdicts.  A verification session owns its database, so
-separate proofs may be checked in parallel threads or processes.
+Two interchangeable propagation backends exist: a compiled core (the C
+extension ``_fastcheck``, built by ``setup.py`` when a C compiler is present)
+and the pure-Python :class:`~pigeonproof.propagation.ClauseDatabase`.  The
+faster one available is selected at import time; both produce identical
+verdicts and raise the same exceptions on bad input.  A verification session
+owns its database, so separate proofs may be checked in parallel threads or
+processes.
 """
 
 from __future__ import annotations

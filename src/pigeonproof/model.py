@@ -13,6 +13,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 Clause = tuple[int, ...]
 
+# Largest |literal| accepted anywhere: a literal and its complement fit in a
+# 32-bit signed integer, as in the compiled checking core.
+MAX_LITERAL = 2**31 - 1
+
 
 def complement(lit: int) -> int:
     """Complement of a literal; an involution."""
@@ -22,13 +26,16 @@ def complement(lit: int) -> int:
 def validate_clause(lits: Iterable[int]) -> Clause:
     """Return ``lits`` as a clause, rejecting zeros and duplicate literals.
 
-    Tautological clauses (both ``v`` and ``-v``) are permitted.
+    Tautological clauses (both ``v`` and ``-v``) are permitted; a literal
+    beyond ``MAX_LITERAL`` in absolute value is rejected.
     """
     clause = tuple(lits)
     seen = set()
     for lit in clause:
         if lit == 0:
             raise ValueError("0 is not a literal (reserved as clause terminator)")
+        if not -MAX_LITERAL <= lit <= MAX_LITERAL:
+            raise ValueError(f"literal {lit} out of range: |literal| > {MAX_LITERAL}")
         if lit in seen:
             raise ValueError(f"duplicate literal {lit} in clause {clause}")
         seen.add(lit)

@@ -15,10 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Clause, CnfFormula
+from .model import MAX_LITERAL, Clause, CnfFormula
 
 # Sentinel conflict id for an assumption contradicting the current assignment.
 _ASSUMPTION_CONFLICT = -1
+
+
+def _max_var(lits: Sequence[int]) -> int:
+    """Largest variable in ``lits``; ValueError for 0 or beyond MAX_LITERAL."""
+    biggest = max(map(abs, lits), default=0)
+    if biggest > MAX_LITERAL or 0 in lits:
+        bad = next(lit for lit in lits if lit == 0 or abs(lit) > MAX_LITERAL)
+        raise ValueError(
+            f"literal {bad} out of range: need 0 < |literal| <= {MAX_LITERAL}"
+        )
+    return biggest
 
 
 class Assignment:
@@ -110,13 +121,12 @@ class ClauseDatabase:
         """Add a clause; returns its id.  The assignment must be clean."""
         cid = len(self._clauses)
         clause = list(lits)
+        self.assignment.ensure_var(_max_var(clause))
         self._clauses.append(clause)
         self._active.append(True)
         occ = self._occ
         for lit in clause:
             occ.setdefault(lit, []).append(cid)
-            var = lit if lit > 0 else -lit
-            self.assignment.ensure_var(var)
         if not clause:
             self._has_empty = True
         elif len(clause) == 1:
@@ -127,8 +137,13 @@ class ClauseDatabase:
             watch.setdefault(clause[1], []).append(cid)
         return cid
 
+    def _check_id(self, cid: int) -> None:
+        if not 0 <= cid < len(self._clauses):
+            raise IndexError("clause id out of range")
+
     def delete_clause(self, cid: int) -> None:
         """Deactivate a clause; watch/occurrence entries are dropped lazily."""
+        self._check_id(cid)
         self._active[cid] = False
         if not self._clauses[cid]:
             self._has_empty = any(
@@ -137,6 +152,7 @@ class ClauseDatabase:
             )
 
     def clause(self, cid: int) -> Clause:
+        self._check_id(cid)
         return tuple(self._clauses[cid])
 
     def active_clause_ids(self) -> list[int]:
@@ -242,6 +258,7 @@ class ClauseDatabase:
 
     def rup(self, lits: Sequence[int]) -> bool:
         """True iff assuming the complement of every literal yields a conflict."""
+        self.assignment.ensure_var(_max_var(lits))
         conflict = self._seed_units()
         if conflict is None:
             conflict = self._assume_complements(lits)
@@ -260,6 +277,7 @@ class ClauseDatabase:
         """
         pivot = lits[0]
         rest = lits[1:]
+        self.assignment.ensure_var(_max_var(lits))
         conflict = self._seed_units()
         if conflict is None:
             conflict = self._assume_complements(rest)

@@ -120,6 +120,38 @@ def test_check_missing_file(capsys):
     assert "error" in err
 
 
+def test_check_literal_beyond_the_cap_exits_2_without_traceback(tmp_path):
+    cnf = tmp_path / "php2.cnf"
+    drat = tmp_path / "huge.drat"
+    assert main(["gen-cnf", "2", "--out", str(cnf)]) == 0
+    drat.write_text("4294967296 0\n0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", "check", str(cnf), str(drat)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "out of range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_check_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from pigeonproof import checker
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    cnf = tmp_path / "php2.cnf"
+    drat = tmp_path / "php2.drat"
+    main(["gen-cnf", "2", "--out", str(cnf)])
+    main(["gen-proof", "2", "--out", str(drat)])
+    capsys.readouterr()
+    monkeypatch.setattr(checker, "verify", exhausted)
+    code, _, err = run_cli("check", str(cnf), str(drat), capsys=capsys)
+    assert code == 2
+    assert "out of memory" in err
+
+
 def test_count_totals(capsys):
     code, out, _ = run_cli("count", "100", "--style", "ours", capsys=capsys)
     assert code == 0

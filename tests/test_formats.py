@@ -31,6 +31,10 @@ def test_parse_accepts_comments_and_multiline_clauses():
 def test_parse_literal_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         parse_dimacs("p cnf 1 1\n2 0\n")
+    # proof literals may name fresh variables, up to |literal| = 2**31 - 1
+    assert parse_drat("2147483647 -2147483647 0\n").lines[0].lits[0] == 2**31 - 1
+    with pytest.raises(ValueError, match="out of range"):
+        parse_drat("-2147483648 0\n")
 
 
 def test_parse_missing_terminator():
