@@ -13,8 +13,6 @@ from .checker import (
     verify,
 )
 from .counts import (
-    CountBreakdown,
-    IterationCount,
     cook_iteration_count,
     count_cook,
     count_cook_breakdown,
@@ -24,9 +22,6 @@ from .counts import (
     ours_iteration_count,
 )
 from .encodings import (
-    Group,
-    GroupLayout,
-    LayerLayout,
     group_count,
     groups,
     layer_layout,
@@ -34,17 +29,9 @@ from .encodings import (
     php_standard,
 )
 from .formats import emit_dimacs, emit_drat, parse_dimacs, parse_drat
-from .model import (
-    Clause,
-    CnfFormula,
-    Proof,
-    ProofLine,
-    complement,
-    count_added,
-)
-from .proof_cook import generate_cook
+from .model import Clause, CnfFormula, Proof, ProofLine, count_added
+from .proof_cook import cook_pair_clauses, generate_cook
 from .proof_ours import (
-    IterationPlan,
     alo_clauses,
     definition_clauses,
     derived_group_clauses,
@@ -52,36 +39,25 @@ from .proof_ours import (
     iteration_plan,
     y_definition_clauses,
 )
-from .proof_cook import cook_definitions, cook_pair_clauses
-from .propagation import Assignment, ClauseDatabase, PropagationResult, propagate
+from .propagation import ClauseDatabase, propagate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACCEPTED",
-    "Assignment",
     "Clause",
     "ClauseDatabase",
     "CnfFormula",
-    "CountBreakdown",
     "DEFAULT_BACKEND",
-    "Group",
-    "GroupLayout",
     "HAVE_NATIVE",
     "INCOMPLETE",
-    "IterationCount",
-    "IterationPlan",
-    "LayerLayout",
     "Proof",
     "ProofLine",
-    "PropagationResult",
     "REJECTED",
     "Verdict",
     "alo_clauses",
     "check_rat",
     "check_rup",
-    "complement",
-    "cook_definitions",
     "cook_iteration_count",
     "cook_pair_clauses",
     "count_added",

@@ -17,6 +17,10 @@ from typing import IO, Iterator
 from . import checker, counts, encodings, formats, proof_cook, proof_ours
 
 
+#: Proof generator module per ``--style``.
+GENERATORS = {"ours": proof_ours, "cook": proof_cook}
+
+
 class UsageError(Exception):
     """Usage or I/O error; reported on stderr with exit code 2."""
 
@@ -55,8 +59,9 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 def cmd_gen_proof(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
-    module = proof_ours if args.style == "ours" else proof_cook
-    lines = module.iter_proof_lines(args.n, emit_deletions=args.deletions)
+    lines = GENERATORS[args.style].iter_proof_lines(
+        args.n, emit_deletions=args.deletions
+    )
     with _open_out(args.out) as out:
         formats.write_drat(out, lines)
     return 0
@@ -126,9 +131,8 @@ def _bench_verify(n: int, styles: list[str]) -> int:
     formula = encodings.php_standard(n)
     failures = 0
     for style in styles:
-        module = proof_ours if style == "ours" else proof_cook
         start = time.perf_counter()
-        verdict = checker.verify(formula, module.iter_proof_lines(n))
+        verdict = checker.verify(formula, GENERATORS[style].iter_proof_lines(n))
         elapsed = time.perf_counter() - start
         print(
             f"verify n={n} style={style}: {verdict.status} in {elapsed:.2f}s",
@@ -155,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-proof", help="write a DRAT refutation")
     p.add_argument("n", type=_positive)
-    p.add_argument("--style", choices=("ours", "cook"), default="ours")
+    p.add_argument("--style", choices=tuple(GENERATORS), default="ours")
     p.add_argument("--deletions", action="store_true", help="emit deletion lines")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_proof)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .counts import f_group
 from .model import Clause, CnfFormula
 
 #: Generators refuse larger instances to bound memory; ids stay well inside
@@ -72,13 +73,6 @@ class GroupLayout:
     def group_count(self) -> int:
         return len(self.groups)
 
-    def member_literals(self, layout: "LayerLayout", hole: int) -> list[list[int]]:
-        """Concrete member literals per group, bound to a layout and hole."""
-        return [
-            [member_literal(m, layout, hole) for m in group.members]
-            for group in self.groups
-        ]
-
 
 def groups(pigeons: int) -> GroupLayout:
     """Group structure for an at-most-one chain over ``pigeons`` literals.
@@ -129,10 +123,6 @@ class LayerLayout:
 
     def y_var(self, g: int, h: int) -> int:
         return self.y_base + g * self.layer + h
-
-    @property
-    def x_count(self) -> int:
-        return (self.layer + 1) * self.layer
 
     @property
     def y_count(self) -> int:
@@ -209,9 +199,7 @@ def php_amo_num_vars(n: int) -> int:
 
 
 def php_amo_clause_count(n: int) -> int:
-    # f(n) group clauses per hole; mirrors counts.f_group without the import.
-    per_hole = 1 if n == 1 else (7 * n) // 2 - 4
-    return (n + 1) + n * per_hole
+    return (n + 1) + n * f_group(n)
 
 
 def iter_php_amo_clauses(n: int) -> Iterator[Clause]:

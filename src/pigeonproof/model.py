@@ -18,11 +18,6 @@ Clause = tuple[int, ...]
 MAX_LITERAL = 2**31 - 1
 
 
-def complement(lit: int) -> int:
-    """Complement of a literal; an involution."""
-    return -lit
-
-
 def validate_clause(lits: Iterable[int]) -> Clause:
     """Return ``lits`` as a clause, rejecting zeros and duplicate literals.
 
@@ -87,7 +82,7 @@ class Proof:
     @property
     def added_count(self) -> int:
         """Number of clause additions (deletions excluded)."""
-        return sum(1 for line in self.lines if not line.delete)
+        return count_added(self.lines)
 
     @property
     def is_complete(self) -> bool:

@@ -1,49 +1,30 @@
 """Quartic-size baseline DRAT refutation with pairwise inner layers.
 
-Same layer-by-layer reduction as the chained-group proof, but every inner
-layer keeps the pairwise hole encoding: each iteration adds the four
-definition clauses for every fresh variable (no pigeon is exempt), then for
-every pair of fresh variables sharing a hole a helper clause followed by the
-pairwise target -- both plain RUP -- and finally the at-least-one clauses.
+Same layer-by-layer reduction as the chained-group proof, and the same
+driver (:func:`proof_ours.iter_blocks`), but every inner layer keeps the
+pairwise hole encoding: each iteration adds the four definition clauses for
+every fresh variable, no pigeon exempt (``proof_ours.definition_clauses`` on
+a plan without a group layout), then for every pair of fresh variables
+sharing a hole a helper clause followed by the pairwise target -- both
+plain RUP -- and finally the at-least-one clauses.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .encodings import _check_n, iter_php_standard_clauses
-from .model import EMPTY_CLAUSE_LINE, Proof, ProofLine
-from .proof_ours import IterationPlan, _plans, alo_clauses
+from .model import Proof, ProofLine
+from .proof_ours import (
+    ALO,
+    DEFINITION,
+    Family,
+    IterationPlan,
+    alo_clauses,
+    definition_clauses,
+    iter_blocks,
+)
 
-DEFINITION = "definition"
 PAIR = "pair"
-ALO = "alo"
-DELETE = "delete"
-EMPTY = "empty"
-
-
-def cook_definitions(plan: IterationPlan) -> list[ProofLine]:
-    """Definition clauses for every fresh variable of the new layer.
-
-    Textually identical to the chained proof's definitions except that the
-    p = k rows keep all four clauses.
-    """
-    k = plan.k
-    prev, nxt = plan.prev, plan.next
-    out: list[ProofLine] = []
-    removed_pigeon = k + 1
-    removed_hole = k + 1
-    for p in range(k + 1):
-        x_moved = prev.x_var(p, removed_hole)
-        for h in range(1, k + 1):
-            xk = nxt.x_var(p, h)
-            xp = prev.x_var(p, h)
-            x_top = prev.x_var(removed_pigeon, h)
-            out.append(ProofLine(False, (-xk, xp, x_moved)))
-            out.append(ProofLine(False, (-xk, xp, x_top)))
-            out.append(ProofLine(False, (xk, -xp)))
-            out.append(ProofLine(False, (xk, -x_moved, -x_top)))
-    return out
 
 
 def cook_pair_clauses(plan: IterationPlan) -> list[ProofLine]:
@@ -69,45 +50,25 @@ def cook_pair_clauses(plan: IterationPlan) -> list[ProofLine]:
     return out
 
 
-def iteration_lines(plan: IterationPlan) -> list[ProofLine]:
-    return cook_definitions(plan) + cook_pair_clauses(plan) + alo_clauses(plan)
-
-
-def _deletion_lines(n: int, k_deleted: int, plans: dict[int, IterationPlan]) -> Iterator[ProofLine]:
-    if k_deleted == n:
-        for clause in iter_php_standard_clauses(n):
-            yield ProofLine(True, clause)
-    else:
-        for line in iteration_lines(plans[k_deleted]):
-            yield ProofLine(True, line.lits)
+COOK: Family = (
+    False,
+    ((DEFINITION, definition_clauses), (PAIR, cook_pair_clauses), (ALO, alo_clauses)),
+)
 
 
 def iter_proof_lines(n: int, emit_deletions: bool = False) -> Iterator[ProofLine]:
     """Stream the pairwise-style refutation of ``php_standard(n)``."""
-    _check_n(n, minimum=2)
-    plans = _plans(n, chained=False)
-    for k in range(n - 1, 0, -1):
-        yield from iteration_lines(plans[k])
-        if emit_deletions:
-            yield from _deletion_lines(n, k + 1, plans)
-    yield EMPTY_CLAUSE_LINE
+    for _, _, block in iter_blocks(n, COOK, emit_deletions):
+        yield from block
 
 
 def iter_tagged_lines(
     n: int, emit_deletions: bool = False
 ) -> Iterator[tuple[str, int, ProofLine]]:
-    _check_n(n, minimum=2)
-    plans = _plans(n, chained=False)
-    builders = ((DEFINITION, cook_definitions), (PAIR, cook_pair_clauses), (ALO, alo_clauses))
-    for k in range(n - 1, 0, -1):
-        plan = plans[k]
-        for tag, builder in builders:
-            for line in builder(plan):
-                yield tag, k, line
-        if emit_deletions:
-            for line in _deletion_lines(n, k + 1, plans):
-                yield DELETE, k, line
-    yield EMPTY, 0, EMPTY_CLAUSE_LINE
+    """Like :func:`iter_proof_lines` but yielding (tag, k, line) triples."""
+    for tag, k, block in iter_blocks(n, COOK, emit_deletions):
+        for line in block:
+            yield tag, k, line
 
 
 def generate_cook(n: int, emit_deletions: bool = False) -> Proof:

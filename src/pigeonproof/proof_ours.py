@@ -16,12 +16,16 @@ layer-k variables, with the hole constraints in the chained group encoding:
 After iteration 1 the two unit clauses contradict the single pairwise
 constraint, so the empty clause closes the proof.  Every clause is written
 pivot first; at-least-one clauses and the empty clause need no pivot.
+
+Both proof families share this module's driver, :func:`iter_blocks`: a
+family is a table ``(chained, ((tag, builder), ...))`` naming the layout
+style and the builders of one iteration, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .encodings import (
     GroupLayout,
@@ -63,16 +67,10 @@ def iteration_plan(n: int, k: int, chained: bool = True) -> IterationPlan:
     _check_n(n, minimum=2)
     if not 1 <= k <= n - 1:
         raise ValueError(f"iteration index {k} out of range 1..{n - 1}")
-    layouts = _layouts_down_to(n, k, chained)
-    return IterationPlan(
-        k,
-        layouts[k + 1],
-        layouts[k],
-        groups(k + 1) if chained else None,
-    )
+    return _plans(n, chained)[k]
 
 
-def _plans(n: int, chained: bool = True) -> dict[int, IterationPlan]:
+def _plans(n: int, chained: bool) -> dict[int, IterationPlan]:
     layouts = _layouts_down_to(n, 1, chained)
     return {
         k: IterationPlan(
@@ -88,22 +86,25 @@ def _plans(n: int, chained: bool = True) -> dict[int, IterationPlan]:
 def definition_clauses(plan: IterationPlan) -> list[ProofLine]:
     """Fresh-variable definitions for every x'_{ph} of the new layer.
 
-    Four clauses per variable, pivot first, except that for the top pigeon
-    p = k the two clauses with a negated pivot are dropped: propagation only
-    ever walks towards lower pigeon indices, so they are never needed.
+    Four clauses per variable, pivot first.  In the chained style the top
+    pigeon p = k drops the two clauses with a negated pivot: propagation
+    only ever walks towards lower pigeon indices, so they are never needed.
+    The pairwise style (no group layout) keeps all four rows for every
+    pigeon, as Cook's construction does.
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
     out: list[ProofLine] = []
     removed_pigeon = k + 1
     removed_hole = k + 1
+    keep_top = plan.group_layout is None
     for p in range(k + 1):
         x_moved = prev.x_var(p, removed_hole)
         for h in range(1, k + 1):
             xk = nxt.x_var(p, h)
             xp = prev.x_var(p, h)
             x_top = prev.x_var(removed_pigeon, h)
-            if p < k:
+            if p < k or keep_top:
                 out.append(ProofLine(False, (-xk, xp, x_moved)))
                 out.append(ProofLine(False, (-xk, xp, x_top)))
             out.append(ProofLine(False, (xk, -xp)))
@@ -168,63 +169,65 @@ def alo_clauses(plan: IterationPlan) -> list[ProofLine]:
     ]
 
 
-def iteration_lines(plan: IterationPlan) -> list[ProofLine]:
-    """All additions of one iteration, in checkable order."""
-    return (
-        definition_clauses(plan)
-        + y_definition_clauses(plan)
-        + derived_group_clauses(plan)
-        + alo_clauses(plan)
-    )
+Builder = Callable[[IterationPlan], list[ProofLine]]
+Family = tuple[bool, tuple[tuple[str, Builder], ...]]
+
+OURS: Family = (
+    True,
+    (
+        (DEFINITION, definition_clauses),
+        (Y_DEFINITION, y_definition_clauses),
+        (DERIVED, derived_group_clauses),
+        (ALO, alo_clauses),
+    ),
+)
 
 
-def _deletion_lines(n: int, k_deleted: int, plans: dict[int, IterationPlan]) -> Iterator[ProofLine]:
-    """Deletions of an entire spent layer (the input formula for layer n)."""
-    if k_deleted == n:
-        for clause in iter_php_standard_clauses(n):
-            yield ProofLine(True, clause)
-    else:
-        for line in iteration_lines(plans[k_deleted]):
-            yield ProofLine(True, line.lits)
+def iter_blocks(
+    n: int, family: Family, emit_deletions: bool = False
+) -> Iterator[tuple[str, int, Iterable[ProofLine]]]:
+    """Stream a family's refutation of ``php_standard(n)`` as (tag, k, lines).
+
+    Iteration k yields one list per builder of the family, in table order.
+    With ``emit_deletions`` it then yields a ``delete`` block removing layer
+    k+1 -- the additions of iteration k+1, rebuilt by the same builders, or
+    the input formula when k = n-1 -- since nothing below iteration k ever
+    looks at that layer again.  Deletions never change whether the proof
+    checks.  A delete block is a one-shot iterator, so the input formula of
+    a large instance is never held in memory.  The empty clause closes the
+    stream as its own block, tagged ``empty`` with k = 0.
+    """
+    _check_n(n, minimum=2)
+    chained, builders = family
+    plans = _plans(n, chained)
+    for k in range(n - 1, 0, -1):
+        for tag, build in builders:
+            yield tag, k, build(plans[k])
+        if emit_deletions:
+            spent = (
+                iter_php_standard_clauses(n)
+                if k == n - 1
+                else (
+                    line.lits for _, build in builders for line in build(plans[k + 1])
+                )
+            )
+            yield DELETE, k, (ProofLine(True, lits) for lits in spent)
+    yield EMPTY, 0, (EMPTY_CLAUSE_LINE,)
 
 
 def iter_proof_lines(n: int, emit_deletions: bool = False) -> Iterator[ProofLine]:
-    """Stream the whole refutation without materialising it.
-
-    With ``emit_deletions`` every layer is deleted right after the iteration
-    that consumed it: once iteration k is done, nothing below ever looks at
-    layer k+1 again.  Deletions never change whether the proof checks.
-    """
-    _check_n(n, minimum=2)
-    plans = _plans(n)
-    for k in range(n - 1, 0, -1):
-        yield from iteration_lines(plans[k])
-        if emit_deletions:
-            yield from _deletion_lines(n, k + 1, plans)
-    yield EMPTY_CLAUSE_LINE
+    """Stream the whole refutation without materialising it."""
+    for _, _, block in iter_blocks(n, OURS, emit_deletions):
+        yield from block
 
 
 def iter_tagged_lines(
     n: int, emit_deletions: bool = False
 ) -> Iterator[tuple[str, int, ProofLine]]:
     """Like :func:`iter_proof_lines` but yielding (tag, k, line) triples."""
-    _check_n(n, minimum=2)
-    plans = _plans(n)
-    builders = (
-        (DEFINITION, definition_clauses),
-        (Y_DEFINITION, y_definition_clauses),
-        (DERIVED, derived_group_clauses),
-        (ALO, alo_clauses),
-    )
-    for k in range(n - 1, 0, -1):
-        plan = plans[k]
-        for tag, builder in builders:
-            for line in builder(plan):
-                yield tag, k, line
-        if emit_deletions:
-            for line in _deletion_lines(n, k + 1, plans):
-                yield DELETE, k, line
-    yield EMPTY, 0, EMPTY_CLAUSE_LINE
+    for tag, k, block in iter_blocks(n, OURS, emit_deletions):
+        for line in block:
+            yield tag, k, line
 
 
 def generate_ours(n: int, emit_deletions: bool = False) -> Proof:

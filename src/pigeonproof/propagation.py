@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import MAX_LITERAL, Clause, CnfFormula
+from .model import MAX_LITERAL, Clause
 
 # Sentinel conflict id for an assumption contradicting the current assignment.
 _ASSUMPTION_CONFLICT = -1
@@ -108,13 +108,6 @@ class ClauseDatabase:
         self.assignment = Assignment()
         self._head = 0
 
-    @classmethod
-    def from_formula(cls, formula: CnfFormula) -> "ClauseDatabase":
-        db = cls()
-        for clause in formula.clauses:
-            db.add_clause(clause)
-        return db
-
     # -- clause store -----------------------------------------------------
 
     def add_clause(self, lits: Sequence[int]) -> int:
@@ -154,9 +147,6 @@ class ClauseDatabase:
     def clause(self, cid: int) -> Clause:
         self._check_id(cid)
         return tuple(self._clauses[cid])
-
-    def active_clause_ids(self) -> list[int]:
-        return [cid for cid, active in enumerate(self._active) if active]
 
     def __len__(self) -> int:
         return sum(self._active)

@@ -202,6 +202,9 @@ def test_criterion_8_format_stability():
             ]
             for name, produced in pairs:
                 assert (GOLDEN / name).read_bytes() == produced.encode(), name
-        golden_deletions = GOLDEN / "proof-ours-3-deletions.drat"
-        produced = emit_drat(generate_ours(3, emit_deletions=True))
-        assert golden_deletions.read_bytes() == produced.encode()
+        deletion_pairs = [
+            ("proof-ours-3-deletions.drat", generate_ours(3, emit_deletions=True)),
+            ("proof-cook-3-deletions.drat", generate_cook(3, emit_deletions=True)),
+        ]
+        for name, proof in deletion_pairs:
+            assert (GOLDEN / name).read_bytes() == emit_drat(proof).encode(), name

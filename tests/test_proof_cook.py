@@ -2,7 +2,6 @@ import pytest
 
 import naive_checker
 from pigeonproof import (
-    cook_definitions,
     cook_iteration_count,
     cook_pair_clauses,
     count_cook,
@@ -25,7 +24,7 @@ def lits(lines):
 
 def test_definitions_n2_all_four_rows():
     plan = cook_plan(2, 1)
-    assert lits(cook_definitions(plan)) == [
+    assert lits(definition_clauses(plan)) == [
         (-7, 1, 2), (-7, 1, 5), (7, -1), (7, -2, -5),
         (-8, 3, 4), (-8, 3, 5), (8, -3), (8, -4, -5),
     ]
@@ -33,7 +32,7 @@ def test_definitions_n2_all_four_rows():
 
 @pytest.mark.parametrize("n,k", [(4, 3), (7, 6), (10, 2)])
 def test_definition_count(n, k):
-    assert len(cook_definitions(cook_plan(n, k))) == 4 * (k + 1) * k
+    assert len(definition_clauses(cook_plan(n, k))) == 4 * (k + 1) * k
 
 
 def test_definitions_match_chained_style_except_top_pigeon():
@@ -43,7 +42,7 @@ def test_definitions_match_chained_style_except_top_pigeon():
     n, k = 6, 5
     plan = cook_plan(n, k)
     ours = lits(definition_clauses(iteration_plan(n, k)))
-    cook = lits(cook_definitions(plan))
+    cook = lits(definition_clauses(plan))
     top_vars = {plan.next.x_var(k, h) for h in range(1, k + 1)}
     filtered = [c for c in cook if not (c[0] < 0 and -c[0] in top_vars)]
     assert filtered == ours
@@ -72,7 +71,7 @@ def test_iteration_counts_match_polynomial():
     for n, k in [(3, 2), (6, 5), (9, 4)]:
         plan = cook_plan(n, k)
         total = (
-            len(cook_definitions(plan))
+            len(definition_clauses(plan))
             + len(cook_pair_clauses(plan))
             + (k + 1)
         )
