@@ -17,8 +17,9 @@ from typing import IO, Iterator
 from . import checker, counts, encodings, formats, proof_cook, proof_ours
 
 
-#: Proof generator module per ``--style``.
-GENERATORS = {"ours": proof_ours, "cook": proof_cook}
+#: Proof family per ``--style``; the one table every subcommand takes its
+#: styles from (``counts.TOTALS`` and ``counts.BREAKDOWNS`` share its keys).
+GENERATORS = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}
 
 
 class UsageError(Exception):
@@ -59,18 +60,16 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 def cmd_gen_proof(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
-    lines = GENERATORS[args.style].iter_proof_lines(
-        args.n, emit_deletions=args.deletions
-    )
+    blocks = proof_ours.iter_blocks(args.n, GENERATORS[args.style], args.deletions)
     with _open_out(args.out) as out:
-        formats.write_drat(out, lines)
+        formats.write_drat_blocks(out, blocks)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.cnf, "r", encoding="utf-8") as handle:
-            formula = formats.parse_dimacs(handle.read())
+            formula = formats.parse_dimacs(handle)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read CNF {args.cnf}: {exc}")
     try:
@@ -111,7 +110,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("bench needs n_max >= 2")
     styles = [s.strip() for s in args.styles.split(",") if s.strip()]
     for style in styles:
-        if style not in counts.TOTALS:
+        if style not in GENERATORS:
             raise UsageError(f"unknown style {style!r}")
     failures = 0
     try:
@@ -132,7 +131,7 @@ def _bench_verify(n: int, styles: list[str]) -> int:
     failures = 0
     for style in styles:
         start = time.perf_counter()
-        verdict = checker.verify(formula, GENERATORS[style].iter_proof_lines(n))
+        verdict = checker.verify(formula, proof_ours.family_lines(n, GENERATORS[style]))
         elapsed = time.perf_counter() - start
         print(
             f"verify n={n} style={style}: {verdict.status} in {elapsed:.2f}s",
@@ -172,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="proof length from the closed forms")
     p.add_argument("n", type=_positive)
-    p.add_argument("--style", choices=("ours", "cook"), default="ours")
+    p.add_argument("--style", choices=tuple(GENERATORS), default="ours")
     p.add_argument("--breakdown", action="store_true")
     p.set_defaults(func=cmd_count)
 

@@ -7,20 +7,40 @@ a ``d `` prefix.  Binary DRAT is not supported.
 
 from __future__ import annotations
 
+import io
 import warnings
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
-from .model import Clause, CnfFormula, Proof, ProofLine, validate_clause
+from .model import DELETE, Block, Clause, CnfFormula, Proof, ProofLine, validate_clause
 
 
-def _as_text(data: str | bytes) -> str:
+class _Templates(dict):
+    """``%`` templates of text lines by clause length, built on first use."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, arity: int) -> str:
+        template = self[arity] = self.prefix + "%d " * arity + "0\n"
+        return template
+
+
+# _TEMPLATES[delete][len(clause)] % clause is the clause's text line.
+_TEMPLATES = (_Templates(""), _Templates("d "))
+_CHUNK = 4096  # clauses joined into one string per write
+
+
+def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        data = data.decode("utf-8")
+    return data.splitlines() if isinstance(data, str) else data
 
 
-def parse_dimacs(data: str | bytes) -> CnfFormula:
-    """Parse DIMACS CNF text into a formula.
+def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
+    """Parse DIMACS CNF text, or its lines (an open file), into a formula.
 
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``.
     A mismatch between the declared and actual clause count is a warning,
@@ -30,7 +50,7 @@ def parse_dimacs(data: str | bytes) -> CnfFormula:
     declared = 0
     clauses: list[Clause] = []
     current: list[int] = []
-    for lineno, raw in enumerate(_as_text(data).splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(data), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -75,17 +95,19 @@ def parse_dimacs(data: str | bytes) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _clause_text(lits: Clause) -> str:
-    if not lits:
-        return "0"
-    return " ".join(map(str, lits)) + " 0"
+def _write_clauses(
+    out: IO[str], templates: _Templates, clauses: Iterable[Clause]
+) -> None:
+    clauses = iter(clauses)
+    while text := "".join([templates[len(c)] % c for c in islice(clauses, _CHUNK)]):
+        out.write(text)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
     """Serialise a formula to canonical DIMACS text."""
-    parts = [f"p cnf {formula.num_vars} {len(formula.clauses)}\n"]
-    parts.extend(_clause_text(clause) + "\n" for clause in formula.clauses)
-    return "".join(parts)
+    out = io.StringIO()
+    write_dimacs(out, formula.num_vars, formula.clauses, len(formula.clauses))
+    return out.getvalue()
 
 
 def write_dimacs(
@@ -96,14 +118,7 @@ def write_dimacs(
 ) -> None:
     """Stream a formula to ``out`` without materialising it."""
     out.write(f"p cnf {num_vars} {clause_count}\n")
-    for clause in clauses:
-        out.write(_clause_text(clause) + "\n")
-
-
-def drat_line_text(line: ProofLine) -> str:
-    """Single DRAT text line (without the newline) for a proof line."""
-    body = _clause_text(line.lits)
-    return "d " + body if line.delete else body
+    _write_clauses(out, _TEMPLATES[False], clauses)
 
 
 def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
@@ -140,16 +155,23 @@ def iter_drat_lines(source: IO[str] | Iterable[str]) -> Iterator[ProofLine]:
 
 def parse_drat(data: str | bytes) -> Proof:
     """Parse text DRAT into a proof; literal order (pivot position) is kept."""
-    return Proof(tuple(iter_drat_lines(_as_text(data).splitlines())))
+    return Proof(tuple(iter_drat_lines(_text_lines(data))))
 
 
 def emit_drat(proof: Proof | Iterable[ProofLine]) -> str:
     """Serialise a proof to text DRAT; inverse of :func:`parse_drat`."""
-    lines = proof.lines if isinstance(proof, Proof) else proof
-    return "".join(drat_line_text(line) + "\n" for line in lines)
+    out = io.StringIO()
+    write_drat(out, proof.lines if isinstance(proof, Proof) else proof)
+    return out.getvalue()
 
 
 def write_drat(out: IO[str], lines: Iterable[ProofLine]) -> None:
     """Stream proof lines to ``out``."""
-    for line in lines:
-        out.write(drat_line_text(line) + "\n")
+    for delete, run in groupby(lines, itemgetter(0)):
+        _write_clauses(out, _TEMPLATES[delete], map(itemgetter(1), run))
+
+
+def write_drat_blocks(out: IO[str], blocks: Iterable[Block]) -> None:
+    """Stream proof blocks to ``out``, as deletions where ``tag == DELETE``."""
+    for tag, _, clauses in blocks:
+        _write_clauses(out, _TEMPLATES[tag == DELETE], clauses)

@@ -67,7 +67,10 @@ class ProofLine(NamedTuple):
     lits: Clause
 
 
-EMPTY_CLAUSE_LINE = ProofLine(False, ())
+#: A proof block ``(tag, k, clauses)``: clauses of one kind from iteration k.
+Block = tuple[str, int, Iterable[Clause]]
+#: Tag of a block whose clauses are all deletions.
+DELETE = "delete"
 
 
 @dataclass(frozen=True)

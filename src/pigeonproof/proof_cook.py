@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import Proof, ProofLine
+from .model import Clause, Proof, ProofLine
 from .proof_ours import (
     ALO,
     DEFINITION,
@@ -21,13 +21,14 @@ from .proof_ours import (
     IterationPlan,
     alo_clauses,
     definition_clauses,
-    iter_blocks,
+    family_lines,
+    family_tagged_lines,
 )
 
 PAIR = "pair"
 
 
-def cook_pair_clauses(plan: IterationPlan) -> list[ProofLine]:
+def cook_pair_clauses(plan: IterationPlan) -> list[Clause]:
     """Pairwise at-most-one constraints on the new layer, two clauses a pair.
 
     The helper (-x'_{ph}, -x'_{qh}, -x_{p(k+1)}) rules out "pigeon p came
@@ -37,16 +38,18 @@ def cook_pair_clauses(plan: IterationPlan) -> list[ProofLine]:
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
-    removed_hole = k + 1
-    out: list[ProofLine] = []
+    out: list[Clause] = []
+    append = out.append
+    # -x_var(p, h) == -x_var(p, 0) - h: one negated row base per pigeon.
+    negated_rows = [-nxt.x_var(p, 0) for p in range(k + 1)]
     for h in range(1, k + 1):
         for p in range(k + 1):
-            xp = nxt.x_var(p, h)
-            x_moved = prev.x_var(p, removed_hole)
-            for q in range(p + 1, k + 1):
-                xq = nxt.x_var(q, h)
-                out.append(ProofLine(False, (-xp, -xq, -x_moved)))
-                out.append(ProofLine(False, (-xp, -xq)))
+            not_xp = negated_rows[p] - h
+            not_moved = -prev.x_var(p, k + 1)
+            for q_row in negated_rows[p + 1 :]:
+                not_xq = q_row - h
+                append((not_xp, not_xq, not_moved))
+                append((not_xp, not_xq))
     return out
 
 
@@ -58,17 +61,14 @@ COOK: Family = (
 
 def iter_proof_lines(n: int, emit_deletions: bool = False) -> Iterator[ProofLine]:
     """Stream the pairwise-style refutation of ``php_standard(n)``."""
-    for _, _, block in iter_blocks(n, COOK, emit_deletions):
-        yield from block
+    return family_lines(n, COOK, emit_deletions)
 
 
 def iter_tagged_lines(
     n: int, emit_deletions: bool = False
 ) -> Iterator[tuple[str, int, ProofLine]]:
     """Like :func:`iter_proof_lines` but yielding (tag, k, line) triples."""
-    for tag, k, block in iter_blocks(n, COOK, emit_deletions):
-        for line in block:
-            yield tag, k, line
+    return family_tagged_lines(n, COOK, emit_deletions)
 
 
 def generate_cook(n: int, emit_deletions: bool = False) -> Proof:

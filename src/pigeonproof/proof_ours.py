@@ -25,7 +25,9 @@ style and the builders of one iteration, in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from itertools import chain, combinations, repeat
+from typing import Callable, Iterator
 
 from .encodings import (
     GroupLayout,
@@ -36,14 +38,13 @@ from .encodings import (
     iter_php_standard_clauses,
     member_literal,
 )
-from .model import EMPTY_CLAUSE_LINE, Proof, ProofLine
+from .model import DELETE, Block, Clause, Proof, ProofLine
 
-# Tags used by iter_tagged_lines.
+# Tags used by iter_tagged_lines (DELETE, from the model, marks deletions).
 DEFINITION = "definition"
 Y_DEFINITION = "y-definition"
 DERIVED = "derived"
 ALO = "alo"
-DELETE = "delete"
 EMPTY = "empty"
 
 
@@ -83,7 +84,7 @@ def _plans(n: int, chained: bool) -> dict[int, IterationPlan]:
     }
 
 
-def definition_clauses(plan: IterationPlan) -> list[ProofLine]:
+def definition_clauses(plan: IterationPlan) -> list[Clause]:
     """Fresh-variable definitions for every x'_{ph} of the new layer.
 
     Four clauses per variable, pivot first.  In the chained style the top
@@ -94,82 +95,84 @@ def definition_clauses(plan: IterationPlan) -> list[ProofLine]:
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
-    out: list[ProofLine] = []
-    removed_pigeon = k + 1
-    removed_hole = k + 1
+    out: list[Clause] = []
+    append = out.append
     keep_top = plan.group_layout is None
+    top_row = prev.x_var(k + 1, 0)  # x_var(p, h) == x_var(p, 0) + h
     for p in range(k + 1):
-        x_moved = prev.x_var(p, removed_hole)
+        prev_row = prev.x_var(p, 0)
+        next_row = nxt.x_var(p, 0)
+        x_moved = prev_row + k + 1
+        negative_rows = p < k or keep_top
         for h in range(1, k + 1):
-            xk = nxt.x_var(p, h)
-            xp = prev.x_var(p, h)
-            x_top = prev.x_var(removed_pigeon, h)
-            if p < k or keep_top:
-                out.append(ProofLine(False, (-xk, xp, x_moved)))
-                out.append(ProofLine(False, (-xk, xp, x_top)))
-            out.append(ProofLine(False, (xk, -xp)))
-            out.append(ProofLine(False, (xk, -x_moved, -x_top)))
+            xk = next_row + h
+            xp = prev_row + h
+            x_top = top_row + h
+            if negative_rows:
+                append((-xk, xp, x_moved))
+                append((-xk, xp, x_top))
+            append((xk, -xp))
+            append((xk, -x_moved, -x_top))
     return out
 
 
-def y_definition_clauses(plan: IterationPlan) -> list[ProofLine]:
+def y_definition_clauses(plan: IterationPlan) -> list[Clause]:
     """Definitions of the fresh group auxiliaries, four clauses each.
 
     The positive four-literal clause is not needed to encode at-most-one,
     but it turns each group into an exactly-one block, which is what keeps
     every later check a plain propagation instead of a case split.
     """
-    chain = plan.group_layout
-    out: list[ProofLine] = []
-    if chain is None or chain.group_count == 1:
+    group_layout = plan.group_layout
+    out: list[Clause] = []
+    if group_layout is None or group_layout.group_count == 1:
         return out
+    append = out.append
     nxt = plan.next
     for h in range(1, plan.k + 1):
-        for group in chain.groups:
+        for group in group_layout.groups:
             if group.final:
                 continue
             y = nxt.y_var(group.y_new, h)
-            l1, l2, l3 = (member_literal(m, nxt, h) for m in group.members)
-            out.append(ProofLine(False, (y, l1, l2, l3)))
-            out.append(ProofLine(False, (-y, -l1)))
-            out.append(ProofLine(False, (-y, -l2)))
-            out.append(ProofLine(False, (-y, -l3)))
+            l1, l2, l3 = [member_literal(m, nxt, h) for m in group.members]
+            append((y, l1, l2, l3))
+            append((-y, -l1))
+            append((-y, -l2))
+            append((-y, -l3))
     return out
 
 
-def derived_group_clauses(plan: IterationPlan) -> list[ProofLine]:
+def derived_group_clauses(plan: IterationPlan) -> list[Clause]:
     """Pairwise constraints inside every group of the new layer.
 
     For members l_i, l_j (i < j) the clause is (-l_j, -l_i): the literal
     with the larger pigeon index is the pivot.  Requires the iteration's
     definition clauses to be in the working formula already.
     """
-    chain = plan.group_layout
-    if chain is None:
+    group_layout = plan.group_layout
+    if group_layout is None:
         raise ValueError("derived group clauses need a group layout")
     nxt = plan.next
-    out: list[ProofLine] = []
+    out: list[Clause] = []
+    append = out.append
     for h in range(1, plan.k + 1):
-        for group in chain.groups:
-            members = [member_literal(m, nxt, h) for m in group.members]
-            count = len(members)
-            for i in range(count):
-                for j in range(i + 1, count):
-                    out.append(ProofLine(False, (-members[j], -members[i])))
+        for group in group_layout.groups:
+            negated = [-member_literal(m, nxt, h) for m in group.members]
+            for neg_i, neg_j in combinations(negated, 2):
+                append((neg_j, neg_i))
     return out
 
 
-def alo_clauses(plan: IterationPlan) -> list[ProofLine]:
+def alo_clauses(plan: IterationPlan) -> list[Clause]:
     """At-least-one clause per remaining pigeon; RUP once the rest is in."""
     k = plan.k
     nxt = plan.next
     return [
-        ProofLine(False, tuple(nxt.x_var(p, h) for h in range(1, k + 1)))
-        for p in range(k + 1)
+        tuple(range(nxt.x_var(p, 1), nxt.x_var(p, k) + 1)) for p in range(k + 1)
     ]
 
 
-Builder = Callable[[IterationPlan], list[ProofLine]]
+Builder = Callable[[IterationPlan], list[Clause]]
 Family = tuple[bool, tuple[tuple[str, Builder], ...]]
 
 OURS: Family = (
@@ -185,17 +188,17 @@ OURS: Family = (
 
 def iter_blocks(
     n: int, family: Family, emit_deletions: bool = False
-) -> Iterator[tuple[str, int, Iterable[ProofLine]]]:
-    """Stream a family's refutation of ``php_standard(n)`` as (tag, k, lines).
+) -> Iterator[Block]:
+    """Stream a family's refutation of ``php_standard(n)`` as (tag, k, clauses).
 
     Iteration k yields one list per builder of the family, in table order.
-    With ``emit_deletions`` it then yields a ``delete`` block removing layer
-    k+1 -- the additions of iteration k+1, rebuilt by the same builders, or
-    the input formula when k = n-1 -- since nothing below iteration k ever
-    looks at that layer again.  Deletions never change whether the proof
-    checks.  A delete block is a one-shot iterator, so the input formula of
-    a large instance is never held in memory.  The empty clause closes the
-    stream as its own block, tagged ``empty`` with k = 0.
+    With ``emit_deletions`` it then yields a block tagged ``DELETE`` removing
+    layer k+1 -- the additions of iteration k+1, rebuilt by the same
+    builders, or the input formula when k = n-1 -- since nothing below
+    iteration k ever looks at that layer again.  Deletions never change
+    whether the proof checks.  A delete block is a one-shot iterator, so the
+    input formula of a large instance is never held in memory.  The empty
+    clause closes the stream as its own block, tagged ``empty`` with k = 0.
     """
     _check_n(n, minimum=2)
     chained, builders = family
@@ -204,30 +207,45 @@ def iter_blocks(
         for tag, build in builders:
             yield tag, k, build(plans[k])
         if emit_deletions:
-            spent = (
+            yield DELETE, k, (
                 iter_php_standard_clauses(n)
                 if k == n - 1
-                else (
-                    line.lits for _, build in builders for line in build(plans[k + 1])
-                )
+                else chain.from_iterable(build(plans[k + 1]) for _, build in builders)
             )
-            yield DELETE, k, (ProofLine(True, lits) for lits in spent)
-    yield EMPTY, 0, (EMPTY_CLAUSE_LINE,)
+    yield EMPTY, 0, [()]
+
+
+# tuple.__new__ builds each ProofLine in C, skipping the NamedTuple's Python __new__.
+_proof_line = partial(tuple.__new__, ProofLine)
+
+
+def family_lines(
+    n: int, family: Family, emit_deletions: bool = False
+) -> Iterator[ProofLine]:
+    """Stream a family's refutation of ``php_standard(n)`` as proof lines."""
+    for tag, _, clauses in iter_blocks(n, family, emit_deletions):
+        yield from map(_proof_line, zip(repeat(tag == DELETE), clauses))
+
+
+def family_tagged_lines(
+    n: int, family: Family, emit_deletions: bool = False
+) -> Iterator[tuple[str, int, ProofLine]]:
+    """Like :func:`family_lines` but yielding (tag, k, line) triples."""
+    for tag, k, clauses in iter_blocks(n, family, emit_deletions):
+        for line in map(_proof_line, zip(repeat(tag == DELETE), clauses)):
+            yield tag, k, line
 
 
 def iter_proof_lines(n: int, emit_deletions: bool = False) -> Iterator[ProofLine]:
     """Stream the whole refutation without materialising it."""
-    for _, _, block in iter_blocks(n, OURS, emit_deletions):
-        yield from block
+    return family_lines(n, OURS, emit_deletions)
 
 
 def iter_tagged_lines(
     n: int, emit_deletions: bool = False
 ) -> Iterator[tuple[str, int, ProofLine]]:
     """Like :func:`iter_proof_lines` but yielding (tag, k, line) triples."""
-    for tag, k, block in iter_blocks(n, OURS, emit_deletions):
-        for line in block:
-            yield tag, k, line
+    return family_tagged_lines(n, OURS, emit_deletions)
 
 
 def generate_ours(n: int, emit_deletions: bool = False) -> Proof:

@@ -202,6 +202,24 @@ def test_bench_styles_subset(capsys):
     assert out.splitlines()[0] == "n,ours"
 
 
+def test_style_tables_agree():
+    from pigeonproof import counts
+    from pigeonproof.cli import GENERATORS
+
+    assert set(GENERATORS) == set(counts.TOTALS) == set(counts.BREAKDOWNS)
+
+
+def test_bench_unknown_style_exits_2_without_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", "bench", "3", "--styles", "bogus"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "unknown style 'bogus'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_gen_proof_100_add_line_count(tmp_path):
     out = tmp_path / "php100.drat"
     assert main(["gen-proof", "100", "--style", "ours", "--out", str(out)]) == 0

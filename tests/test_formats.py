@@ -1,3 +1,7 @@
+import hashlib
+import io
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,28 @@ from pigeonproof import (
     parse_drat,
     php_amo,
     php_standard,
+    proof_cook,
+    proof_ours,
 )
+from pigeonproof.formats import write_drat_blocks
+
+# SHA-256 of the concatenated output for n = 2..8 (proofs) and n = 1..6
+# (formulas), as the line-by-line writer emitted it before proofs were
+# written block by block.
+DRAT_DIGESTS = {
+    ("ours", False): "433e9545d79816c37276287eb5ffc3993dbfae5f83512909de1f5082621c559a",
+    ("ours", True): "123ea3122b7c0afe25922c3cb58392565a98bec40081128155047bbad019d1c4",
+    ("cook", False): "389c8f74847b9c87acd41cbe9c5da5f5aa5de8981819874170d71de4719f1366",
+    ("cook", True): "e88b2b23729fe4d7e98df830028893548e27ce5edcf70dfe1641d9b42743a938",
+}
+DIMACS_DIGESTS = {
+    php_standard: "8241ad1920914be492c5848ab1fcd2b44e6c00295034f0f9ff14f94499251905",
+    php_amo: "26fc73b72a645fc7fbdf249df168bbdfcf017be770b3f9e32b323c9b52203be3",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_parse_minimal():
@@ -78,6 +103,56 @@ def test_dimacs_round_trip_on_generator_outputs():
     for n in range(1, 8):
         for formula in (php_standard(n), php_amo(n)):
             assert parse_dimacs(emit_dimacs(formula)) == formula
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 2 1\n1 -2 0\n",
+        "c a comment\np cnf 3 2\n1 2\n3 0\nc mid\n-1 -2 -3 0\n",
+        "p cnf 2 1\r\n1 -2 0\r\n",
+        "p cnf 2 2\n1 0\n",
+        "p cnf 1 1\n\n2 0\n",
+        "p cnf 2 1\n1 x 0\n",
+        "p cnf 2 1\np cnf 2 1\n",
+        "1 0\n",
+        "p cnf 2 1\n1 -2",
+        "",
+    ],
+)
+def test_parse_dimacs_streams_text_lines(text):
+    def outcome(source):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = parse_dimacs(source)
+            except ValueError as exc:
+                result = str(exc)
+        return result, [str(w.message) for w in caught]
+
+    assert outcome(io.StringIO(text)) == outcome(text)
+
+
+@pytest.mark.parametrize("encode", sorted(DIMACS_DIGESTS, key=lambda f: f.__name__))
+def test_emit_dimacs_is_unchanged(encode):
+    text = "".join(emit_dimacs(encode(n)) for n in range(1, 7))
+    assert sha256(text) == DIMACS_DIGESTS[encode]
+
+
+@pytest.mark.parametrize("deletions", [False, True])
+@pytest.mark.parametrize("style", ["ours", "cook"])
+def test_block_emission_matches_line_emission(style, deletions):
+    module, family = {
+        "ours": (proof_ours, proof_ours.OURS),
+        "cook": (proof_cook, proof_cook.COOK),
+    }[style]
+    texts = []
+    for n in range(2, 9):
+        out = io.StringIO()
+        write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+        assert out.getvalue() == emit_drat(module.iter_proof_lines(n, deletions)), n
+        texts.append(out.getvalue())
+    assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
 
 
 def test_parse_drat_trivial():

@@ -18,13 +18,9 @@ def cook_plan(n, k):
     return iteration_plan(n, k, chained=False)
 
 
-def lits(lines):
-    return [line.lits for line in lines]
-
-
 def test_definitions_n2_all_four_rows():
     plan = cook_plan(2, 1)
-    assert lits(definition_clauses(plan)) == [
+    assert list(definition_clauses(plan)) == [
         (-7, 1, 2), (-7, 1, 5), (7, -1), (7, -2, -5),
         (-8, 3, 4), (-8, 3, 5), (8, -3), (8, -4, -5),
     ]
@@ -41,8 +37,8 @@ def test_definitions_match_chained_style_except_top_pigeon():
     # the first inner layer)
     n, k = 6, 5
     plan = cook_plan(n, k)
-    ours = lits(definition_clauses(iteration_plan(n, k)))
-    cook = lits(definition_clauses(plan))
+    ours = list(definition_clauses(iteration_plan(n, k)))
+    cook = list(definition_clauses(plan))
     top_vars = {plan.next.x_var(k, h) for h in range(1, k + 1)}
     filtered = [c for c in cook if not (c[0] < 0 and -c[0] in top_vars)]
     assert filtered == ours
@@ -51,7 +47,7 @@ def test_definitions_match_chained_style_except_top_pigeon():
 
 def test_pair_clauses_n2():
     plan = cook_plan(2, 1)
-    assert lits(cook_pair_clauses(plan)) == [(-7, -8, -2), (-7, -8)]
+    assert list(cook_pair_clauses(plan)) == [(-7, -8, -2), (-7, -8)]
 
 
 @pytest.mark.parametrize("n,k", [(4, 3), (7, 6), (9, 8)])
@@ -61,7 +57,7 @@ def test_pair_clause_count(n, k):
 
 def test_helper_comes_before_target():
     plan = cook_plan(5, 4)
-    pairs = lits(cook_pair_clauses(plan))
+    pairs = list(cook_pair_clauses(plan))
     for helper, target in zip(pairs[::2], pairs[1::2]):
         assert len(helper) == 3
         assert helper[:2] == target

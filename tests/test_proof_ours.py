@@ -18,13 +18,9 @@ from pigeonproof.model import count_added
 from pigeonproof.proof_ours import iter_proof_lines, iter_tagged_lines
 
 
-def lits(lines):
-    return [line.lits for line in lines]
-
-
 def test_definitions_n2():
     plan = iteration_plan(2, 1)
-    assert lits(definition_clauses(plan)) == [
+    assert list(definition_clauses(plan)) == [
         (-7, 1, 2), (-7, 1, 5), (7, -1), (7, -2, -5),
         (8, -3), (8, -4, -5),
     ]
@@ -39,7 +35,7 @@ def test_definition_count(n, k):
 def test_top_pigeon_has_no_negative_pivot_definitions():
     plan = iteration_plan(5, 4)
     top = plan.next.x_var(4, 1)
-    negatives = [c for c in lits(definition_clauses(plan)) if c[0] == -top]
+    negatives = [c for c in list(definition_clauses(plan)) if c[0] == -top]
     assert negatives == []
 
 
@@ -52,7 +48,7 @@ def test_y_definitions_k4():
     nxt = plan.next
     y0 = nxt.y_var(0, 1)
     x = [nxt.x_var(p, 1) for p in range(5)]
-    first_hole = lits(y_definition_clauses(plan))[:4]
+    first_hole = list(y_definition_clauses(plan))[:4]
     assert first_hole == [
         (y0, x[0], x[1], x[2]),
         (-y0, -x[0]),
@@ -64,7 +60,7 @@ def test_y_definitions_k4():
 def test_y_definitions_chain_to_previous_group():
     plan = iteration_plan(7, 6)
     nxt = plan.next
-    block = lits(y_definition_clauses(plan))
+    block = list(y_definition_clauses(plan))
     y0, y1 = nxt.y_var(0, 1), nxt.y_var(1, 1)
     assert block[4] == (y1, -y0, nxt.x_var(3, 1), nxt.x_var(4, 1))
     assert block[5] == (-y1, y0)
@@ -81,7 +77,7 @@ def test_derived_single_group_k2():
     plan = iteration_plan(3, 2)
     nxt = plan.next
     x = [nxt.x_var(p, 1) for p in range(3)]
-    per_hole = lits(derived_group_clauses(plan))[:3]
+    per_hole = list(derived_group_clauses(plan))[:3]
     assert per_hole == [(-x[1], -x[0]), (-x[2], -x[0]), (-x[2], -x[1])]
 
 
@@ -90,7 +86,7 @@ def test_derived_final_group_k4():
     nxt = plan.next
     y0 = nxt.y_var(0, 1)
     x3, x4 = nxt.x_var(3, 1), nxt.x_var(4, 1)
-    hole1 = lits(derived_group_clauses(plan))[:6]
+    hole1 = list(derived_group_clauses(plan))[:6]
     assert hole1[3:] == [(-x3, y0), (-x4, y0), (-x4, -x3)]
 
 
@@ -104,7 +100,7 @@ def test_group_clause_total_is_k_times_f():
 
 
 def test_alo_clauses_n2():
-    assert lits(alo_clauses(iteration_plan(2, 1))) == [(7,), (8,)]
+    assert list(alo_clauses(iteration_plan(2, 1))) == [(7,), (8,)]
 
 
 def test_alo_count():
