@@ -2,7 +2,9 @@
 
    A drop-in replacement for ``propagation.ClauseDatabase``: the same methods
    (add_clause, delete_clause, clause, __len__, rup, rat, snapshot), the same
-   verdicts and the same exceptions.  Literals are int32 in one flat buffer;
+   verdicts and the same exceptions.  check_drat also checks a whole text
+   DRAT file in one call: it reads and parses the file and keeps the
+   deletion index itself.  Literals are int32 in one flat buffer;
    watch and occurrence lists are growable vectors of clause ids indexed by
    literal code (v -> 2v, -v -> 2v+1).  The assignment, the trail and the RAT
    scratch marks are indexed by variable and grow with the largest variable
@@ -14,8 +16,11 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 /* Largest |literal|, so that a literal and its complement fit in int32.
    model.MAX_LITERAL is the same cap. */
@@ -158,23 +163,42 @@ static int grow_vars(FastDatabase *self, Py_ssize_t var)
     return 0;
 }
 
+/* Make room for n literals in *buf, whose capacity *cap at least doubles. */
+static int reserve(lit_t **buf, Py_ssize_t *cap, Py_ssize_t n)
+{
+    Py_ssize_t want = n > 2 * *cap ? n : 2 * *cap;
+    lit_t *grown;
+    if (n <= *cap)
+        return 0;
+    if ((grown = resized(*buf, want, sizeof *grown)) == NULL)
+        return -1;
+    *buf = grown;
+    *cap = want;
+    return 0;
+}
+
+/* Grow the per-variable arrays to cover every literal of l. */
+static int cover(FastDatabase *self, const lit_t *l, Py_ssize_t n)
+{
+    Py_ssize_t i, biggest = 0;
+    for (i = 0; i < n; i++)
+        if (var_of(l[i]) > biggest)
+            biggest = var_of(l[i]);
+    return biggest > self->max_var ? grow_vars(self, biggest) : 0;
+}
+
 /* Copy a sequence of literals into self->buf, rejecting 0 and any literal
    beyond MAX_LITERAL, and grow the arrays to cover them.  Returns the
    number of literals, or -1 with an exception set. */
 static Py_ssize_t load_lits(FastDatabase *self, PyObject *arg)
 {
     PyObject *fast = PySequence_Fast(arg, "literals must be a sequence of ints");
-    Py_ssize_t n, i, biggest = 0;
+    Py_ssize_t n, i;
     if (fast == NULL)
         return -1;
     n = PySequence_Fast_GET_SIZE(fast);
-    if (n > self->cap_buf) {
-        lit_t *buf = resized(self->buf, n, sizeof *buf);
-        if (buf == NULL)
-            goto fail;
-        self->buf = buf;
-        self->cap_buf = n;
-    }
+    if (reserve(&self->buf, &self->cap_buf, n) < 0)
+        goto fail;
     for (i = 0; i < n; i++) {
         PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
         int overflow;
@@ -188,13 +212,9 @@ static Py_ssize_t load_lits(FastDatabase *self, PyObject *arg)
             goto fail;
         }
         self->buf[i] = (lit_t)lit;
-        if (var_of((lit_t)lit) > biggest)
-            biggest = var_of((lit_t)lit);
     }
     Py_DECREF(fast);
-    if (biggest > self->max_var && grow_vars(self, biggest) < 0)
-        return -1;
-    return n;
+    return cover(self, self->buf, n) < 0 ? -1 : n;
 fail:
     Py_DECREF(fast);
     return -1;
@@ -214,36 +234,26 @@ static Py_ssize_t clause_id(FastDatabase *self, PyObject *arg)
 
 /* -- clause store -------------------------------------------------------- */
 
-static PyObject *db_add_clause(FastDatabase *self, PyObject *arg)
+/* Store the clause l (which must not point into self->lits) and return its
+   id, or -1 with MemoryError set and nothing changed.  The caller has
+   covered its variables. */
+static Py_ssize_t store(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
-    Py_ssize_t n = load_lits(self, arg), cid = self->ncl, i;
-    const lit_t *l;
-    PyObject *result;
-    if (n < 0)
-        return NULL;
-    l = self->buf;
-    if (cid >= INT32_MAX || n > INT32_MAX)
-        return PyErr_NoMemory();
+    Py_ssize_t cid = self->ncl, i;
+    if (cid >= INT32_MAX || n > INT32_MAX) {
+        PyErr_NoMemory();
+        return -1;
+    }
     if (cid == self->cap_cl) {
         Py_ssize_t cap = self->cap_cl ? 2 * self->cap_cl : 64;
         Clause *cls = resized(self->cls, cap, sizeof *cls);
         if (cls == NULL)
-            return NULL;
+            return -1;
         self->cls = cls;
         self->cap_cl = cap;
     }
-    if (self->nlits + n > self->cap_lits) {
-        Py_ssize_t cap = self->cap_lits ? 2 * self->cap_lits : 256;
-        lit_t *lits;
-        while (cap < self->nlits + n)
-            cap *= 2;
-        if ((lits = resized(self->lits, cap, sizeof *lits)) == NULL)
-            return NULL;
-        self->lits = lits;
-        self->cap_lits = cap;
-    }
-    if ((result = PyLong_FromSsize_t(cid)) == NULL)
-        return NULL;
+    if (reserve(&self->lits, &self->cap_lits, self->nlits + n) < 0)
+        return -1;
     /* Index the clause; on failure pop what was pushed, newest first. */
     for (i = 0; i < n; i++)
         if (vec_push(&self->occ[code_of(l[i])], (int32_t)cid) < 0)
@@ -269,27 +279,43 @@ static PyObject *db_add_clause(FastDatabase *self, PyObject *arg)
     self->nactive++;
     if (n == 0)
         self->nempty++;
-    return result;
+    return cid;
 undo_occ:
     while (i-- > 0)
         self->occ[code_of(l[i])].size--;
-    Py_DECREF(result);
-    return NULL;
+    return -1;
 }
 
-static PyObject *db_delete_clause(FastDatabase *self, PyObject *arg)
+static void deactivate(FastDatabase *self, Py_ssize_t cid)
 {
-    Py_ssize_t cid = clause_id(self, arg);
-    Clause *c;
-    if (cid < 0)
-        return NULL;
-    c = &self->cls[cid];
+    Clause *c = &self->cls[cid];
     if (c->active) { /* watch and occurrence entries are dropped lazily */
         c->active = 0;
         self->nactive--;
         if (c->size == 0)
             self->nempty--;
     }
+}
+
+static PyObject *db_add_clause(FastDatabase *self, PyObject *arg)
+{
+    Py_ssize_t n = load_lits(self, arg);
+    PyObject *result;
+    if (n < 0 || (result = PyLong_FromSsize_t(self->ncl)) == NULL)
+        return NULL;
+    if (store(self, self->buf, n) < 0) {
+        Py_DECREF(result);
+        return NULL;
+    }
+    return result;
+}
+
+static PyObject *db_delete_clause(FastDatabase *self, PyObject *arg)
+{
+    Py_ssize_t cid = clause_id(self, arg);
+    if (cid < 0)
+        return NULL;
+    deactivate(self, cid);
     Py_RETURN_NONE;
 }
 
@@ -441,45 +467,33 @@ static int tautology(FastDatabase *self, const lit_t *l, Py_ssize_t n,
 /* Never a literal: |INT32_MIN| exceeds MAX_LITERAL. */
 #define NO_SKIP INT32_MIN
 
-static PyObject *db_rup(FastDatabase *self, PyObject *arg)
+/* Is the clause l RUP?  1 or 0, or -1 with MemoryError set. */
+static int rup_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
-    Py_ssize_t n = load_lits(self, arg);
-    int conflict;
-    if (n < 0)
-        return NULL;
-    conflict = seed_units(self) || assume_complements(self, self->buf, n, NO_SKIP);
+    int conflict = seed_units(self) || assume_complements(self, l, n, NO_SKIP);
     if (!conflict)
         conflict = propagate(self);
     undo_to(self, 0);
-    if (conflict < 0)
-        return NULL;
-    return PyBool_FromLong(conflict);
+    return conflict;
 }
 
-/* RAT on the first literal: every resolvent with a clause containing the
-   pivot's complement is a tautology or RUP.  The complements of the other
-   literals are propagated once and shared by all resolvents. */
-static PyObject *db_rat(FastDatabase *self, PyObject *arg)
+/* RAT on the first literal of l (n >= 1): every resolvent with a clause
+   containing the pivot's complement is a tautology or RUP.  The complements
+   of the other literals are propagated once and shared by all resolvents.
+   1 or 0, or -1 with MemoryError set. */
+static int rat_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
-    Py_ssize_t n = load_lits(self, arg), i, mark;
-    const lit_t *rest;
-    lit_t neg_pivot;
+    const lit_t *rest = l + 1;
+    lit_t neg_pivot = -l[0];
+    Py_ssize_t i, mark;
     Vec *ov;
     int result = 1, conflict;
-    if (n < 0)
-        return NULL;
-    if (n == 0) {
-        PyErr_SetString(PyExc_IndexError, "the empty clause has no pivot");
-        return NULL;
-    }
-    neg_pivot = -self->buf[0];
-    rest = self->buf + 1;
     conflict = seed_units(self) || assume_complements(self, rest, n - 1, NO_SKIP);
     if (!conflict)
         conflict = propagate(self);
     if (conflict) {
         undo_to(self, 0);
-        return conflict < 0 ? NULL : PyBool_FromLong(1);
+        return conflict;
     }
     mark = self->ntrail;
     for (i = 0; i < n - 1; i++)
@@ -487,15 +501,15 @@ static PyObject *db_rat(FastDatabase *self, PyObject *arg)
     ov = &self->occ[code_of(neg_pivot)];
     for (i = 0; i < ov->size;) {
         const Clause *c = &self->cls[ov->data[i]];
-        const lit_t *l = self->lits + c->start;
+        const lit_t *cl = self->lits + c->start;
         if (!c->active) {
             vec_swap_remove(ov, i);
             continue;
         }
         i++;
-        if (tautology(self, l, c->size, neg_pivot))
+        if (tautology(self, cl, c->size, neg_pivot))
             continue;
-        conflict = assume_complements(self, l, c->size, neg_pivot);
+        conflict = assume_complements(self, cl, c->size, neg_pivot);
         if (!conflict)
             conflict = propagate(self);
         undo_to(self, mark);
@@ -507,7 +521,29 @@ static PyObject *db_rat(FastDatabase *self, PyObject *arg)
     for (i = 0; i < n - 1; i++)
         self->cmark[var_of(rest[i])] = 0;
     undo_to(self, 0);
-    if (result < 0)
+    return result;
+}
+
+static PyObject *db_rup(FastDatabase *self, PyObject *arg)
+{
+    Py_ssize_t n = load_lits(self, arg);
+    int result;
+    if (n < 0 || (result = rup_check(self, self->buf, n)) < 0)
+        return NULL;
+    return PyBool_FromLong(result);
+}
+
+static PyObject *db_rat(FastDatabase *self, PyObject *arg)
+{
+    Py_ssize_t n = load_lits(self, arg);
+    int result;
+    if (n < 0)
+        return NULL;
+    if (n == 0) {
+        PyErr_SetString(PyExc_IndexError, "the empty clause has no pivot");
+        return NULL;
+    }
+    if ((result = rat_check(self, self->buf, n)) < 0)
         return NULL;
     return PyBool_FromLong(result);
 }
@@ -536,6 +572,404 @@ static PyObject *db_snapshot(FastDatabase *self, PyObject *unused)
     }
     result = PyList_AsTuple(out);
     Py_DECREF(out);
+    return result;
+}
+
+/* -- checking a DRAT file ------------------------------------------------ */
+
+/* Bytes per read.  A multiple of the 8 KiB chunk in which Python's text
+   reader decodes a file, so that when the check stops this has read every
+   byte the text reader would have decoded (bar the one chunk it reads past
+   a "\r" at the end of a chunk); see NOT_ASCII in checker.py. */
+#define CHUNK 65536
+
+/* Outcomes of check_drat, in the order checker.py maps them to verdicts. */
+enum { INCOMPLETE, ACCEPTED, EMPTY_NOT_RUP, NOT_RUP_OR_RAT, NOT_PRESENT,
+       MALFORMED, NOT_ASCII };
+
+/* Deletion index: the active clauses by the hash of their literal multiset,
+   chained newest first, so a deletion finds the most recent copy first. */
+typedef struct {
+    int32_t *head;  /* by bucket: newest clause id, or -1 */
+    int32_t *next;  /* by clause id: next older clause in its bucket */
+    uint64_t *hash; /* by clause id */
+    Py_ssize_t mask, count, cap_ids;
+} Index;
+
+static uint64_t multiset_hash(const lit_t *l, Py_ssize_t n)
+{
+    uint64_t h = (uint64_t)n;
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) { /* a sum of splitmix64 values: order-free */
+        uint64_t x = (uint64_t)(uint32_t)l[i] + 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        h += x ^ (x >> 31);
+    }
+    return h;
+}
+
+static inline Py_ssize_t bucket(const Index *ix, uint64_t h)
+{
+    return (Py_ssize_t)((h ^ (h >> 32)) & (uint64_t)ix->mask);
+}
+
+static int cmp_lits(const void *a, const void *b)
+{
+    lit_t x = *(const lit_t *)a, y = *(const lit_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_lits(lit_t *l, Py_ssize_t n)
+{
+    Py_ssize_t i, j;
+    if (n > 16) {
+        qsort(l, (size_t)n, sizeof *l, cmp_lits);
+        return;
+    }
+    for (i = 1; i < n; i++) {
+        lit_t x = l[i];
+        for (j = i; j > 0 && l[j - 1] > x; j--)
+            l[j] = l[j - 1];
+        l[j] = x;
+    }
+}
+
+/* Link every active clause up to ``last``, oldest first, into the buckets. */
+static void relink(FastDatabase *self, Index *ix, Py_ssize_t last)
+{
+    Py_ssize_t b, cid;
+    for (b = 0; b <= ix->mask; b++)
+        ix->head[b] = -1;
+    for (cid = 0; cid <= last; cid++) {
+        if (self->cls[cid].active) {
+            b = bucket(ix, ix->hash[cid]);
+            ix->next[cid] = ix->head[b];
+            ix->head[b] = (int32_t)cid;
+        }
+    }
+}
+
+/* Index the active clause cid under hash h.  Clauses are indexed in the
+   order of their ids, so cid is the newest indexed clause. */
+static int index_add(FastDatabase *self, Index *ix, Py_ssize_t cid, uint64_t h)
+{
+    Py_ssize_t b;
+    if (cid >= ix->cap_ids) {
+        Py_ssize_t cap = ix->cap_ids ? 2 * ix->cap_ids : 1024;
+        int32_t *next;
+        uint64_t *hash;
+        while (cap <= cid)
+            cap *= 2;
+        if ((next = resized(ix->next, cap, sizeof *next)) == NULL)
+            return -1;
+        ix->next = next;
+        if ((hash = resized(ix->hash, cap, sizeof *hash)) == NULL)
+            return -1;
+        ix->hash = hash;
+        ix->cap_ids = cap;
+    }
+    ix->hash[cid] = h;
+    if (++ix->count > ix->mask) {
+        Py_ssize_t mask = ix->mask ? 2 * ix->mask + 1 : 1023;
+        int32_t *head;
+        while (mask < ix->count)
+            mask = 2 * mask + 1;
+        if ((head = resized(ix->head, mask + 1, sizeof *head)) == NULL) {
+            ix->count--;
+            return -1;
+        }
+        ix->head = head;
+        ix->mask = mask;
+        relink(self, ix, cid);
+        return 0;
+    }
+    b = bucket(ix, h);
+    ix->next[cid] = ix->head[b];
+    ix->head[b] = (int32_t)cid;
+    return 0;
+}
+
+/* Unlink and return the newest active clause whose literals, sorted, are
+   key[0..n); -1 if there is none.  cand is scratch for n literals. */
+static Py_ssize_t index_take(FastDatabase *self, Index *ix, const lit_t *key,
+                             Py_ssize_t n, uint64_t h, lit_t *cand)
+{
+    int32_t *link;
+    if (ix->count == 0)
+        return -1;
+    for (link = &ix->head[bucket(ix, h)]; *link >= 0; link = &ix->next[*link]) {
+        Py_ssize_t cid = *link;
+        const Clause *c = &self->cls[cid];
+        if (ix->hash[cid] != h || c->size != n)
+            continue;
+        memcpy(cand, self->lits + c->start, (size_t)n * sizeof *cand);
+        sort_lits(cand, n);
+        if (memcmp(cand, key, (size_t)n * sizeof *cand) == 0) {
+            *link = ix->next[cid];
+            ix->count--;
+            return cid;
+        }
+    }
+    return -1;
+}
+
+typedef struct {
+    int fd;
+    char *buf;
+    Py_ssize_t lo, hi, cap; /* unconsumed bytes are buf[lo..hi) */
+    int eof, skip_lf, not_ascii;
+} Reader;
+
+/* Append the next chunk of the file to the unconsumed bytes. */
+static int fill(Reader *r)
+{
+    Py_ssize_t got, i;
+    if (r->lo > 0) {
+        memmove(r->buf, r->buf + r->lo, (size_t)(r->hi - r->lo));
+        r->hi -= r->lo;
+        r->lo = 0;
+    }
+    if (r->cap - r->hi < CHUNK) {
+        char *buf = resized(r->buf, r->hi + CHUNK, 1);
+        if (buf == NULL)
+            return -1;
+        r->buf = buf;
+        r->cap = r->hi + CHUNK;
+    }
+    do {
+        if (PyErr_CheckSignals() < 0)
+            return -1;
+        got = read(r->fd, r->buf + r->hi, CHUNK);
+    } while (got < 0 && errno == EINTR);
+    if (got < 0) {
+        PyErr_SetFromErrno(PyExc_OSError);
+        return -1;
+    }
+    for (i = r->hi; i < r->hi + got; i++)
+        r->not_ascii |= (unsigned char)r->buf[i] >> 7;
+    r->hi += got;
+    r->eof = got == 0;
+    return 0;
+}
+
+/* Find the next line, as text mode splits lines (at "\n", "\r\n" or "\r"),
+   in buf[*start..*end); *ended tells whether a line break followed it.
+   1 for a line, 0 at the end of the file, -1 with an exception set. */
+static int next_line(Reader *r, Py_ssize_t *start, Py_ssize_t *end, int *ended)
+{
+    Py_ssize_t seen = 0, i; /* bytes of the line already scanned */
+    for (;;) {
+        if (r->skip_lf && r->lo < r->hi) {
+            r->skip_lf = 0;
+            r->lo += r->buf[r->lo] == '\n';
+        }
+        for (i = r->lo + seen; i < r->hi; i++)
+            if (r->buf[i] == '\n' || r->buf[i] == '\r')
+                break;
+        if (i < r->hi || (r->eof && r->lo < r->hi)) {
+            *start = r->lo;
+            *end = i;
+            *ended = i < r->hi;
+            if (*ended)
+                r->skip_lf = r->buf[i++] == '\r';
+            r->lo = i;
+            return 1;
+        }
+        if (r->eof)
+            return 0;
+        seen = i - r->lo;
+        if (fill(r) < 0)
+            return -1;
+    }
+}
+
+/* The whitespace of Python's str.split() within one line of ASCII text. */
+static inline int is_space(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r') || (c >= '\x1c' && c <= '\x1f');
+}
+
+static inline int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+enum { BLANK, ADD, DELETE, BAD };
+
+/* Parse one DRAT line of ASCII text with formats.parse_drat_line's grammar:
+   BLANK for a blank or comment line, ADD or DELETE with the literals in
+   self->buf and their sorted copy in *key, or BAD if parse_drat_line would
+   raise.  -1 with MemoryError set. */
+static int parse_line(FastDatabase *self, const char *s, const char *end,
+                      Py_ssize_t *count, lit_t **key, Py_ssize_t *cap_key)
+{
+    Py_ssize_t n = 0, i;
+    int kind = ADD, terminated = 0;
+    while (s < end && is_space(*s))
+        s++;
+    while (end > s && is_space(end[-1]))
+        end--;
+    if (s == end || *s == 'c')
+        return BLANK;
+    if (*s == 'd' && (s + 1 == end || s[1] == ' ')) {
+        kind = DELETE;
+        s++;
+    }
+    for (;;) {
+        long long value = 0;
+        int negative;
+        while (s < end && is_space(*s))
+            s++;
+        if (s == end)
+            break;
+        if (terminated) /* a token after the 0 */
+            return BAD;
+        negative = *s == '-';
+        s += negative;
+        if (s == end || !is_digit(*s))
+            return BAD;
+        for (; s < end && is_digit(*s); s++)
+            if (value <= MAX_LITERAL)
+                value = 10 * value + (*s - '0');
+        if (s < end && !is_space(*s))
+            return BAD;
+        if (value == 0) {
+            terminated = 1;
+            continue;
+        }
+        if (value > MAX_LITERAL)
+            return BAD;
+        if (reserve(&self->buf, &self->cap_buf, n + 1) < 0)
+            return -1;
+        self->buf[n++] = (lit_t)(negative ? -value : value);
+    }
+    if (!terminated || (kind == DELETE && n == 0))
+        return BAD;
+    if (reserve(key, cap_key, n) < 0)
+        return -1;
+    memcpy(*key, self->buf, (size_t)n * sizeof **key);
+    sort_lits(*key, n);
+    for (i = 1; i < n; i++)
+        if ((*key)[i] == (*key)[i - 1]) /* a duplicate literal */
+            return BAD;
+    *count = n;
+    return kind;
+}
+
+/* check_drat(fd, strict_deletions): the forward check of the text DRAT file
+   open as fd against the active clauses, as checker.verify does it. */
+static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
+{
+    Reader r = {0};
+    Index ix = {0};
+    lit_t *key = NULL, *cand = NULL;
+    Py_ssize_t cap_key = 0, cap_cand = 0, fileline = 0, proofline = 0, line = 0;
+    Py_ssize_t rup_calls = 0, rup_pass = 0, rat_calls = 0, rat_pass = 0;
+    Py_ssize_t adds = 0, deletes = 0, cid;
+    PyObject *unmatched = NULL, *raw = Py_None, *result = NULL;
+    int strict, outcome = INCOMPLETE;
+    if (!PyArg_ParseTuple(args, "ip:check_drat", &r.fd, &strict))
+        return NULL;
+    if ((unmatched = PyList_New(0)) == NULL)
+        return NULL;
+    for (cid = 0; cid < self->ncl; cid++) {
+        const Clause *c = &self->cls[cid];
+        if (c->active &&
+            index_add(self, &ix, cid, multiset_hash(self->lits + c->start, c->size)) < 0)
+            goto done;
+    }
+    for (;;) {
+        Py_ssize_t start, end, n;
+        int ended, got = next_line(&r, &start, &end, &ended), kind, ok;
+        uint64_t h;
+        if (got < 0)
+            goto done;
+        if (r.not_ascii) {
+            outcome = NOT_ASCII;
+            break;
+        }
+        if (got == 0)
+            break;
+        fileline++;
+        kind = parse_line(self, r.buf + start, r.buf + end, &n, &key, &cap_key);
+        if (kind < 0)
+            goto done;
+        if (kind == BLANK)
+            continue;
+        if (kind == BAD) { /* the raw line, its break as text mode gives it */
+            if ((raw = PyBytes_FromStringAndSize(NULL, end - start + ended)) == NULL)
+                goto done;
+            memcpy(PyBytes_AS_STRING(raw), r.buf + start, (size_t)(end - start));
+            if (ended)
+                PyBytes_AS_STRING(raw)[end - start] = '\n';
+            outcome = MALFORMED;
+            line = fileline;
+            break;
+        }
+        line = ++proofline;
+        h = multiset_hash(self->buf, n);
+        if (kind == DELETE) {
+            PyObject *number;
+            if (reserve(&cand, &cap_cand, n) < 0)
+                goto done;
+            if ((cid = index_take(self, &ix, key, n, h, cand)) >= 0) {
+                deactivate(self, cid);
+                deletes++;
+                continue;
+            }
+            if (strict) {
+                outcome = NOT_PRESENT;
+                break;
+            }
+            if ((number = PyLong_FromSsize_t(line)) == NULL)
+                goto done;
+            ok = PyList_Append(unmatched, number);
+            Py_DECREF(number);
+            if (ok < 0)
+                goto done;
+            continue;
+        }
+        if (cover(self, self->buf, n) < 0)
+            goto done;
+        rup_calls++;
+        if ((ok = rup_check(self, self->buf, n)) < 0)
+            goto done;
+        rup_pass += ok;
+        if (!ok && n == 0) {
+            outcome = EMPTY_NOT_RUP;
+            break;
+        }
+        if (!ok) {
+            rat_calls++;
+            if ((ok = rat_check(self, self->buf, n)) < 0)
+                goto done;
+            rat_pass += ok;
+            if (!ok) {
+                outcome = NOT_RUP_OR_RAT;
+                break;
+            }
+        }
+        if (n == 0) {
+            outcome = ACCEPTED;
+            break;
+        }
+        if ((cid = store(self, self->buf, n)) < 0 || index_add(self, &ix, cid, h) < 0)
+            goto done;
+        adds++;
+    }
+    result = Py_BuildValue("(inOO(nnnnnn))", outcome, line, raw, unmatched,
+                           rup_calls, rup_pass, rat_calls, rat_pass, adds, deletes);
+done:
+    if (raw != Py_None)
+        Py_DECREF(raw);
+    Py_DECREF(unmatched);
+    PyMem_Free(ix.head);
+    PyMem_Free(ix.next);
+    PyMem_Free(ix.hash);
+    PyMem_Free(key);
+    PyMem_Free(cand);
+    PyMem_Free(r.buf);
     return result;
 }
 
@@ -589,6 +1023,17 @@ static PyMethodDef db_methods[] = {
      "rup(lits) -> bool\n\nConflict after assuming the complement of every literal?"},
     {"rat", (PyCFunction)db_rat, METH_O,
      "rat(lits) -> bool\n\nRAT on the first literal: every resolvent tautological or RUP."},
+    {"check_drat", (PyCFunction)db_check_drat, METH_VARARGS,
+     "check_drat(fd, strict_deletions) -> (outcome, line, raw, unmatched, counters)\n\n"
+     "Check the text DRAT file open as fd against the active clauses, line by\n"
+     "line as checker.verify does, reading it in chunks.  outcome: 0 incomplete,\n"
+     "1 accepted, 2 empty clause not RUP, 3 neither RUP nor RAT, 4 deleted\n"
+     "clause not present (strict), with line the proof line it stopped at; or\n"
+     "5, a line formats.parse_drat_line rejects, with line its file line and raw\n"
+     "its bytes; or 6, a byte beyond ASCII was read and nothing is decided.\n"
+     "unmatched lists the proof lines of deletions that matched no clause;\n"
+     "counters are RUP calls, RUP passes, RAT calls, RAT passes, additions and\n"
+     "deletions."},
     {"snapshot", (PyCFunction)db_snapshot, METH_NOARGS,
      "snapshot() -> tuple\n\nAssigned (variable, value) pairs; for state-restoration checks."},
     {NULL, NULL, 0, NULL},

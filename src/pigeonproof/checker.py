@@ -12,14 +12,22 @@ faster one available is selected at import time; both produce identical
 verdicts and raise the same exceptions on bad input.  A verification session
 owns its database, so separate proofs may be checked in parallel threads or
 processes.
+
+:func:`verify` takes a proof as lines or as the path of a text DRAT file.
+On the compiled core a file is checked in one call, which reads it in
+chunks, parses it and keeps the deletion index in C; otherwise, and for
+lines, ``verify`` feeds the database one line at a time.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
+from . import formats
 from .model import CnfFormula, Proof, ProofLine, iter_lines
 from .propagation import ClauseDatabase
 
@@ -34,6 +42,23 @@ DEFAULT_BACKEND = "native" if HAVE_NATIVE else "python"
 ACCEPTED = "ACCEPTED"
 REJECTED = "REJECTED"
 INCOMPLETE = "INCOMPLETE"
+
+_NEVER_EMPTY = "proof never adds the empty clause"
+_EMPTY_NOT_RUP = "empty clause is not RUP (and has no pivot for RAT)"
+_NOT_RUP_OR_RAT = "RUP and RAT checks both failed"
+_NOT_PRESENT = "deletion of a clause not in the formula"
+
+#: Status and reason of each outcome of ``FastDatabase.check_drat`` that is a
+#: verdict; outcome ``_MALFORMED`` is a line to raise on, ``_NOT_ASCII`` a file
+#: to check line by line.
+_OUTCOMES = (
+    (INCOMPLETE, _NEVER_EMPTY),
+    (ACCEPTED, None),
+    (REJECTED, _EMPTY_NOT_RUP),
+    (REJECTED, _NOT_RUP_OR_RAT),
+    (REJECTED, _NOT_PRESENT),
+)
+_MALFORMED, _NOT_ASCII = 5, 6
 
 
 @dataclass(frozen=True)
@@ -92,51 +117,95 @@ def _multiset_key(lits: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lits))
 
 
+def _warn_not_present(lineno: int) -> None:
+    # stacklevel 4 names the caller of verify.
+    warnings.warn(
+        f"proof line {lineno}: deleted clause not in the formula", stacklevel=4
+    )
+
+
 def verify(
     formula: CnfFormula,
-    proof: Proof | Iterable[ProofLine],
+    proof: Proof | Iterable[ProofLine] | str | os.PathLike,
     strict_deletions: bool = False,
     backend: str | None = None,
 ) -> Verdict:
-    """Check a proof against a formula, line by line.
+    """Check a proof, given as lines or as the path of a text DRAT file.
 
     Deleting a clause that is not present is a warning unless
     ``strict_deletions`` is set; among identical copies the most recently
-    added one is removed.  Lines after an accepted empty clause are ignored.
+    added one is removed.  Lines after an accepted empty clause are neither
+    checked nor parsed.  A malformed file line raises the ``ValueError`` of
+    :func:`~pigeonproof.formats.parse_drat_line`; ``Verdict.line`` counts
+    proof lines, not blank or comment lines.  On the compiled core a file is
+    checked in one native call.
     """
+    if not isinstance(proof, (str, os.PathLike)):
+        return _verify_lines(formula, iter_lines(proof), strict_deletions, backend)
+    with open(proof, "rb") as handle:
+        if select_backend(backend) == "native":
+            verdict = _check_file(formula, handle, strict_deletions)
+            if verdict is not None:
+                return verdict
+            handle.seek(0)
+        text = io.TextIOWrapper(handle, encoding="utf-8")
+        return _verify_lines(
+            formula, formats.iter_drat_lines(text), strict_deletions, backend
+        )
+
+
+def _check_file(
+    formula: CnfFormula, handle: BinaryIO, strict_deletions: bool
+) -> Verdict | None:
+    """Check a DRAT file on the compiled core; None for a file beyond ASCII.
+
+    Bytes beyond ASCII can only be comment text or Unicode whitespace, and
+    whether they raise ``UnicodeDecodeError`` depends on how far the text
+    reader reads, so such a file is left to the text reader.
+    """
+    db = new_database(formula, "native")
+    outcome, line, raw, unmatched, _ = db.check_drat(handle.fileno(), strict_deletions)
+    if outcome == _NOT_ASCII:
+        return None
+    for lineno in unmatched:
+        _warn_not_present(lineno)
+    if outcome == _MALFORMED:
+        formats.parse_drat_line(raw.decode("ascii"), line)
+        raise RuntimeError(f"line {line}: the native parser rejects {raw!r}")
+    status, reason = _OUTCOMES[outcome]
+    return Verdict(status, line if status == REJECTED else None, reason)
+
+
+def _verify_lines(
+    formula: CnfFormula,
+    lines: Iterator[ProofLine],
+    strict_deletions: bool,
+    backend: str | None,
+) -> Verdict:
     db = new_database(backend=backend)
     by_key: dict[tuple[int, ...], list[int]] = {}
     for clause in formula.clauses:
         cid = db.add_clause(clause)
         by_key.setdefault(_multiset_key(clause), []).append(cid)
 
-    for lineno, line in enumerate(iter_lines(proof), start=1):
+    for lineno, line in enumerate(lines, start=1):
         lits = line.lits
         if line.delete:
             stack = by_key.get(_multiset_key(lits))
             if not stack:
                 if strict_deletions:
-                    return Verdict(
-                        REJECTED, lineno, "deletion of a clause not in the formula"
-                    )
-                warnings.warn(
-                    f"proof line {lineno}: deleted clause not in the formula",
-                    stacklevel=2,
-                )
+                    return Verdict(REJECTED, lineno, _NOT_PRESENT)
+                _warn_not_present(lineno)
                 continue
             db.delete_clause(stack.pop())
             continue
         if not db.rup(list(lits)):
             if not lits:
-                return Verdict(
-                    REJECTED,
-                    lineno,
-                    "empty clause is not RUP (and has no pivot for RAT)",
-                )
+                return Verdict(REJECTED, lineno, _EMPTY_NOT_RUP)
             if not db.rat(list(lits)):
-                return Verdict(REJECTED, lineno, "RUP and RAT checks both failed")
+                return Verdict(REJECTED, lineno, _NOT_RUP_OR_RAT)
         if not lits:
             return Verdict(ACCEPTED)
         cid = db.add_clause(lits)
         by_key.setdefault(_multiset_key(lits), []).append(cid)
-    return Verdict(INCOMPLETE, None, "proof never adds the empty clause")
+    return Verdict(INCOMPLETE, None, _NEVER_EMPTY)

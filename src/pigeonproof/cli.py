@@ -73,12 +73,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read CNF {args.cnf}: {exc}")
     try:
-        with open(args.proof, "r", encoding="utf-8") as handle:
-            verdict = checker.verify(
-                formula,
-                formats.iter_drat_lines(handle),
-                strict_deletions=args.strict_deletions,
-            )
+        verdict = checker.verify(
+            formula, args.proof, strict_deletions=args.strict_deletions
+        )
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read proof {args.proof}: {exc}")
     if verdict.status == checker.ACCEPTED:

@@ -8,6 +8,7 @@ a ``d `` prefix.  Binary DRAT is not supported.
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from itertools import groupby, islice
 from operator import itemgetter
@@ -121,8 +122,16 @@ def write_dimacs(
     _write_clauses(out, _TEMPLATES[False], clauses)
 
 
+# A proof token is ASCII: int() alone would also take "+5", "1_0" and "٣".
+_is_drat_token = re.compile(r"-?[0-9]+").fullmatch
+
+
 def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
-    """Parse one DRAT text line; None for blanks and comments."""
+    """Parse one DRAT text line; None for blanks and comments.
+
+    Tokens are whitespace-separated ``-?[0-9]+``, the last of them ``0``.
+    The compiled core parses proof files with the same grammar.
+    """
     stripped = line.strip()
     if not stripped or stripped.startswith("c"):
         return None
@@ -132,6 +141,10 @@ def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
         stripped = stripped[1:].strip()
     tokens = stripped.split()
     try:
+        # Only "+", "_" or a character beyond ASCII lets int() take more.
+        if not (stripped.isascii() and "+" not in stripped and "_" not in stripped):
+            if not all(map(_is_drat_token, tokens)):
+                raise ValueError
         values = [int(token) for token in tokens]
     except ValueError:
         raise ValueError(f"line {lineno}: bad token in {line!r}") from None

@@ -9,6 +9,7 @@ literal tuple is the empty clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 Clause = tuple[int, ...]
@@ -98,7 +99,7 @@ class Proof:
 
 def count_added(lines: Iterable[ProofLine]) -> int:
     """Count addition lines in a stream without materialising it."""
-    return sum(1 for line in lines if not line.delete)
+    return countOf(map(itemgetter(0), lines), False)
 
 
 def iter_lines(proof: Proof | Iterable[ProofLine]) -> Iterator[ProofLine]:

@@ -107,17 +107,33 @@ def test_check_corrupted_derived_clause(tmp_path, capsys):
         else:
             body = " ".join(map(str, line.lits)) + (" 0" if line.lits else "0")
             lines.append(("d " + body) if line.delete else body)
+    assert corrupted_at == 43
+    rejected = "REJECTED line 43: RUP and RAT checks both failed\n"
     drat.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    code, out, _ = run_cli("check", str(cnf), str(drat), capsys=capsys)
-    assert code == 1
-    assert f"line {corrupted_at}" in out or "REJECTED" in out
+    assert run_cli("check", str(cnf), str(drat), capsys=capsys)[:2] == (1, rejected)
+    # Comment and blank lines are not proof lines.
+    drat.write_text("c a comment\n\n" + "\n".join(lines) + "\n")
+    assert run_cli("check", str(cnf), str(drat), capsys=capsys)[:2] == (1, rejected)
 
 
 def test_check_missing_file(capsys):
     code, _, err = run_cli("check", "/nonexistent.cnf", "/nonexistent.drat", capsys=capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_check_missing_proof_file_exits_2_without_traceback(tmp_path):
+    cnf = tmp_path / "php2.cnf"
+    assert main(["gen-cnf", "2", "--out", str(cnf)]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", "check", str(cnf), str(tmp_path / "no.drat")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "cannot read proof" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_check_literal_beyond_the_cap_exits_2_without_traceback(tmp_path):

@@ -174,6 +174,16 @@ def test_parse_drat_missing_terminator():
         parse_drat("1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["+5 0", "1_0 0", "\u0663 0", "1 -\uff15 0", "5 +0", "d +5 0", "0x1 0", "--1 0"]
+)
+def test_parse_drat_rejects_tokens_beyond_ascii_digits(text):
+    # int() would take each of these tokens; int(" 5") takes the space too.
+    with pytest.raises(ValueError, match="line 1: bad token"):
+        parse_drat(text + "\n")
+    assert parse_drat(" 5\t-3 0 \n").lines == (ProofLine(False, (5, -3)),)
+
+
 def test_emit_drat_empty_clause_only():
     assert emit_drat(Proof((ProofLine(False, ()),))) == "0\n"
 

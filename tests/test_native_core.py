@@ -6,19 +6,35 @@ from there.  It is skipped when no C compiler is found.
 """
 
 import importlib.util
+import itertools
 import os
 import random
 import shlex
 import shutil
 import sysconfig
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pigeonproof import ProofLine, checker, php_standard, proof_cook, proof_ours, verify
+from pigeonproof import (
+    CnfFormula,
+    ProofLine,
+    checker,
+    count_cook,
+    count_ours,
+    emit_drat,
+    php_standard,
+    proof_cook,
+    proof_ours,
+    verify,
+)
 from pigeonproof.propagation import ClauseDatabase
 
 SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
+EMPTY = ProofLine(False, ())
 
 
 def _have_compiler() -> bool:
@@ -168,3 +184,277 @@ def test_lockstep_replay_matches_python_engine(module, fastcheck):
         assert len(python) == len(native)
     # Watches move literals in place; both engines must move them alike.
     assert [python.clause(cid) for cid in ids] == [native.clause(cid) for cid in ids]
+
+
+# -- checking a DRAT file: the native file call against the Python backend --
+
+
+def _outcome(formula, path, backend, strict_deletions):
+    """verify() of a file as comparable data: the verdict or the exception,
+    and the texts of the warnings in the order they were issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            verdict = verify(formula, path, strict_deletions, backend)
+            result = (verdict.status, verdict.line, verdict.reason)
+        except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _same_on_both(formula, path, strict_deletions=False):
+    native = _outcome(formula, path, "native", strict_deletions)
+    assert native == _outcome(formula, path, "python", strict_deletions)
+    return native
+
+
+def _proof_file(directory, lines, name="proof.drat"):
+    path = Path(directory) / name
+    path.write_text(emit_drat(lines), newline="")
+    return path
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_file_check_agrees_with_python_backend(n, native, tmp_path):
+    formula = php_standard(n)
+    for module in (proof_ours, proof_cook):
+        for deletions in (False, True):
+            path = _proof_file(tmp_path, module.iter_proof_lines(n, deletions))
+            for strict in (False, True):
+                result, warned = _same_on_both(formula, path, strict)
+                assert result == ("ACCEPTED", None, None) and warned == []
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_file_check_of_sign_flips_agrees_with_python_backend(n, native, tmp_path):
+    formula = php_standard(n)
+    base = list(proof_ours.iter_proof_lines(n, emit_deletions=True))
+    additions = [index for index, line in enumerate(base) if not line.delete]
+    rng = random.Random(60_000 + n)
+    statuses = set()
+    for _ in range(20):
+        index = rng.choice(additions[:-1])
+        lits = list(base[index].lits)
+        position = rng.randrange(len(lits))
+        lits[position] = -lits[position]
+        mutated = base[:index] + [ProofLine(False, tuple(lits))] + base[index + 1 :]
+        (result, _) = _same_on_both(formula, _proof_file(tmp_path, mutated))
+        statuses.add(result[0])
+    assert "REJECTED" in statuses
+
+
+def test_file_check_of_truncated_proofs_agrees_with_python_backend(native, tmp_path):
+    formula = php_standard(4)
+    text = emit_drat(proof_cook.iter_proof_lines(4, emit_deletions=True))
+    path = tmp_path / "cut.drat"
+    results = set()
+    for cut in sorted({*range(0, len(text), 97), len(text) - 1, len(text) - 2, len(text)}):
+        path.write_text(text[:cut], newline="")
+        (result, _) = _same_on_both(formula, path, strict_deletions=True)
+        results.add(result[0])
+    assert results == {"ACCEPTED", "INCOMPLETE", ValueError}
+
+
+def test_file_check_of_absent_deletions_agrees_with_python_backend(native, tmp_path):
+    formula = php_standard(3)
+    lines = list(proof_ours.iter_proof_lines(3, emit_deletions=True))
+    absent = [(1, 2, 3, 4, 5), (2147483647, -1), (-12,)]
+    for position in (0, 5, len(lines) - 1):
+        proof = lines[:position] + [ProofLine(True, lits) for lits in absent]
+        proof += lines[position:]
+        path = _proof_file(tmp_path, proof)
+        result, warned = _same_on_both(formula, path)
+        assert result == ("ACCEPTED", None, None)
+        assert warned == [
+            f"proof line {position + i}: deleted clause not in the formula"
+            for i in (1, 2, 3)
+        ]
+        result, warned = _same_on_both(formula, path, strict_deletions=True)
+        assert result == ("REJECTED", position + 1, "deletion of a clause not in the formula")
+        assert warned == []
+    # Two copies of (1 2): the third deletion of it finds none.
+    formula = CnfFormula(2, ((1, 2), (-1,), (2, 1)))
+    proof = [ProofLine(True, (2, 1)), ProofLine(True, (1, 2)), ProofLine(True, (1, 2))]
+    result, warned = _same_on_both(formula, _proof_file(tmp_path, proof + [EMPTY]))
+    assert result == ("REJECTED", 4, "empty clause is not RUP (and has no pivot for RAT)")
+    assert warned == ["proof line 3: deleted clause not in the formula"]
+
+
+def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
+    # File lines and proof lines differ: comments, blank lines, all three
+    # line breaks, and a malformed line after the accepted empty clause,
+    # which is never parsed.
+    formula = php_standard(2)
+    physical = ["c a comment", "", "   \t"]
+    for i, line in enumerate(emit_drat(proof_ours.iter_proof_lines(2)).splitlines()[:-1]):
+        physical.append(line)
+        if i % 4 == 0:
+            physical += ["c more", "\x0c"]
+    breaks = itertools.cycle(["\n", "\r\n", "\r"])
+    head = "".join(line + next(breaks) for line in physical).encode()
+    path = tmp_path / "p.drat"
+    path.write_bytes(head + b"0\nnot a line 1 x\n")
+    assert _same_on_both(formula, path) == (("ACCEPTED", None, None), [])
+    path.write_bytes(head + b"bad line\r\n0\n")
+    assert _same_on_both(formula, path) == (
+        (ValueError, f"line {len(physical) + 1}: bad token in 'bad line\\n'"),
+        [],
+    )
+
+
+def test_file_check_beyond_ascii_agrees_with_python_backend(native, tmp_path):
+    # A file with a byte beyond ASCII goes through the text reader on both
+    # backends: not UTF-8 raises UnicodeDecodeError, even in a comment after
+    # the empty clause.
+    formula = php_standard(2)
+    proof = emit_drat(proof_ours.iter_proof_lines(2)).encode()
+    path = tmp_path / "p.drat"
+    expected = {
+        b"c caf\xc3\xa9\n" + proof: "ACCEPTED",
+        b"c \xff\n" + proof: UnicodeDecodeError,
+        proof + b"c \xff\n": UnicodeDecodeError,
+        b"\xc2\xa0" + proof: "ACCEPTED",
+        b"1 \xd9\xa3 0\n" + proof: ValueError,
+    }
+    for data, status in expected.items():
+        path.write_bytes(data)
+        assert _same_on_both(formula, path)[0][0] == status
+
+
+_PROOF_2 = emit_drat(proof_ours.iter_proof_lines(2, emit_deletions=True)).splitlines()
+_TOKENS = st.one_of(
+    st.integers(-8, 8).map(str),
+    st.sampled_from(
+        ["-0", "007", "+5", "1_0", "٣", "--1", "x", "-", "5-", "0x1",
+         "2147483648", "-2147483648", str(10**20)]
+    ),
+)
+# A literal at the cap is valid, but checking an addition with it would
+# size per-variable arrays for 2**31 variables, so it only appears where
+# no engine grows: in deletions, comments and malformed lines.
+_AT_CAP = st.sampled_from(["2147483647", "-2147483647"])
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"])
+
+
+@st.composite
+def _drat_line(draw) -> bytes:
+    kind = draw(st.sampled_from(["add", "add", "delete", "delete", "comment", "blank", "bytes"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t\x0b\x0c", "\x1c\x1d\x1e\x1f "])).encode()
+    if kind == "comment":
+        text = draw(st.text(alphabet=" \t0123456789-cdx", max_size=10))
+        return (draw(st.sampled_from(["c", " c", "\tc"])) + text + draw(_AT_CAP)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=4)) + draw(_NOT_UTF8) + draw(st.binary(max_size=4))
+    if kind == "delete":  # well-formed after a deletion prefix, or not quite one
+        prefix = draw(st.sampled_from(["d ", "d  ", " d ", "d\t", "d", "d\x0c", "dd "]))
+        body = draw(st.sampled_from(_PROOF_2)).removeprefix("d ")
+        if draw(st.booleans()):
+            body = draw(_AT_CAP) + " " + body
+        return (prefix + body).encode()
+    if draw(st.booleans()):  # a proof line, maybe with tokens after its 0
+        tokens = draw(st.sampled_from(_PROOF_2)).split() + draw(st.lists(_TOKENS, max_size=2))
+    else:
+        tokens = draw(st.lists(_TOKENS, max_size=4))
+    if draw(st.integers(0, 3)) and tokens[-1:] != ["0"]:
+        tokens.append("0")
+    separator = draw(st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \x1f "]))
+    return (separator.join(tokens) + draw(st.sampled_from(["", " ", "\t"]))).encode()
+
+
+_BREAKS = (b"\n", b"\r\n", b"\r")
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.tuples(st.integers(0, len(_PROOF_2)), _drat_line()), max_size=6),
+    st.lists(st.sampled_from(_BREAKS), min_size=len(_PROOF_2) + 6, max_size=len(_PROOF_2) + 6),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_file_check_fuzz_agrees_with_python_backend(
+    native, tmp_path, inserts, breaks, complete, last_break, strict
+):
+    """Random lines inserted into a proof of PHP(2), complete or without its
+    empty clause: accepted, rejected, incomplete or raising alike."""
+    lines = [line.encode() for line in _PROOF_2[: None if complete else -1]]
+    for position, line in inserts:
+        lines.insert(position, line)
+    data = b"".join(map(bytes.__add__, lines, breaks))
+    if not last_break:
+        data = data[: -len(breaks[len(lines) - 1])]
+    path = tmp_path / "fuzz.drat"
+    path.write_bytes(data)
+    _same_on_both(php_standard(2), path, strict)
+
+
+class _Counting:
+    """A database that counts the calls ``verify`` makes of it."""
+
+    def __init__(self, db, counts):
+        self._db, self._counts = db, counts
+
+    def add_clause(self, lits):
+        self._counts["adds"] += 1
+        return self._db.add_clause(lits)
+
+    def delete_clause(self, cid):
+        self._counts["deletes"] += 1
+        self._db.delete_clause(cid)
+
+    def rup(self, lits):
+        ok = self._db.rup(lits)
+        self._counts["rup"] += 1
+        self._counts["rup_pass"] += ok
+        return ok
+
+    def rat(self, lits):
+        ok = self._db.rat(lits)
+        self._counts["rat"] += 1
+        self._counts["rat_pass"] += ok
+        return ok
+
+
+def _counters(formula, lines, path, monkeypatch):
+    """Counters of the native file call, and those of verify()'s per-line
+    path over the same lines: RUP calls and passes, RAT calls and passes,
+    additions and deletions applied."""
+    db = checker.new_database(formula, "native")
+    with open(path, "rb") as handle:
+        *_, native = db.check_drat(handle.fileno(), False)
+    counts = dict.fromkeys(("rup", "rup_pass", "rat", "rat_pass", "adds", "deletes"), 0)
+    real = checker.new_database
+    with monkeypatch.context() as patch:
+        patch.setattr(checker, "new_database", lambda *a, **k: _Counting(real(*a, **k), counts))
+        verify(formula, lines, backend="native")
+    counts["adds"] -= len(formula.clauses)
+    return native, tuple(counts.values())
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_file_check_counters_equal_per_line_counts(n, native, monkeypatch, tmp_path):
+    formula = php_standard(n)
+    for module, count in ((proof_ours, count_ours), (proof_cook, count_cook)):
+        for deletions in (False, True):
+            lines = list(module.iter_proof_lines(n, deletions))
+            native_counts, line_counts = _counters(
+                formula, lines, _proof_file(tmp_path, lines), monkeypatch
+            )
+            assert native_counts == line_counts
+            assert native_counts[4] == count(n) - 1  # the empty clause is not stored
+    # Rejected proofs stop both paths at the same check.
+    base = list(proof_ours.iter_proof_lines(n))
+    rng = random.Random(n)
+    for _ in range(5):
+        index = rng.randrange(len(base) - 1)
+        lits = tuple(-lit for lit in base[index].lits)
+        mutated = base[:index] + [ProofLine(False, lits)] + base[index + 1 :]
+        native_counts, line_counts = _counters(
+            formula, mutated, _proof_file(tmp_path, mutated), monkeypatch
+        )
+        assert native_counts == line_counts
