@@ -477,46 +477,66 @@ static int rup_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
     return conflict;
 }
 
+/* Index in ov, from i on, of the next active clause whose resolvent with
+   the checked clause is not a tautology, or ov->size if none is left.
+   Inactive entries met on the way are dropped. */
+static Py_ssize_t next_resolvent(FastDatabase *self, Vec *ov, Py_ssize_t i,
+                                 lit_t neg_pivot)
+{
+    while (i < ov->size) {
+        const Clause *c = &self->cls[ov->data[i]];
+        if (!c->active)
+            vec_swap_remove(ov, i);
+        else if (tautology(self, self->lits + c->start, c->size, neg_pivot))
+            i++;
+        else
+            break;
+    }
+    return i;
+}
+
+/* Is every resolvent from ov[i] on a tautology or RUP, with the shared
+   assumptions of the RAT check propagated?  1 or 0, or -1 with MemoryError
+   set. */
+static int resolvents_rup(FastDatabase *self, Vec *ov, Py_ssize_t i,
+                          lit_t neg_pivot)
+{
+    Py_ssize_t mark = self->ntrail;
+    for (; i < ov->size; i = next_resolvent(self, ov, i + 1, neg_pivot)) {
+        const Clause *c = &self->cls[ov->data[i]];
+        int conflict = assume_complements(self, self->lits + c->start, c->size,
+                                          neg_pivot);
+        if (!conflict)
+            conflict = propagate(self);
+        undo_to(self, mark);
+        if (conflict <= 0) /* not RUP (0), or MemoryError (-1) */
+            return conflict;
+    }
+    return 1;
+}
+
 /* RAT on the first literal of l (n >= 1): every resolvent with a clause
-   containing the pivot's complement is a tautology or RUP.  The complements
-   of the other literals are propagated once and shared by all resolvents.
+   containing the pivot's complement is a tautology or RUP.  The screen comes
+   first: if every resolvent is a tautology, l is blocked and RAT holds
+   without propagating.  Otherwise the complements of the other literals are
+   propagated once and shared by the resolvents left to check.
    1 or 0, or -1 with MemoryError set. */
 static int rat_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
     const lit_t *rest = l + 1;
     lit_t neg_pivot = -l[0];
-    Py_ssize_t i, mark;
-    Vec *ov;
-    int result = 1, conflict;
-    conflict = seed_units(self) || assume_complements(self, rest, n - 1, NO_SKIP);
-    if (!conflict)
-        conflict = propagate(self);
-    if (conflict) {
-        undo_to(self, 0);
-        return conflict;
-    }
-    mark = self->ntrail;
+    Vec *ov = &self->occ[code_of(neg_pivot)];
+    Py_ssize_t i;
+    int result = 1;
     for (i = 0; i < n - 1; i++)
         self->cmark[var_of(rest[i])] = sign_of(rest[i]);
-    ov = &self->occ[code_of(neg_pivot)];
-    for (i = 0; i < ov->size;) {
-        const Clause *c = &self->cls[ov->data[i]];
-        const lit_t *cl = self->lits + c->start;
-        if (!c->active) {
-            vec_swap_remove(ov, i);
-            continue;
-        }
-        i++;
-        if (tautology(self, cl, c->size, neg_pivot))
-            continue;
-        conflict = assume_complements(self, cl, c->size, neg_pivot);
-        if (!conflict)
-            conflict = propagate(self);
-        undo_to(self, mark);
-        if (conflict <= 0) { /* not RUP (0), or MemoryError (-1) */
-            result = conflict;
-            break;
-        }
+    i = next_resolvent(self, ov, 0, neg_pivot);
+    if (i < ov->size) { /* not blocked */
+        result = seed_units(self) || assume_complements(self, rest, n - 1, NO_SKIP);
+        if (!result)
+            result = propagate(self);
+        if (!result) /* no conflict from the shared assumptions alone */
+            result = resolvents_rup(self, ov, i, neg_pivot);
     }
     for (i = 0; i < n - 1; i++)
         self->cmark[var_of(rest[i])] = 0;

@@ -5,13 +5,18 @@ conflicts) or, failing that, RAT on its first literal.  Additions then join
 the working formula; deletions remove one clause with the same literal
 multiset.  A proof is accepted the moment the empty clause checks out.
 
+Both engines screen a RAT check first: if every resolvent on the pivot is a
+tautology, the clause is blocked and RAT holds without any propagation.
+Every extension definition is such a clause.  The screen only answers where
+the full check would answer the same, so verdicts and counters do not move.
+
 Two interchangeable propagation backends exist: a compiled core (the C
 extension ``_fastcheck``, built by ``setup.py`` when a C compiler is present)
 and the pure-Python :class:`~pigeonproof.propagation.ClauseDatabase`.  The
-faster one available is selected at import time; both produce identical
-verdicts and raise the same exceptions on bad input.  A verification session
-owns its database, so separate proofs may be checked in parallel threads or
-processes.
+faster one available is selected at import time, and the pure-Python engine
+is imported only when it is used; both produce identical verdicts and raise
+the same exceptions on bad input.  A verification session owns its database,
+so separate proofs may be checked in parallel threads or processes.
 
 :func:`verify` takes a proof as lines or as the path of a text DRAT file.
 On the compiled core a file is checked in one call, which reads it in
@@ -24,12 +29,10 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formats
 from .model import CnfFormula, Proof, ProofLine, iter_lines
-from .propagation import ClauseDatabase
 
 try:  # compiled core is optional; the pure engine is always present
     from . import _fastcheck
@@ -61,8 +64,7 @@ _OUTCOMES = (
 _MALFORMED, _NOT_ASCII = 5, 6
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Checker outcome; ``line`` and ``reason`` are set when rejected."""
 
     status: str
@@ -90,6 +92,8 @@ def new_database(formula: CnfFormula | None = None, backend: str | None = None):
     if select_backend(backend) == "native":
         db = _fastcheck.FastDatabase()
     else:
+        from .propagation import ClauseDatabase
+
         db = ClauseDatabase()
     if formula is not None:
         for clause in formula.clauses:

@@ -4,6 +4,8 @@ Subcommands: gen-cnf, gen-proof, check, count, bench.  Data goes to stdout
 (or the file given with --out), diagnostics to stderr.  Exit codes: 0 on
 success (proof accepted, for ``check``), 1 for a rejected or incomplete
 proof, 2 for usage or I/O errors.  No environment variables are consulted.
+Each subcommand imports the modules it needs when it runs, so ``check``
+loads neither the proof generators nor the counting formulas.
 """
 
 from __future__ import annotations
@@ -12,14 +14,19 @@ import argparse
 import contextlib
 import sys
 import time
+from importlib import import_module
 from typing import IO, Iterator
 
-from . import checker, counts, encodings, formats, proof_cook, proof_ours
+
+#: Module and builder table of the proof family per ``--style``; the one
+#: table every subcommand takes its styles from (``counts.TOTALS`` and
+#: ``counts.BREAKDOWNS`` share its keys).  A family loads when first used.
+GENERATORS = {"ours": ("proof_ours", "OURS"), "cook": ("proof_cook", "COOK")}
 
 
-#: Proof family per ``--style``; the one table every subcommand takes its
-#: styles from (``counts.TOTALS`` and ``counts.BREAKDOWNS`` share its keys).
-GENERATORS = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}
+def _family(style: str):
+    module, name = GENERATORS[style]
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 class UsageError(Exception):
@@ -43,6 +50,8 @@ def _positive(text: str) -> int:
 
 
 def cmd_gen_cnf(args: argparse.Namespace) -> int:
+    from . import encodings, formats
+
     n = args.n
     if args.encoding == "standard":
         num_vars = n * (n + 1)
@@ -60,13 +69,17 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 def cmd_gen_proof(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
-    blocks = proof_ours.iter_blocks(args.n, GENERATORS[args.style], args.deletions)
+    from . import formats, proof_ours
+
+    blocks = proof_ours.iter_blocks(args.n, _family(args.style), args.deletions)
     with _open_out(args.out) as out:
         formats.write_drat_blocks(out, blocks)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import checker, formats
+
     try:
         with open(args.cnf, "r", encoding="utf-8") as handle:
             formula = formats.parse_dimacs(handle)
@@ -91,6 +104,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof counting needs n >= 2")
+    from . import counts
+
     if args.breakdown:
         breakdown = counts.BREAKDOWNS[args.style](args.n)
         for row in breakdown.per_iteration:
@@ -109,6 +124,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for style in styles:
         if style not in GENERATORS:
             raise UsageError(f"unknown style {style!r}")
+    from . import counts
+
     failures = 0
     try:
         with _open_out(args.out) as out:
@@ -124,11 +141,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _bench_verify(n: int, styles: list[str]) -> int:
+    from . import checker, encodings, proof_ours
+
     formula = encodings.php_standard(n)
     failures = 0
     for style in styles:
         start = time.perf_counter()
-        verdict = checker.verify(formula, proof_ours.family_lines(n, GENERATORS[style]))
+        verdict = checker.verify(formula, proof_ours.family_lines(n, _family(style)))
         elapsed = time.perf_counter() - start
         print(
             f"verify n={n} style={style}: {verdict.status} in {elapsed:.2f}s",

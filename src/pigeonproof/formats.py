@@ -14,7 +14,16 @@ from itertools import groupby, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
-from .model import DELETE, Block, Clause, CnfFormula, Proof, ProofLine, validate_clause
+from .model import (
+    DELETE,
+    MAX_LITERAL,
+    Block,
+    Clause,
+    CnfFormula,
+    Proof,
+    ProofLine,
+    validate_clause,
+)
 
 
 class _Templates(dict):
@@ -35,9 +44,24 @@ _CHUNK = 4096  # clauses joined into one string per write
 
 
 def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
+    """Lines of ``data``, broken only at ``\\n``, ``\\r\\n`` and ``\\r`` as a
+    file reader breaks them; an iterable of lines is passed through."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data.splitlines() if isinstance(data, str) else data
+    return io.StringIO(data, newline=None) if isinstance(data, str) else data
+
+
+# A token is ASCII ``-?[0-9]+``: int() alone would also take "+5", "1_0" and "٣".
+_is_token = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _bad_token(text: str, tokens: list[str]) -> str | None:
+    """The first of ``tokens``, split from ``text``, that int() takes although
+    it is not ``-?[0-9]+``; None if there is none."""
+    # Only "+", "_" or a character beyond ASCII lets int() take more.
+    if text.isascii() and "+" not in text and "_" not in text:
+        return None
+    return next((token for token in tokens if not _is_token(token)), None)
 
 
 def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
@@ -62,6 +86,8 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
             try:
+                if _bad_token(line, fields[2:]) is not None:
+                    raise ValueError
                 num_vars, declared = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed header {line!r}") from None
@@ -70,13 +96,22 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause data before header")
-        for token in line.split():
+        tokens = line.split()
+        bad = _bad_token(line, tokens)
+        if bad is not None:
+            raise ValueError(f"line {lineno}: bad token {bad!r}")
+        for token in tokens:
             try:
                 lit = int(token)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad token {token!r}") from None
             if lit == 0:
-                clauses.append(validate_clause(current))
+                clause = tuple(current)
+                # Its literals are nonzero and within num_vars: validate_clause
+                # is needed only to name a duplicate or one beyond MAX_LITERAL.
+                if len(set(clause)) < len(clause) or num_vars > MAX_LITERAL:
+                    validate_clause(clause)
+                clauses.append(clause)
                 current = []
             else:
                 if abs(lit) > num_vars:
@@ -122,10 +157,6 @@ def write_dimacs(
     _write_clauses(out, _TEMPLATES[False], clauses)
 
 
-# A proof token is ASCII: int() alone would also take "+5", "1_0" and "٣".
-_is_drat_token = re.compile(r"-?[0-9]+").fullmatch
-
-
 def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
     """Parse one DRAT text line; None for blanks and comments.
 
@@ -141,11 +172,9 @@ def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
         stripped = stripped[1:].strip()
     tokens = stripped.split()
     try:
-        # Only "+", "_" or a character beyond ASCII lets int() take more.
-        if not (stripped.isascii() and "+" not in stripped and "_" not in stripped):
-            if not all(map(_is_drat_token, tokens)):
-                raise ValueError
-        values = [int(token) for token in tokens]
+        if _bad_token(stripped, tokens) is not None:
+            raise ValueError
+        values = list(map(int, tokens))
     except ValueError:
         raise ValueError(f"line {lineno}: bad token in {line!r}") from None
     if not values or values[-1] != 0:

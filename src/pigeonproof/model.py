@@ -8,7 +8,6 @@ literal tuple is the empty clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -38,11 +37,10 @@ def validate_clause(lits: Iterable[int]) -> Clause:
     return clause
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(NamedTuple):
     """A CNF formula: declared variable count plus an ordered clause list.
 
-    Immutable after construction; safe to share across threads read-only.
+    Immutable; safe to share across threads read-only.
     """
 
     num_vars: int
@@ -74,8 +72,7 @@ Block = tuple[str, int, Iterable[Clause]]
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     """An ordered sequence of proof lines.
 
     A complete refutation ends with the addition of the empty clause.

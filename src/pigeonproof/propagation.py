@@ -12,8 +12,7 @@ separate databases, never one propagation across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import MAX_LITERAL, Clause
 
@@ -79,8 +78,7 @@ class Assignment:
         )
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(NamedTuple):
     """Outcome of running propagation to fixpoint."""
 
     conflict: Clause | None
@@ -262,65 +260,78 @@ class ClauseDatabase:
 
         Every clause containing the pivot's complement must resolve with
         ``lits`` into a tautology or a clause implied by unit propagation.
-        The shared assumptions (complements of the non-pivot literals) are
-        propagated once and reused across resolvents.
+        The screen comes first: if every resolvent is a tautology, ``lits``
+        is blocked and RAT holds without propagating.  Otherwise the shared
+        assumptions (complements of the non-pivot literals) are propagated
+        once and reused across the resolvents left to check.
         """
         pivot = lits[0]
         rest = lits[1:]
         self.assignment.ensure_var(_max_var(lits))
+        cset = set(rest)
+        neg_pivot = -pivot
+        occ = self._occ.get(neg_pivot, [])
+        i = self._next_resolvent(occ, 0, cset, neg_pivot)
+        if i == len(occ):
+            return True
         conflict = self._seed_units()
         if conflict is None:
             conflict = self._assume_complements(rest)
         if conflict is None:
             conflict = self.propagate()
-        if conflict is not None:
-            self._restore(0)
-            return True
-        mark = len(self.assignment.trail)
-        cset = set(rest)
-        neg_pivot = -pivot
-        occ = self._occ.get(neg_pivot)
-        result = True
-        if occ:
-            value = self.assignment.value
-            i = 0
-            while i < len(occ):
-                cid = occ[i]
-                if not self._active[cid]:
-                    occ[i] = occ[-1]
-                    occ.pop()
-                    continue
-                i += 1
-                clause = self._clauses[cid]
-                tautology = False
-                seen: set[int] = set()
-                for d in clause:
-                    if d == neg_pivot:
-                        continue
-                    if -d in cset or -d in seen:
-                        tautology = True
-                        break
-                    seen.add(d)
-                if tautology:
-                    continue
-                conflict = None
-                for d in clause:
-                    if d == neg_pivot:
-                        continue
-                    v = value(-d)
-                    if v < 0:
-                        conflict = _ASSUMPTION_CONFLICT
-                        break
-                    if v == 0:
-                        self.assignment.assign(-d, None)
-                if conflict is None:
-                    conflict = self.propagate()
-                self._restore(mark)
-                if conflict is None:
-                    result = False
-                    break
+        result = conflict is not None or self._resolvents_rup(occ, i, cset, neg_pivot)
         self._restore(0)
         return result
+
+    def _resolvents_rup(
+        self, occ: list[int], i: int, cset: set[int], neg_pivot: int
+    ) -> bool:
+        """Is every resolvent from ``occ[i]`` on a tautology or RUP, with the
+        shared assumptions of the RAT check propagated?"""
+        mark = len(self.assignment.trail)
+        value = self.assignment.value
+        while i < len(occ):
+            conflict = None
+            for d in self._clauses[occ[i]]:
+                if d == neg_pivot:
+                    continue
+                v = value(-d)
+                if v < 0:
+                    conflict = _ASSUMPTION_CONFLICT
+                    break
+                if v == 0:
+                    self.assignment.assign(-d, None)
+            if conflict is None:
+                conflict = self.propagate()
+            self._restore(mark)
+            if conflict is None:
+                return False
+            i = self._next_resolvent(occ, i + 1, cset, neg_pivot)
+        return True
+
+    def _next_resolvent(
+        self, occ: list[int], i: int, cset: set[int], neg_pivot: int
+    ) -> int:
+        """Index in ``occ``, from ``i`` on, of the next active clause whose
+        resolvent with the checked clause (non-pivot literals ``cset``) is
+        not a tautology, or ``len(occ)``; inactive entries are dropped."""
+        while i < len(occ):
+            cid = occ[i]
+            if not self._active[cid]:
+                occ[i] = occ[-1]
+                occ.pop()
+                continue
+            seen: set[int] = set()
+            for d in self._clauses[cid]:
+                if d == neg_pivot:
+                    continue
+                if -d in cset or -d in seen:
+                    break
+                seen.add(d)
+            else:
+                return i
+            i += 1
+        return i
 
     def _assume_complements(self, lits: Iterable[int]) -> int | None:
         value = self.assignment.value

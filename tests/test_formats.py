@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 import warnings
 
 import pytest
@@ -21,7 +22,7 @@ from pigeonproof import (
     proof_cook,
     proof_ours,
 )
-from pigeonproof.formats import write_drat_blocks
+from pigeonproof.formats import iter_drat_lines, write_drat_blocks
 
 # SHA-256 of the concatenated output for n = 2..8 (proofs) and n = 1..6
 # (formulas), as the line-by-line writer emitted it before proofs were
@@ -72,6 +73,73 @@ def test_parse_malformed_header():
         parse_dimacs("p dnf 2 1\n1 0\n")
     with pytest.raises(ValueError, match="header"):
         parse_dimacs("1 0\n")
+
+
+@pytest.mark.parametrize(
+    "token", ["+1", "1_0", "\u0663", "-\uff15", "+0", "0x1", "--1", "1.0"]
+)
+def test_parse_dimacs_rejects_tokens_beyond_ascii_digits(token):
+    # int() would take the first five; the proof grammar takes none of them.
+    with pytest.raises(ValueError, match=re.escape(f"line 2: bad token {token!r}")):
+        parse_dimacs(f"p cnf 12 1\n2 {token} 0\n")
+
+
+@pytest.mark.parametrize("header", ["p cnf +3 1", "p cnf 3 1_0", "p cnf \u0663 1"])
+def test_parse_dimacs_header_takes_ascii_digits_only(header):
+    with pytest.raises(ValueError, match="line 1: malformed header"):
+        parse_dimacs(header + "\n1 0\n")
+
+
+# Breaks that str.splitlines() knows and a file reader does not.
+_ODD_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SPLIT_TEXTS = {
+    parse_dimacs: [
+        "p cnf 2 2\n1\x0b2 0\n-1 0\n",
+        "p cnf 2 1\r1\x0c-2 0\r\n",
+        f"p cnf 2 1\n1 {_ODD_BREAKS} 2 0{_ODD_BREAKS}\n",
+        "p cnf 2 2\n1 0\n\n-1\r\n0\r",
+        "p cnf 2 1\n1\x0b2\n",
+    ],
+    parse_drat: [
+        "1\x0b2 0\n0\n",
+        "1\x0c-2 0\r0\r\n",
+        f"1 {_ODD_BREAKS} 2 0{_ODD_BREAKS}\nd 1\u20282 0\n",
+        "1 0\n\n-1\r\n0\r",
+        "1\x0b0\n",
+    ],
+}
+_FILE_READERS = {
+    parse_dimacs: parse_dimacs,
+    parse_drat: lambda handle: Proof(tuple(iter_drat_lines(handle))),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse, text) for parse, texts in _SPLIT_TEXTS.items() for text in texts],
+)
+def test_text_splits_lines_as_a_file_does(parse, text, tmp_path):
+    path = tmp_path / "text"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(parse, source):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return parse(source)
+        except ValueError as exc:
+            return str(exc)
+
+    with open(path, encoding="utf-8") as handle:
+        from_file = outcome(_FILE_READERS[parse], handle)
+    assert outcome(parse, text) == outcome(parse, text.encode("utf-8")) == from_file
+
+
+def test_parse_drat_keeps_vertical_tab_inside_a_line():
+    assert parse_drat("1\x0b2 0\n0\n").lines == (
+        ProofLine(False, (1, 2)),
+        ProofLine(False, ()),
+    )
 
 
 def test_parse_duplicate_literal_rejected():

@@ -32,6 +32,8 @@ from pigeonproof import (
     verify,
 )
 from pigeonproof.propagation import ClauseDatabase
+from test_package import CHECK_NEVER_LOADS, loaded_by_check
+from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
 SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
 EMPTY = ProofLine(False, ())
@@ -107,6 +109,24 @@ def test_api_boundary_is_the_same_on_both_engines(engine):
     assert len(db) == 1
     assert not db.rup([2])
     assert db.snapshot() == ()
+
+
+@pytest.mark.parametrize("case", sorted(RAT_SCREEN_CASES))
+def test_rat_screen_agrees_with_rescan_reference(case, engine):
+    clauses, deleted, lits, expected = RAT_SCREEN_CASES[case]
+    result, naive, restored = rat_screen_case(engine, clauses, deleted, lits)
+    assert result == naive == expected
+    assert restored
+
+
+def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
+    package = tmp_path / "src" / "pigeonproof"
+    shutil.copytree(SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    shutil.copy2(fastcheck.__file__, package)
+    have_native, modules = loaded_by_check(tmp_path, tmp_path / "src")
+    assert have_native
+    assert "pigeonproof._fastcheck" in modules
+    assert modules & (CHECK_NEVER_LOADS | {"pigeonproof.propagation"}) == set()
 
 
 @pytest.mark.parametrize("n", range(2, 9))

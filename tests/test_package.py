@@ -1,4 +1,55 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pigeonproof
+from pigeonproof.cli import main
+
+SRC = Path(pigeonproof.__file__).resolve().parent.parent
+
+#: Modules a ``check`` run must not load: the generators, the counting
+#: formulas and ``dataclasses`` (which imports ``inspect``).
+CHECK_NEVER_LOADS = {
+    "dataclasses",
+    "pigeonproof.counts",
+    "pigeonproof.encodings",
+    "pigeonproof.proof_cook",
+    "pigeonproof.proof_ours",
+}
+
+
+def loaded_by(code: str, src: Path = SRC) -> tuple[str, set[str]]:
+    """Last output line of ``code`` in a fresh interpreter with ``src`` on its
+    path, and the modules it loaded that were not loaded at start-up."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    *out, modules = result.stdout.splitlines()
+    return out[-1] if out else "", set(modules.split())
+
+
+def loaded_by_check(work: Path, src: Path = SRC) -> tuple[bool, set[str]]:
+    """``HAVE_NATIVE`` in a fresh interpreter, and the modules that importing
+    the CLI and checking a PHP(3) proof with ``cli.main`` loaded there."""
+    cnf, proof = work / "php3.cnf", work / "php3.drat"
+    main(["gen-cnf", "3", "--out", str(cnf)])
+    main(["gen-proof", "3", "--out", str(proof)])
+    code = (
+        "from pigeonproof import cli\n"
+        f"assert cli.main(['check', {str(cnf)!r}, {str(proof)!r}]) == 0\n"
+        "from pigeonproof import checker\n"
+        "print(checker.HAVE_NATIVE)"
+    )
+    have_native, modules = loaded_by(code, src)
+    return have_native == "True", modules
 
 
 def test_every_export_resolves():
@@ -8,3 +59,25 @@ def test_every_export_resolves():
 
 def test_exports_are_unique():
     assert len(pigeonproof.__all__) == len(set(pigeonproof.__all__))
+
+
+def test_dir_covers_every_export():
+    assert set(pigeonproof.__all__) <= set(dir(pigeonproof))
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(pigeonproof, "no_such_name")
+
+
+def test_import_loads_no_submodule():
+    _, modules = loaded_by("import pigeonproof")
+    assert "pigeonproof" in modules
+    assert {m for m in modules if m.startswith("pigeonproof.")} == set()
+
+
+def test_check_loads_only_the_check_path(tmp_path):
+    have_native, modules = loaded_by_check(tmp_path)
+    assert "pigeonproof.checker" in modules
+    assert modules & CHECK_NEVER_LOADS == set()
+    if have_native:
+        assert "pigeonproof.propagation" not in modules

@@ -1,6 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 import naive_checker
 from pigeonproof import CnfFormula, ClauseDatabase, propagate
 from pigeonproof.checker import new_database
@@ -113,3 +115,59 @@ def test_propagation_is_deterministic(clauses):
     r1, r2 = propagate(first), propagate(second)
     assert r1 == r2
     assert first.snapshot() == second.snapshot()
+
+
+#: RAT cases around the blocked-clause screen: (clauses, ids of deleted
+#: clauses, checked clause with pivot first, expected ``rat``).
+RAT_SCREEN_CASES = {
+    "no clause holds the pivot's complement": ([(1, 2), (2, 3)], [], (4, 1), True),
+    "every resolvent is a tautology": (
+        [(1, 2), (-4, -1), (-4, 5, -5), (-4, -3, 2)],
+        [],
+        (4, 1, 3),
+        True,
+    ),
+    "the only non-tautological occurrence was deleted": (
+        [(1, 2), (-4, -1), (-4, 3), (-4, 5, -5)],
+        [2],
+        (4, 1),
+        True,
+    ),
+    "one non-tautological resolvent is not RUP": (
+        [(1, 2), (-4, -1), (-4, 5, -5), (-4, 3), (-4, -1, 6)],
+        [],
+        (4, 1),
+        False,
+    ),
+    "every non-tautological resolvent is RUP": (
+        [(1, 3), (-4, -1), (-4, 3), (-4, 5, -5), (-4, 1, 3)],
+        [],
+        (4, 1),
+        True,
+    ),
+    "the shared assumptions conflict": ([(1,), (-4, 3)], [], (4, 1), True),
+}
+
+
+def rat_screen_case(make_db, clauses, deleted, lits):
+    """``rat`` on a fresh database, the oracle's answer, and whether the
+    assignment came back unchanged."""
+    db = make_db()
+    for clause in clauses:
+        db.add_clause(clause)
+    for cid in deleted:
+        db.delete_clause(cid)
+    working = [c for cid, c in enumerate(clauses) if cid not in deleted]
+    before = db.snapshot()
+    result = db.rat(list(lits))
+    return result, naive_checker.rat(working, lits), db.snapshot() == before
+
+
+@pytest.mark.parametrize("case", sorted(RAT_SCREEN_CASES))
+def test_rat_screen_agrees_with_rescan_reference(case, backend):
+    clauses, deleted, lits, expected = RAT_SCREEN_CASES[case]
+    result, naive, restored = rat_screen_case(
+        lambda: new_database(backend=backend), clauses, deleted, lits
+    )
+    assert result == naive == expected
+    assert restored
