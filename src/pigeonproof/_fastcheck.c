@@ -12,7 +12,13 @@
    check.
 
    Arguments are validated and every array is grown before any state changes;
-   a growth that fails leaves the object as it was and raises MemoryError. */
+   a growth that fails leaves the object as it was and raises MemoryError.
+
+   The module function format_clauses formats emitted text: one chunk of
+   clauses becomes their DIMACS or DRAT lines, written straight into one str.
+   It takes only exact tuples of exact ints within int64 and returns None for
+   anything else, which formats._format_python then formats, so the bytes and
+   the errors are those of the pure-Python path. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1032,6 +1038,127 @@ static PyObject *db_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
+/* -- text emission ------------------------------------------------------ */
+
+/* Decimal digits of u. */
+static inline int digit_count(uint64_t u)
+{
+    int d = 1;
+    while (u >= 10) {
+        u /= 10;
+        d++;
+    }
+    return d;
+}
+
+/* Write the decimal digits of u so that they end just before end, two at a
+   time. */
+static inline void write_digits(char *end, uint64_t u)
+{
+    static const char pairs[] =
+        "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+        "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+        "8081828384858687888990919293949596979899";
+    while (u >= 100) {
+        const char *p = pairs + 2 * (u % 100);
+        u /= 100;
+        *--end = p[1];
+        *--end = p[0];
+    }
+    if (u >= 10) {
+        *--end = pairs[2 * u + 1];
+        *--end = pairs[2 * u];
+    } else {
+        *--end = (char)('0' + u);
+    }
+}
+
+/* Magnitude of v as unsigned, exact for INT64_MIN too. */
+static inline uint64_t magnitude(int64_t v)
+{
+    return v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+}
+
+static PyObject *format_clauses(PyObject *module, PyObject *args)
+{
+    PyObject *chunk, *flag, *result = NULL;
+    int delete;
+    Py_ssize_t nclauses, nlits = 0, length = 0, i, j, k;
+    int64_t *vals;
+    char *out;
+    if (!PyArg_ParseTuple(args, "O!O:format_clauses", &PyList_Type, &chunk, &flag))
+        return NULL;
+    if (!PyBool_Check(flag))
+        Py_RETURN_NONE;
+    delete = flag == Py_True;
+    /* Pass 1: only exact tuples; count their literals. */
+    nclauses = PyList_GET_SIZE(chunk);
+    for (i = 0; i < nclauses; i++) {
+        PyObject *clause = PyList_GET_ITEM(chunk, i);
+        if (!PyTuple_CheckExact(clause))
+            Py_RETURN_NONE;
+        nlits += PyTuple_GET_SIZE(clause);
+    }
+    if ((vals = resized(NULL, nlits ? nlits : 1, sizeof *vals)) == NULL)
+        return NULL;
+    /* Pass 2: only exact ints within int64; the length of the text. */
+    length = nclauses * (delete ? 4 : 2) + nlits; /* "d ", "0\n", a space each */
+    for (i = k = 0; i < nclauses; i++) {
+        PyObject *clause = PyList_GET_ITEM(chunk, i);
+        for (j = 0; j < PyTuple_GET_SIZE(clause); j++, k++) {
+            PyObject *lit = PyTuple_GET_ITEM(clause, j);
+            int overflow;
+            long long v;
+            if (!PyLong_CheckExact(lit))
+                goto fallback;
+            v = PyLong_AsLongLongAndOverflow(lit, &overflow);
+            if (v == -1 && PyErr_Occurred())
+                goto done;
+            if (overflow)
+                goto fallback;
+            vals[k] = (int64_t)v;
+            length += (v < 0) + digit_count(magnitude(vals[k]));
+        }
+    }
+    /* Pass 3: write the text into the str itself. */
+    if ((result = PyUnicode_New(length, 127)) == NULL)
+        goto done;
+    out = (char *)PyUnicode_1BYTE_DATA(result);
+    for (i = k = 0; i < nclauses; i++) {
+        Py_ssize_t size = PyTuple_GET_SIZE(PyList_GET_ITEM(chunk, i));
+        if (delete) {
+            *out++ = 'd';
+            *out++ = ' ';
+        }
+        for (j = 0; j < size; j++, k++) {
+            uint64_t u = magnitude(vals[k]);
+            if (vals[k] < 0)
+                *out++ = '-';
+            out += digit_count(u);
+            write_digits(out, u);
+            *out++ = ' ';
+        }
+        *out++ = '0';
+        *out++ = '\n';
+    }
+    goto done;
+fallback:
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(vals);
+    return result;
+}
+
+static PyMethodDef module_methods[] = {
+    {"format_clauses", format_clauses, METH_VARARGS,
+     "format_clauses(chunk, delete) -> str | None\n\n"
+     "The DRAT or DIMACS text lines of the clauses in the list chunk, each\n"
+     "prefixed with \"d \" if delete is True: the text formats._format_python\n"
+     "gives.  None, with nothing formatted, unless delete is a bool, every\n"
+     "clause an exact tuple and every literal an exact int within int64."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyMethodDef db_methods[] = {
     {"add_clause", (PyCFunction)db_add_clause, METH_O,
      "add_clause(lits) -> int\n\nStore a clause and return its id."},
@@ -1078,8 +1205,9 @@ static PyTypeObject FastDatabaseType = {
 static struct PyModuleDef fastcheck_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fastcheck",
-    .m_doc = "Compiled RUP/RAT checking core; see FastDatabase.",
+    .m_doc = "Compiled RUP/RAT checking core (see FastDatabase) and text emission.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC PyInit__fastcheck(void)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .encodings import f_group
+
 
 class IterationCount(NamedTuple):
     """Additions of one iteration, split by clause family."""
@@ -34,15 +36,6 @@ class CountBreakdown:
 
     def __post_init__(self) -> None:
         assert self.total == sum(it.subtotal for it in self.per_iteration) + 1
-
-
-def f_group(k: int) -> int:
-    """Group clauses per hole when a layer has k holes (k+1 pigeons)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return 1
-    return (7 * k) // 2 - 4
 
 
 def _check_n(n: int) -> None:

@@ -15,10 +15,8 @@ Layer id blocks are contiguous and pairwise disjoint: layer k allocates its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .counts import f_group
 from .model import Clause, CnfFormula
 
 #: Generators refuse larger instances to bound memory; ids stay well inside
@@ -37,6 +35,15 @@ def _check_n(n: int, minimum: int) -> None:
         raise ValueError(f"n > {MAX_N} is not supported (memory guard)")
 
 
+def f_group(k: int) -> int:
+    """Group clauses per hole when a layer has k holes (k+1 pigeons)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return 1
+    return (7 * k) // 2 - 4
+
+
 def group_count(pigeons: int) -> int:
     """Number of groups an at-most-one chain over ``pigeons`` literals uses."""
     if pigeons < 2:
@@ -44,13 +51,13 @@ def group_count(pigeons: int) -> int:
     return max(1, (pigeons - 1) // 2)
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """One link of a hole's at-most-one chain.
 
     ``members`` are the constrained literals (three of them except in the
     final group); ``y_new`` is the index of the fresh auxiliary introduced
-    for this group, or None for the final group.
+    for this group, or None for the final group.  The field ``index`` hides
+    the method ``tuple.index``, which nothing here uses.
     """
 
     index: int
@@ -62,8 +69,7 @@ class Group:
         return self.y_new is None
 
 
-@dataclass(frozen=True)
-class GroupLayout:
+class GroupLayout(NamedTuple):
     """Partition of one hole's pigeon literals into chained groups."""
 
     pigeons: int
@@ -104,8 +110,7 @@ def groups(pigeons: int) -> GroupLayout:
     return GroupLayout(pigeons, tuple(parts))
 
 
-@dataclass(frozen=True)
-class LayerLayout:
+class LayerLayout(NamedTuple):
     """Deterministic variable numbering for one layer.
 
     Layer k covers pigeons 0..k and holes 1..k; ``x_var(p, h)`` is defined on

@@ -3,6 +3,11 @@
 Emission is canonical and byte-stable: one clause per line, space-separated
 literals, a ``0`` terminator, LF line endings.  Deletion lines in DRAT carry
 a ``d `` prefix.  Binary DRAT is not supported.
+
+Every writer formats clauses in chunks of ``_CHUNK``.  When the compiled
+core is built, one ``_fastcheck.format_clauses`` call formats a chunk of
+plain int tuples; it declines any other chunk, which the ``%``-template join
+of :func:`_format_python` formats instead.  Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +45,14 @@ class _Templates(dict):
 
 # _TEMPLATES[delete][len(clause)] % clause is the clause's text line.
 _TEMPLATES = (_Templates(""), _Templates("d "))
-_CHUNK = 4096  # clauses joined into one string per write
+_CHUNK = 4096  # clauses formatted into one string per write
+
+try:  # the compiled core formats a chunk of plain int tuples in one call
+    from ._fastcheck import format_clauses as _format_native
+except ImportError:  # pragma: no cover - depends on the build environment
+
+    def _format_native(chunk: list[Clause], delete: bool) -> None:
+        return None
 
 
 def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
@@ -131,12 +143,15 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _write_clauses(
-    out: IO[str], templates: _Templates, clauses: Iterable[Clause]
-) -> None:
+def _format_python(chunk: list[Clause], delete: bool) -> str:
+    templates = _TEMPLATES[delete]
+    return "".join([templates[len(c)] % c for c in chunk])
+
+
+def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
     clauses = iter(clauses)
-    while text := "".join([templates[len(c)] % c for c in islice(clauses, _CHUNK)]):
-        out.write(text)
+    while chunk := list(islice(clauses, _CHUNK)):
+        out.write(_format_native(chunk, delete) or _format_python(chunk, delete))
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
@@ -154,7 +169,7 @@ def write_dimacs(
 ) -> None:
     """Stream a formula to ``out`` without materialising it."""
     out.write(f"p cnf {num_vars} {clause_count}\n")
-    _write_clauses(out, _TEMPLATES[False], clauses)
+    _write_clauses(out, False, clauses)
 
 
 def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
@@ -210,10 +225,10 @@ def emit_drat(proof: Proof | Iterable[ProofLine]) -> str:
 def write_drat(out: IO[str], lines: Iterable[ProofLine]) -> None:
     """Stream proof lines to ``out``."""
     for delete, run in groupby(lines, itemgetter(0)):
-        _write_clauses(out, _TEMPLATES[delete], map(itemgetter(1), run))
+        _write_clauses(out, delete, map(itemgetter(1), run))
 
 
 def write_drat_blocks(out: IO[str], blocks: Iterable[Block]) -> None:
     """Stream proof blocks to ``out``, as deletions where ``tag == DELETE``."""
     for tag, _, clauses in blocks:
-        _write_clauses(out, _TEMPLATES[tag == DELETE], clauses)
+        _write_clauses(out, tag == DELETE, clauses)

@@ -24,10 +24,9 @@ style and the builders of one iteration, in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .encodings import (
     GroupLayout,
@@ -48,8 +47,7 @@ ALO = "alo"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class IterationPlan:
+class IterationPlan(NamedTuple):
     """Everything one iteration needs: both layouts and the group structure.
 
     ``prev`` is layer k+1 (the standard input layer when k = n-1), ``next``

@@ -136,6 +136,19 @@ def test_check_missing_proof_file_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", [["gen-cnf", "2"], ["gen-proof", "2"]])
+def test_unwritable_out_path_exits_2_without_traceback(command, tmp_path):
+    out = tmp_path / "no-such-dir" / "out.txt"
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", *command, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in result.stderr
+
+
 def test_check_literal_beyond_the_cap_exits_2_without_traceback(tmp_path):
     cnf = tmp_path / "php2.cnf"
     drat = tmp_path / "huge.drat"

@@ -2,13 +2,17 @@
 
 The suite runs from ``src/`` without a build step, so this module compiles
 ``_fastcheck.c`` into a temporary directory once per session and loads it
-from there.  It is skipped when no C compiler is found.
+from there, with warnings as errors under gcc and clang.  It is skipped when
+no C compiler is found.
 """
 
+import enum
 import importlib.util
+import io
 import itertools
 import os
 import random
+import re
 import shlex
 import shutil
 import sysconfig
@@ -26,34 +30,47 @@ from pigeonproof import (
     count_cook,
     count_ours,
     emit_drat,
+    formats,
+    php_amo,
     php_standard,
     proof_cook,
     proof_ours,
     verify,
 )
 from pigeonproof.propagation import ClauseDatabase
-from test_package import CHECK_NEVER_LOADS, loaded_by_check
+from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
+from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, loaded_by, loaded_by_check
 from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
 SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
 EMPTY = ProofLine(False, ())
 
 
-def _have_compiler() -> bool:
+GOLDEN = Path(__file__).parent / "golden"
+STRICT_WARNINGS = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+
+
+def _compiler() -> str | None:
+    """The resolved path of the C compiler build_ext runs, or None."""
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0]) is not None
+    found = shutil.which(shlex.split(cc)[0])
+    return found and os.path.realpath(found)
 
 
 @pytest.fixture(scope="session")
 def fastcheck(tmp_path_factory):
     """The ``_fastcheck`` module compiled from the source tree."""
-    if not _have_compiler():
+    compiler = _compiler()
+    if compiler is None:
         pytest.skip("no C compiler found")
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
 
     out = tmp_path_factory.mktemp("fastcheck")
-    ext = Extension("_fastcheck", [str(SOURCE)], extra_compile_args=["-O2"])
+    flags = ["-O2"]
+    if re.search("gcc|clang", Path(compiler).name):
+        flags += STRICT_WARNINGS
+    ext = Extension("_fastcheck", [str(SOURCE)], extra_compile_args=flags)
     cmd = build_ext(Distribution({"ext_modules": [ext]}))
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "tmp")
@@ -119,14 +136,32 @@ def test_rat_screen_agrees_with_rescan_reference(case, engine):
     assert restored
 
 
-def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
-    package = tmp_path / "src" / "pigeonproof"
+def _package_with_core(fastcheck, root: Path) -> Path:
+    """A copy of the package under ``root/src`` holding the compiled core."""
+    package = root / "src" / "pigeonproof"
     shutil.copytree(SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
     shutil.copy2(fastcheck.__file__, package)
-    have_native, modules = loaded_by_check(tmp_path, tmp_path / "src")
+    return package.parent
+
+
+def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
+    have_native, modules = loaded_by_check(tmp_path, _package_with_core(fastcheck, tmp_path))
     assert have_native
     assert "pigeonproof._fastcheck" in modules
     assert modules & (CHECK_NEVER_LOADS | {"pigeonproof.propagation"}) == set()
+
+
+def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
+    out = tmp_path / "p.drat"
+    code = (
+        "from pigeonproof import cli, formats\n"
+        f"assert cli.main(['gen-proof', '4', '--out', {str(out)!r}]) == 0\n"
+        "print(formats._format_native.__module__)"
+    )
+    hook, modules = loaded_by(code, _package_with_core(fastcheck, tmp_path))
+    assert hook == "pigeonproof._fastcheck"
+    assert modules & GEN_NEVER_LOADS == set()
+    assert out.read_bytes() == (GOLDEN / "proof-ours-4.drat").read_bytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -478,3 +513,139 @@ def test_file_check_counters_equal_per_line_counts(n, native, monkeypatch, tmp_p
             formula, mutated, _proof_file(tmp_path, mutated), monkeypatch
         )
         assert native_counts == line_counts
+
+
+# -- formatting emitted text: the native chunk call against the template join --
+
+
+@pytest.fixture
+def native_format(fastcheck, monkeypatch):
+    """Make ``formats`` format chunks with the freshly compiled core."""
+    monkeypatch.setattr(formats, "_format_native", fastcheck.format_clauses)
+
+
+def _written(clauses, delete, native):
+    """``formats._write_clauses`` of ``clauses`` with or without the native
+    formatter: the text, or the type and message of the exception."""
+    hook = native if native else lambda chunk, delete: None
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_format_native", hook)
+        try:
+            formats._write_clauses(out, delete, clauses)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return out.getvalue()
+
+
+def _same_text(fastcheck, clauses, delete):
+    native = _written(clauses, delete, fastcheck.format_clauses)
+    assert native == _written(clauses, delete, None)
+    return native
+
+
+INT64 = (-(2**63), 2**63 - 1)
+_LITERALS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(
+        [1, -1, 2**31 - 1, -(2**31 - 1), 2**63 - 1, -(2**63 - 1), -(2**63),
+         2**63, -(2**63) - 1, 10**30, -(10**30), 0]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_LITERALS, max_size=6).map(tuple), max_size=20), st.booleans())
+def test_format_fuzz_agrees_with_template_join(fastcheck, chunk, delete):
+    native = fastcheck.format_clauses(chunk, delete)
+    fits = all(INT64[0] <= lit <= INT64[1] for clause in chunk for lit in clause)
+    assert (native is not None) == fits
+    if fits:
+        assert native == formats._format_python(chunk, delete)
+    assert _same_text(fastcheck, chunk, delete) == formats._format_python(chunk, delete)
+
+
+class _Lit(enum.IntEnum):
+    ONE = 1
+
+
+class _Int(int):
+    pass
+
+
+class _Clause(tuple):
+    pass
+
+
+#: Chunks the native formatter declines: the template join formats them, or
+#: raises, on both paths alike.
+FALLBACK_CHUNKS = {
+    "bool": [(1, 2), (True, -3)],
+    "int-enum": [(_Lit.ONE, 2)],
+    "int-subclass": [(_Int(7),)],
+    "tuple-subclass": [(1,), _Clause((2, 3))],
+    "list-clause": [(1,), [2, 3]],
+    "list-unit": [[4]],
+    "str": [(1, "2")],
+    "float": [(1.5, 2)],
+    "none": [(None,)],
+    "beyond-int64": [(1,), (2**64,)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CHUNKS))
+@pytest.mark.parametrize("delete", [False, True])
+def test_format_fallback_chunks_match_template_join(fastcheck, case, delete):
+    chunk = FALLBACK_CHUNKS[case]
+    assert fastcheck.format_clauses(chunk, delete) is None
+    _same_text(fastcheck, chunk, delete)
+
+
+def test_format_declines_a_delete_flag_that_is_not_a_bool(fastcheck):
+    assert fastcheck.format_clauses([(1, 2)], 1) is None
+    assert fastcheck.format_clauses([(1, 2)], False) == "1 2 0\n"
+    assert fastcheck.format_clauses([(1, 2)], True) == "d 1 2 0\n"
+    assert fastcheck.format_clauses([], True) == ""
+    with pytest.raises(TypeError):
+        fastcheck.format_clauses(((1, 2),), False)
+
+
+def test_format_spans_several_chunks(fastcheck):
+    rng = random.Random(7)
+    clauses = [
+        tuple(rng.choice((-1, 1)) * rng.randrange(1, 10**rng.randrange(1, 19))
+              for _ in range(rng.randrange(5)))
+        for _ in range(3 * formats._CHUNK + 5)
+    ]
+    for delete in (False, True):
+        text = _same_text(fastcheck, clauses, delete)
+        assert text.count("\n") == len(clauses)
+
+
+@pytest.mark.parametrize("deletions", [False, True])
+@pytest.mark.parametrize("style", ["ours", "cook"])
+def test_native_block_emission_matches_digests_and_golden_files(native_format, style, deletions):
+    family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
+    texts = []
+    for n in range(2, 9):
+        out = io.StringIO()
+        formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+        texts.append(out.getvalue())
+        golden = GOLDEN / f"proof-{style}-{n}{'-deletions' if deletions else ''}.drat"
+        if golden.exists():
+            assert golden.read_bytes() == out.getvalue().encode(), golden.name
+    assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
+
+
+@pytest.mark.parametrize("encode", [php_standard, php_amo], ids=["standard", "amo"])
+def test_native_dimacs_emission_matches_digests_and_golden_files(native_format, encode):
+    texts = []
+    for n in range(1, 7):
+        formula = encode(n)
+        out = io.StringIO()
+        formats.write_dimacs(out, formula.num_vars, formula.clauses, len(formula.clauses))
+        texts.append(out.getvalue())
+        golden = GOLDEN / f"php-{encode.__name__[4:]}-{n}.cnf"
+        if golden.exists():
+            assert golden.read_bytes() == out.getvalue().encode(), golden.name
+    assert sha256("".join(texts)) == DIMACS_DIGESTS[encode]

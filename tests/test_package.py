@@ -18,6 +18,15 @@ CHECK_NEVER_LOADS = {
     "pigeonproof.proof_ours",
 }
 
+#: Modules a ``gen-proof`` run must not load: ``dataclasses``, ``fractions``
+#: (imported by the counting formulas) and the checker.
+GEN_NEVER_LOADS = {
+    "dataclasses",
+    "fractions",
+    "pigeonproof.checker",
+    "pigeonproof.propagation",
+}
+
 
 def loaded_by(code: str, src: Path = SRC) -> tuple[str, set[str]]:
     """Last output line of ``code`` in a fresh interpreter with ``src`` on its
@@ -81,3 +90,13 @@ def test_check_loads_only_the_check_path(tmp_path):
     assert modules & CHECK_NEVER_LOADS == set()
     if have_native:
         assert "pigeonproof.propagation" not in modules
+
+
+def test_gen_proof_loads_no_checker_and_no_dataclasses(tmp_path):
+    code = (
+        "from pigeonproof import cli\n"
+        f"assert cli.main(['gen-proof', '4', '--out', {str(tmp_path / 'p.drat')!r}]) == 0"
+    )
+    _, modules = loaded_by(code)
+    assert "pigeonproof.proof_ours" in modules
+    assert modules & GEN_NEVER_LOADS == set()
