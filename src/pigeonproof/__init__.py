@@ -1,5 +1,13 @@
 """Pigeonhole CNF generators, DRAT proof generators, and a forward checker.
 
+The top level holds the paper's workflow: encode PHP(n) (``php_standard``,
+``php_amo``), generate a proof (``generate_ours``, ``generate_cook``), count
+it (``count_ours``, ``count_cook``), write and read it (``emit_*``,
+``parse_*``) and check it (``verify``).  Construction and engine internals
+stay in their modules: the clause builders and layouts in ``proof_ours``,
+``proof_cook`` and ``encodings``, the per-iteration counts in ``counts``,
+the databases in ``checker`` and ``propagation``.
+
 Every public name is loaded from its module on first use (PEP 562), so
 ``import pigeonproof`` imports no submodule and ``pigeonproof check`` loads
 only the modules that checking needs.
@@ -9,42 +17,15 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: The public names of each submodule; the one list of the package's exports.
+#: The top-level names of each submodule; the one list of the package's exports.
 _EXPORTS = {
-    "checker": (
-        "ACCEPTED",
-        "DEFAULT_BACKEND",
-        "HAVE_NATIVE",
-        "INCOMPLETE",
-        "REJECTED",
-        "Verdict",
-        "check_rat",
-        "check_rup",
-        "new_database",
-        "verify",
-    ),
-    "counts": (
-        "cook_iteration_count",
-        "count_cook",
-        "count_cook_breakdown",
-        "count_ours",
-        "count_ours_breakdown",
-        "f_group",
-        "ours_iteration_count",
-    ),
-    "encodings": ("group_count", "groups", "layer_layout", "php_amo", "php_standard"),
+    "checker": ("ACCEPTED", "DEFAULT_BACKEND", "INCOMPLETE", "REJECTED", "Verdict", "verify"),
+    "counts": ("count_cook", "count_ours"),
+    "encodings": ("php_amo", "php_standard"),
     "formats": ("emit_dimacs", "emit_drat", "parse_dimacs", "parse_drat"),
-    "model": ("Clause", "CnfFormula", "Proof", "ProofLine", "count_added"),
-    "proof_cook": ("cook_pair_clauses", "generate_cook"),
-    "proof_ours": (
-        "alo_clauses",
-        "definition_clauses",
-        "derived_group_clauses",
-        "generate_ours",
-        "iteration_plan",
-        "y_definition_clauses",
-    ),
-    "propagation": ("ClauseDatabase", "propagate"),
+    "model": ("CnfFormula", "Proof", "ProofLine"),
+    "proof_cook": ("generate_cook",),
+    "proof_ours": ("generate_ours",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -32,7 +32,7 @@ import warnings
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formats
-from .model import CnfFormula, Proof, ProofLine, iter_lines
+from .model import CnfFormula, Proof, ProofLine
 
 try:  # compiled core is optional; the pure engine is always present
     from . import _fastcheck
@@ -78,7 +78,7 @@ class Verdict(NamedTuple):
 
 def select_backend(backend: str | None = None) -> str:
     """Resolve a backend name; ``None`` picks the fastest available."""
-    if backend is None or backend == "auto":
+    if backend is None:
         return DEFAULT_BACKEND
     if backend not in ("native", "python"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -99,22 +99,6 @@ def new_database(formula: CnfFormula | None = None, backend: str | None = None):
         for clause in formula.clauses:
             db.add_clause(clause)
     return db
-
-
-def check_rup(db, clause: Sequence[int]) -> bool:
-    """Is the clause implied by the database via unit propagation?
-
-    The complements of all its literals are assumed, propagation runs to a
-    conflict or fixpoint, and the assignment is restored exactly.
-    """
-    return db.rup(list(clause))
-
-
-def check_rat(db, clause: Sequence[int]) -> bool:
-    """Does the clause have the RAT property on its first literal?"""
-    if not clause:
-        raise ValueError("the empty clause has no pivot; use check_rup")
-    return db.rat(list(clause))
 
 
 def _multiset_key(lits: Sequence[int]) -> tuple[int, ...]:
@@ -145,7 +129,8 @@ def verify(
     checked in one native call.
     """
     if not isinstance(proof, (str, os.PathLike)):
-        return _verify_lines(formula, iter_lines(proof), strict_deletions, backend)
+        lines = proof.lines if isinstance(proof, Proof) else proof
+        return _verify_lines(formula, iter(lines), strict_deletions, backend)
     with open(proof, "rb") as handle:
         if select_backend(backend) == "native":
             verdict = _check_file(formula, handle, strict_deletions)

@@ -56,6 +56,7 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
     from . import encodings, formats
 
     n = args.n
+    encodings._check_n(n, minimum=1)  # before --out is opened, and truncated
     if args.encoding == "standard":
         num_vars = n * (n + 1)
         clause_count = encodings.php_standard_clause_count(n)
@@ -72,8 +73,9 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 def cmd_gen_proof(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
-    from . import formats, proof_ours
+    from . import encodings, formats, proof_ours
 
+    encodings._check_n(args.n, minimum=2)  # before --out is opened, and truncated
     blocks = proof_ours.iter_blocks(args.n, _family(args.style), args.deletions)
     with _open_out(args.out) as out:
         formats.write_drat_blocks(out, blocks)

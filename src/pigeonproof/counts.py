@@ -1,14 +1,13 @@
 """Exact clause counting for both proof styles.
 
-Closed forms are evaluated in exact rational arithmetic and asserted
-integral; the per-iteration breakdowns are computed structurally, so the two
-routes cross-check each other.  No floating point anywhere.
+Closed forms are evaluated in integer arithmetic, as a numerator over a
+fixed denominator that must divide it exactly; the per-iteration breakdowns
+are computed structurally, so the two routes cross-check each other.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .encodings import f_group
@@ -27,15 +26,11 @@ class IterationCount(NamedTuple):
         return self.definitions + self.group_or_pair + self.alo
 
 
-@dataclass(frozen=True)
-class CountBreakdown:
+class CountBreakdown(NamedTuple):
     """Per-iteration counts; total includes the final empty clause."""
 
     per_iteration: tuple[IterationCount, ...]
     total: int
-
-    def __post_init__(self) -> None:
-        assert self.total == sum(it.subtotal for it in self.per_iteration) + 1
 
 
 def _check_n(n: int) -> None:
@@ -43,9 +38,14 @@ def _check_n(n: int) -> None:
         raise ValueError("proof counting needs n >= 2")
 
 
-def _as_int(x: Fraction) -> int:
-    assert x.denominator == 1, f"closed form is not integral: {x}"
-    return int(x)
+def _exact(numerator: int, denominator: int) -> int:
+    total, remainder = divmod(numerator, denominator)
+    assert remainder == 0, f"closed form is not integral: {numerator}/{denominator}"
+    return total
+
+
+def _breakdown(rows: tuple[IterationCount, ...]) -> CountBreakdown:
+    return CountBreakdown(rows, sum(r.subtotal for r in rows) + 1)
 
 
 def ours_iteration_count(k: int) -> int:
@@ -56,22 +56,9 @@ def ours_iteration_count(k: int) -> int:
 def count_ours(n: int) -> int:
     """Total additions of the chained-group proof (closed form)."""
     _check_n(n)
-    nf = Fraction(n)
     if n % 2 == 0:
-        total = (
-            Fraction(5, 2) * nf**3
-            - Fraction(35, 8) * nf**2
-            + Fraction(11, 4) * nf
-            + 2
-        )
-    else:
-        total = (
-            Fraction(5, 2) * nf**3
-            - Fraction(35, 8) * nf**2
-            + 3 * nf
-            + Fraction(15, 8)
-        )
-    return _as_int(total)
+        return _exact(20 * n**3 - 35 * n**2 + 22 * n + 16, 8)
+    return _exact(20 * n**3 - 35 * n**2 + 24 * n + 15, 8)
 
 
 def count_ours_breakdown(n: int) -> CountBreakdown:
@@ -81,7 +68,7 @@ def count_ours_breakdown(n: int) -> CountBreakdown:
         IterationCount(k, k * (4 * k + 2), k * f_group(k), k + 1)
         for k in range(n - 1, 0, -1)
     )
-    return CountBreakdown(rows, sum(r.subtotal for r in rows) + 1)
+    return _breakdown(rows)
 
 
 def cook_iteration_count(k: int) -> int:
@@ -92,14 +79,7 @@ def cook_iteration_count(k: int) -> int:
 def count_cook(n: int) -> int:
     """Total additions of the pairwise proof (closed form)."""
     _check_n(n)
-    nf = Fraction(n)
-    total = (
-        Fraction(1, 4) * nf**4
-        + Fraction(7, 6) * nf**3
-        + Fraction(1, 4) * nf**2
-        - Fraction(2, 3) * nf
-    )
-    return _as_int(total)
+    return _exact(3 * n**4 + 14 * n**3 + 3 * n**2 - 8 * n, 12)
 
 
 def count_cook_breakdown(n: int) -> CountBreakdown:
@@ -109,7 +89,7 @@ def count_cook_breakdown(n: int) -> CountBreakdown:
         IterationCount(k, 4 * (k + 1) * k, (k + 1) * k * k, k + 1)
         for k in range(n - 1, 0, -1)
     )
-    return CountBreakdown(rows, sum(r.subtotal for r in rows) + 1)
+    return _breakdown(rows)
 
 
 #: CLI-facing dispatch.

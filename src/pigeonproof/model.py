@@ -9,7 +9,7 @@ literal tuple is the empty clause.
 from __future__ import annotations
 
 from operator import countOf, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 Clause = tuple[int, ...]
 
@@ -97,10 +97,3 @@ class Proof(NamedTuple):
 def count_added(lines: Iterable[ProofLine]) -> int:
     """Count addition lines in a stream without materialising it."""
     return countOf(map(itemgetter(0), lines), False)
-
-
-def iter_lines(proof: Proof | Iterable[ProofLine]) -> Iterator[ProofLine]:
-    """Uniform access to the lines of a ``Proof`` or a raw line iterable."""
-    if isinstance(proof, Proof):
-        return iter(proof.lines)
-    return iter(proof)

@@ -1,10 +1,92 @@
+"""Session fixtures: the compiled core built from source, and the backends.
+
+The suite runs from ``src/`` without a build step, so ``_fastcheck.c`` is
+compiled into a temporary directory once per session, with warnings as
+errors under gcc and clang.  Every ``backend="native"`` test runs on that
+build, never on a prebuilt extension that may be stale, and is skipped when
+no C compiler is found.
+"""
+
+import importlib.util
+import os
+import re
+import shlex
+import shutil
+import sysconfig
+from pathlib import Path
+
 import pytest
 
-from pigeonproof.checker import HAVE_NATIVE
+from pigeonproof import checker
 
-BACKENDS = ["python"] + (["native"] if HAVE_NATIVE else [])
+SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
+STRICT_WARNINGS = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+BACKENDS = ("python", "native")
+
+
+def _compiler() -> str | None:
+    """The resolved path of the C compiler build_ext runs, or None."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    found = shutil.which(shlex.split(cc)[0])
+    return found and os.path.realpath(found)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The ``_fastcheck`` module compiled from the source tree, or None when
+    no C compiler is found."""
+    compiler = _compiler()
+    if compiler is None:
+        return None
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("fastcheck")
+    flags = ["-O2"]
+    if re.search("gcc|clang", Path(compiler).name):
+        flags += STRICT_WARNINGS
+    ext = Extension("_fastcheck", [str(SOURCE)], extra_compile_args=flags)
+    cmd = build_ext(Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "_fastcheck", cmd.get_ext_fullpath("_fastcheck")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def fastcheck(compiled):
+    """The freshly compiled core; skips the test when there is none."""
+    if compiled is None:
+        pytest.skip("no C compiler found")
+    return compiled
+
+
+@pytest.fixture
+def native(fastcheck, monkeypatch):
+    """Make ``backend="native"`` use the freshly compiled core."""
+    monkeypatch.setattr(checker, "_fastcheck", fastcheck)
+    monkeypatch.setattr(checker, "HAVE_NATIVE", True)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
+    """Each backend name, the native one on the freshly compiled core."""
+    if request.param == "native":
+        request.getfixturevalue("native")
     return request.param
+
+
+@pytest.fixture
+def backends(request, compiled):
+    """Every backend this session can run, the native one on the freshly
+    compiled core; for tests that compare all backends in one example."""
+    if compiled is None:
+        return ["python"]
+    request.getfixturevalue("native")
+    return list(BACKENDS)

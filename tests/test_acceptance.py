@@ -14,11 +14,8 @@ import brute_force
 from pigeonproof import (
     CnfFormula,
     ProofLine,
-    check_rat,
     count_cook,
-    count_cook_breakdown,
     count_ours,
-    count_ours_breakdown,
     emit_dimacs,
     emit_drat,
     generate_cook,
@@ -30,6 +27,7 @@ from pigeonproof import (
     verify,
 )
 from pigeonproof.checker import DEFAULT_BACKEND, new_database
+from pigeonproof.counts import count_cook_breakdown, count_ours_breakdown
 from pigeonproof.model import count_added
 from pigeonproof import proof_cook, proof_ours
 
@@ -117,7 +115,7 @@ def test_criterion_6_checker_soundness():
         # (a) textbook RAT example is accepted as a valid addition
         textbook = CnfFormula(3, ((1, -2), (-1, 2), (2, -3), (3,)))
         db = new_database(textbook)
-        assert check_rat(db, (1,))
+        assert db.rat([1])
         verdict = verify(textbook, [ProofLine(False, (1,))])
         assert verdict.status == "INCOMPLETE"  # accepted line, no refutation
 

@@ -3,7 +3,7 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import naive_checker
@@ -11,8 +11,6 @@ from pigeonproof import (
     CnfFormula,
     Proof,
     ProofLine,
-    check_rat,
-    check_rup,
     emit_dimacs,
     emit_drat,
     generate_cook,
@@ -25,17 +23,17 @@ from pigeonproof.checker import new_database
 
 def test_rup_conflict_example(backend):
     db = new_database(CnfFormula(2, ((-1, 2), (-2,), (1,))), backend=backend)
-    assert check_rup(db, ())
+    assert db.rup([])
 
 
 def test_rup_self_subsuming(backend):
     db = new_database(CnfFormula(2, ((1, 2),)), backend=backend)
-    assert check_rup(db, (1, 2))
+    assert db.rup([1, 2])
 
 
 def test_rup_fails_with_nothing_to_propagate(backend):
     db = new_database(CnfFormula(2, ((1, 2), (-1, -2))), backend=backend)
-    assert not check_rup(db, ())
+    assert not db.rup([])
 
 
 def test_rat_textbook_example(backend):
@@ -44,7 +42,7 @@ def test_rat_textbook_example(backend):
     db = new_database(
         CnfFormula(3, ((1, -2), (-1, 2), (2, -3), (3,))), backend=backend
     )
-    assert check_rat(db, (1,))
+    assert db.rat([1])
 
 
 def test_rat_where_rup_genuinely_fails(backend):
@@ -53,27 +51,27 @@ def test_rat_where_rup_genuinely_fails(backend):
     db = new_database(
         CnfFormula(3, ((-1, 2), (2, 3), (2, -3))), backend=backend
     )
-    assert not check_rup(db, (1,))
-    assert check_rat(db, (1,))
+    assert not db.rup([1])
+    assert db.rat([1])
 
 
 def test_rat_vacuous_for_fresh_pivot(backend):
     db = new_database(CnfFormula(2, ((1, 2),)), backend=backend)
-    assert check_rat(db, (3, -1))
+    assert db.rat([3, -1])
 
 
 def test_rat_skips_tautological_resolvents(backend):
     # the only resolvent of (2, -1) is against (-2, 1): (-1, 1), a tautology
     db = new_database(CnfFormula(2, ((-2, 1),)), backend=backend)
-    assert not check_rup(db, (2, -1))
-    assert check_rat(db, (2, -1))
+    assert not db.rup([2, -1])
+    assert db.rat([2, -1])
 
 
 def test_rup_implies_acceptance(backend):
     formula = php_standard(2)
     db = new_database(formula, backend=backend)
     clause = (-1, -3)  # already present, trivially RUP
-    assert check_rup(db, clause)
+    assert db.rup(list(clause))
     verdict = verify(formula, [ProofLine(False, clause)], backend=backend)
     assert verdict.status == "INCOMPLETE"  # checked fine, no empty clause
 
@@ -172,36 +170,40 @@ _small_clause = st.lists(
 ).map(tuple)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     st.lists(_small_clause, min_size=1, max_size=8),
     st.lists(_small_clause, min_size=1, max_size=6),
 )
-def test_random_proofs_agree_with_reference(formula_clauses, proof_clauses):
-    from conftest import BACKENDS
-
+def test_random_proofs_agree_with_reference(backends, formula_clauses, proof_clauses):
     formula = CnfFormula(5, tuple(formula_clauses))
     lines = [ProofLine(False, lits) for lits in proof_clauses]
     status, lineno = naive_checker.verify(formula, lines)
-    for backend_name in BACKENDS:
+    for backend_name in backends:
         verdict = verify(formula, lines, backend=backend_name)
         assert (verdict.status, verdict.line) == (status, lineno)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     st.lists(_small_clause, min_size=2, max_size=8),
     st.lists(st.tuples(st.booleans(), _small_clause), min_size=1, max_size=8),
 )
-def test_random_proofs_with_deletions_agree(formula_clauses, steps):
-    from conftest import BACKENDS
-
+def test_random_proofs_with_deletions_agree(backends, formula_clauses, steps):
     formula = CnfFormula(5, tuple(formula_clauses))
     lines = [
         ProofLine(delete and bool(lits), lits) for delete, lits in steps
     ]
     status, lineno = naive_checker.verify(formula, lines, strict_deletions=True)
-    for backend_name in BACKENDS:
+    for backend_name in backends:
         verdict = verify(
             formula, lines, strict_deletions=True, backend=backend_name
         )

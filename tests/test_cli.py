@@ -149,6 +149,28 @@ def test_unwritable_out_path_exits_2_without_traceback(command, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen-cnf", "5001"],
+        ["gen-cnf", "5001", "--encoding", "amo"],
+        ["gen-proof", "5001"],
+        ["gen-proof", "5001", "--style", "cook", "--deletions"],
+        ["gen-proof", "1"],
+    ],
+)
+def test_failed_run_leaves_an_existing_out_file_untouched(command, tmp_path, capsys):
+    # n is checked in full, with the memory guard of php_standard, before
+    # the file is opened (and truncated).
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    code, stdout, err = run_cli(*command, "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_literal_beyond_the_cap_exits_2_without_traceback(tmp_path):
     cnf = tmp_path / "php2.cnf"
     drat = tmp_path / "huge.drat"

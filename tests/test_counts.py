@@ -1,14 +1,13 @@
 import pytest
 
-from pigeonproof import (
+from pigeonproof import count_cook, count_ours
+from pigeonproof.counts import (
     cook_iteration_count,
-    count_cook,
     count_cook_breakdown,
-    count_ours,
     count_ours_breakdown,
-    f_group,
     ours_iteration_count,
 )
+from pigeonproof.encodings import f_group
 
 
 def test_f_group_values():

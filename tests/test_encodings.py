@@ -3,16 +3,15 @@ from collections import Counter
 import pytest
 
 import brute_force
-from pigeonproof import (
-    CnfFormula,
+from pigeonproof import CnfFormula, php_amo, php_standard
+from pigeonproof.encodings import (
+    f_group,
     group_count,
     groups,
     layer_layout,
-    php_amo,
-    php_standard,
+    member_literal,
+    php_amo_clause_count,
 )
-from pigeonproof.counts import f_group
-from pigeonproof.encodings import member_literal, php_amo_clause_count
 
 
 def test_php_standard_smallest():

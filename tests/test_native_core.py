@@ -1,21 +1,14 @@
 """The compiled checking core, built from source and held to the Python engine.
 
-The suite runs from ``src/`` without a build step, so this module compiles
-``_fastcheck.c`` into a temporary directory once per session and loads it
-from there, with warnings as errors under gcc and clang.  It is skipped when
-no C compiler is found.
+The core is compiled once per session by the ``fastcheck`` fixture in
+``conftest.py``; these tests are skipped when no C compiler is found.
 """
 
 import enum
-import importlib.util
 import io
 import itertools
-import os
 import random
-import re
-import shlex
 import shutil
-import sysconfig
 import warnings
 from pathlib import Path
 
@@ -23,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import SOURCE
 from pigeonproof import (
     CnfFormula,
     ProofLine,
@@ -42,53 +36,8 @@ from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
 from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, loaded_by, loaded_by_check
 from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
-SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
 EMPTY = ProofLine(False, ())
-
-
 GOLDEN = Path(__file__).parent / "golden"
-STRICT_WARNINGS = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
-
-
-def _compiler() -> str | None:
-    """The resolved path of the C compiler build_ext runs, or None."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    found = shutil.which(shlex.split(cc)[0])
-    return found and os.path.realpath(found)
-
-
-@pytest.fixture(scope="session")
-def fastcheck(tmp_path_factory):
-    """The ``_fastcheck`` module compiled from the source tree."""
-    compiler = _compiler()
-    if compiler is None:
-        pytest.skip("no C compiler found")
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    out = tmp_path_factory.mktemp("fastcheck")
-    flags = ["-O2"]
-    if re.search("gcc|clang", Path(compiler).name):
-        flags += STRICT_WARNINGS
-    ext = Extension("_fastcheck", [str(SOURCE)], extra_compile_args=flags)
-    cmd = build_ext(Distribution({"ext_modules": [ext]}))
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "_fastcheck", cmd.get_ext_fullpath("_fastcheck")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def native(fastcheck, monkeypatch):
-    """Make ``backend="native"`` use the freshly compiled core."""
-    monkeypatch.setattr(checker, "_fastcheck", fastcheck)
-    monkeypatch.setattr(checker, "HAVE_NATIVE", True)
 
 
 @pytest.fixture(params=["python", "native"])

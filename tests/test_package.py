@@ -1,7 +1,10 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pigeonproof
 from pigeonproof.cli import main
@@ -19,12 +22,49 @@ CHECK_NEVER_LOADS = {
 }
 
 #: Modules a ``gen-proof`` run must not load: ``dataclasses``, ``fractions``
-#: (imported by the counting formulas) and the checker.
+#: and the checker.
 GEN_NEVER_LOADS = {
     "dataclasses",
     "fractions",
     "pigeonproof.checker",
     "pigeonproof.propagation",
+}
+
+#: Modules a ``count`` run must not load: the closed forms are integer
+#: numerators, so neither ``fractions`` (and ``decimal``) nor ``dataclasses``.
+COUNT_NEVER_LOADS = GEN_NEVER_LOADS | {"decimal", "pigeonproof.proof_ours"}
+
+#: The top level: the paper's workflow of encoding, generating, counting,
+#: writing, reading and checking proofs.
+TOP_LEVEL = {
+    "php_standard", "php_amo",
+    "generate_ours", "generate_cook",
+    "count_ours", "count_cook",
+    "verify", "Verdict", "ACCEPTED", "REJECTED", "INCOMPLETE", "DEFAULT_BACKEND",
+    "CnfFormula", "Proof", "ProofLine",
+    "emit_dimacs", "emit_drat", "parse_dimacs", "parse_drat",
+}
+
+#: Construction and engine internals, each importable from its own module only.
+INTERNALS = {
+    "checker": ("HAVE_NATIVE", "new_database"),
+    "counts": (
+        "cook_iteration_count",
+        "count_cook_breakdown",
+        "count_ours_breakdown",
+        "ours_iteration_count",
+    ),
+    "encodings": ("f_group", "group_count", "groups", "layer_layout"),
+    "model": ("Clause", "count_added"),
+    "proof_cook": ("cook_pair_clauses",),
+    "proof_ours": (
+        "alo_clauses",
+        "definition_clauses",
+        "derived_group_clauses",
+        "iteration_plan",
+        "y_definition_clauses",
+    ),
+    "propagation": ("ClauseDatabase", "propagate"),
 }
 
 
@@ -59,6 +99,30 @@ def loaded_by_check(work: Path, src: Path = SRC) -> tuple[bool, set[str]]:
     )
     have_native, modules = loaded_by(code, src)
     return have_native == "True", modules
+
+
+def test_top_level_is_the_workflow_api():
+    assert len(pigeonproof.__all__) == 19
+    assert set(pigeonproof.__all__) == TOP_LEVEL
+
+
+@pytest.mark.parametrize("module", sorted(INTERNALS))
+def test_internals_import_from_their_module_only(module):
+    loaded = importlib.import_module(f"pigeonproof.{module}")
+    for name in INTERNALS[module]:
+        assert hasattr(loaded, name), name
+        assert not hasattr(pigeonproof, name), name
+
+
+def test_removed_wrappers_are_gone():
+    from pigeonproof import checker, model
+
+    assert not hasattr(checker, "check_rup")
+    assert not hasattr(checker, "check_rat")
+    assert not hasattr(model, "iter_lines")
+    assert checker.select_backend("python") == "python"
+    with pytest.raises(ValueError):
+        checker.select_backend("auto")
 
 
 def test_every_export_resolves():
@@ -100,3 +164,11 @@ def test_gen_proof_loads_no_checker_and_no_dataclasses(tmp_path):
     _, modules = loaded_by(code)
     assert "pigeonproof.proof_ours" in modules
     assert modules & GEN_NEVER_LOADS == set()
+
+
+@pytest.mark.parametrize("extra", [[], ["--breakdown"], ["--style", "cook", "--breakdown"]])
+def test_count_loads_neither_fractions_nor_dataclasses(extra):
+    code = f"from pigeonproof import cli\nassert cli.main(['count', '60', *{extra!r}]) == 0"
+    _, modules = loaded_by(code)
+    assert "pigeonproof.counts" in modules
+    assert modules & COUNT_NEVER_LOADS == set()

@@ -1,17 +1,10 @@
 import pytest
 
 import naive_checker
-from pigeonproof import (
-    cook_iteration_count,
-    cook_pair_clauses,
-    count_cook,
-    definition_clauses,
-    generate_cook,
-    php_standard,
-    verify,
-)
-from pigeonproof.proof_ours import iteration_plan
-from pigeonproof.proof_cook import iter_proof_lines, iter_tagged_lines
+from pigeonproof import count_cook, generate_cook, php_standard, verify
+from pigeonproof.counts import cook_iteration_count
+from pigeonproof.proof_ours import definition_clauses, iteration_plan
+from pigeonproof.proof_cook import cook_pair_clauses, iter_proof_lines, iter_tagged_lines
 
 
 def cook_plan(n, k):
@@ -102,13 +95,13 @@ def test_verifies_with_deletions_strict(backend):
 def test_pair_clauses_are_rup_in_context(backend):
     # replay the proof up to the first pair clause of iteration n-1, then
     # check the helper and target pass plain RUP with no resolvent lookups
-    from pigeonproof.checker import check_rup, new_database
+    from pigeonproof.checker import new_database
 
     n = 4
     db = new_database(php_standard(n), backend=backend)
     for tag, k, line in iter_tagged_lines(n):
         if tag == "pair":
-            assert check_rup(db, line.lits)
+            assert db.rup(list(line.lits))
             db.add_clause(line.lits)
             if k < n - 1:
                 break

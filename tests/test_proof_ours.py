@@ -1,21 +1,18 @@
 import pytest
 
 import naive_checker
-from pigeonproof import (
-    ProofLine,
+from pigeonproof import ProofLine, count_ours, generate_ours, php_standard, verify
+from pigeonproof.encodings import layer_layout
+from pigeonproof.model import count_added
+from pigeonproof.proof_ours import (
     alo_clauses,
-    count_ours,
     definition_clauses,
     derived_group_clauses,
-    generate_ours,
+    iter_proof_lines,
+    iter_tagged_lines,
     iteration_plan,
-    layer_layout,
-    php_standard,
-    verify,
     y_definition_clauses,
 )
-from pigeonproof.model import count_added
-from pigeonproof.proof_ours import iter_proof_lines, iter_tagged_lines
 
 
 def test_definitions_n2():

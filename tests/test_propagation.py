@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 import pytest
 
 import naive_checker
-from pigeonproof import CnfFormula, ClauseDatabase, propagate
+from pigeonproof import CnfFormula
+from pigeonproof.propagation import ClauseDatabase, propagate
 from pigeonproof.checker import new_database
 
 
