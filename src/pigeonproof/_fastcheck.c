@@ -3,13 +3,13 @@
    A drop-in replacement for ``propagation.ClauseDatabase``: the same methods
    (add_clause, delete_clause, clause, __len__, rup, rat, snapshot), the same
    verdicts and the same exceptions.  check_drat also checks a whole text
-   DRAT file in one call: it reads and parses the file and keeps the
-   deletion index itself.  Literals are int32 in one flat buffer;
-   watch and occurrence lists are growable vectors of clause ids indexed by
-   literal code (v -> 2v, -v -> 2v+1).  The assignment, the trail and the RAT
-   scratch marks are indexed by variable and grow with the largest variable
-   seen, so the trail has room for every variable and never grows during a
-   check.
+   DRAT file in one call: it reads and parses the file and finds each
+   deleted clause through the occurrence lists.  Literals are int32 in one
+   flat buffer; watch and occurrence lists are growable vectors of clause
+   ids indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
+   trail and the RAT scratch marks are indexed by variable and grow with the
+   largest variable seen, so the trail has room for every variable and never
+   grows during a check.
 
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
@@ -613,33 +613,6 @@ static PyObject *db_snapshot(FastDatabase *self, PyObject *unused)
 enum { INCOMPLETE, ACCEPTED, EMPTY_NOT_RUP, NOT_RUP_OR_RAT, NOT_PRESENT,
        MALFORMED, NOT_ASCII };
 
-/* Deletion index: the active clauses by the hash of their literal multiset,
-   chained newest first, so a deletion finds the most recent copy first. */
-typedef struct {
-    int32_t *head;  /* by bucket: newest clause id, or -1 */
-    int32_t *next;  /* by clause id: next older clause in its bucket */
-    uint64_t *hash; /* by clause id */
-    Py_ssize_t mask, count, cap_ids;
-} Index;
-
-static uint64_t multiset_hash(const lit_t *l, Py_ssize_t n)
-{
-    uint64_t h = (uint64_t)n;
-    Py_ssize_t i;
-    for (i = 0; i < n; i++) { /* a sum of splitmix64 values: order-free */
-        uint64_t x = (uint64_t)(uint32_t)l[i] + 0x9e3779b97f4a7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        h += x ^ (x >> 31);
-    }
-    return h;
-}
-
-static inline Py_ssize_t bucket(const Index *ix, uint64_t h)
-{
-    return (Py_ssize_t)((h ^ (h >> 32)) & (uint64_t)ix->mask);
-}
-
 static int cmp_lits(const void *a, const void *b)
 {
     lit_t x = *(const lit_t *)a, y = *(const lit_t *)b;
@@ -661,83 +634,43 @@ static void sort_lits(lit_t *l, Py_ssize_t n)
     }
 }
 
-/* Link every active clause up to ``last``, oldest first, into the buckets. */
-static void relink(FastDatabase *self, Index *ix, Py_ssize_t last)
+/* The id of the newest active clause whose literals, sorted, are key[0..n)
+   (n >= 1, no literal repeated); -1 if there is none.  It walks the shortest
+   occurrence list of the key's literals and drops inactive entries as
+   next_resolvent does.  Swap-removal leaves a list out of id order, so every
+   entry is compared.  A deletion thus costs the length of that list, where
+   a hash index would cost O(1) expected time; that is the price of keeping
+   no second index of every clause.  cand is scratch for n literals. */
+static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
+                              Py_ssize_t n, lit_t *cand)
 {
-    Py_ssize_t b, cid;
-    for (b = 0; b <= ix->mask; b++)
-        ix->head[b] = -1;
-    for (cid = 0; cid <= last; cid++) {
-        if (self->cls[cid].active) {
-            b = bucket(ix, ix->hash[cid]);
-            ix->next[cid] = ix->head[b];
-            ix->head[b] = (int32_t)cid;
-        }
+    Vec *ov = NULL;
+    Py_ssize_t i, found = -1;
+    for (i = 0; i < n; i++) {
+        Vec *o;
+        if (var_of(key[i]) > self->max_var)
+            return -1; /* no stored clause has this variable */
+        o = &self->occ[code_of(key[i])];
+        if (ov == NULL || o->size < ov->size)
+            ov = o;
     }
-}
-
-/* Index the active clause cid under hash h.  Clauses are indexed in the
-   order of their ids, so cid is the newest indexed clause. */
-static int index_add(FastDatabase *self, Index *ix, Py_ssize_t cid, uint64_t h)
-{
-    Py_ssize_t b;
-    if (cid >= ix->cap_ids) {
-        Py_ssize_t cap = ix->cap_ids ? 2 * ix->cap_ids : 1024;
-        int32_t *next;
-        uint64_t *hash;
-        while (cap <= cid)
-            cap *= 2;
-        if ((next = resized(ix->next, cap, sizeof *next)) == NULL)
-            return -1;
-        ix->next = next;
-        if ((hash = resized(ix->hash, cap, sizeof *hash)) == NULL)
-            return -1;
-        ix->hash = hash;
-        ix->cap_ids = cap;
-    }
-    ix->hash[cid] = h;
-    if (++ix->count > ix->mask) {
-        Py_ssize_t mask = ix->mask ? 2 * ix->mask + 1 : 1023;
-        int32_t *head;
-        while (mask < ix->count)
-            mask = 2 * mask + 1;
-        if ((head = resized(ix->head, mask + 1, sizeof *head)) == NULL) {
-            ix->count--;
-            return -1;
-        }
-        ix->head = head;
-        ix->mask = mask;
-        relink(self, ix, cid);
-        return 0;
-    }
-    b = bucket(ix, h);
-    ix->next[cid] = ix->head[b];
-    ix->head[b] = (int32_t)cid;
-    return 0;
-}
-
-/* Unlink and return the newest active clause whose literals, sorted, are
-   key[0..n); -1 if there is none.  cand is scratch for n literals. */
-static Py_ssize_t index_take(FastDatabase *self, Index *ix, const lit_t *key,
-                             Py_ssize_t n, uint64_t h, lit_t *cand)
-{
-    int32_t *link;
-    if (ix->count == 0)
-        return -1;
-    for (link = &ix->head[bucket(ix, h)]; *link >= 0; link = &ix->next[*link]) {
-        Py_ssize_t cid = *link;
+    i = 0;
+    while (i < ov->size) {
+        int32_t cid = ov->data[i];
         const Clause *c = &self->cls[cid];
-        if (ix->hash[cid] != h || c->size != n)
+        if (!c->active) {
+            vec_swap_remove(ov, i);
+            continue;
+        }
+        i++;
+        if (c->size != n || cid <= found)
             continue;
         memcpy(cand, self->lits + c->start, (size_t)n * sizeof *cand);
         sort_lits(cand, n);
-        if (memcmp(cand, key, (size_t)n * sizeof *cand) == 0) {
-            *link = ix->next[cid];
-            ix->count--;
-            return cid;
-        }
+        if (memcmp(cand, key, (size_t)n * sizeof *cand) == 0)
+            found = cid;
     }
-    return -1;
+    return found;
 }
 
 typedef struct {
@@ -884,11 +817,11 @@ static int parse_line(FastDatabase *self, const char *s, const char *end,
 }
 
 /* check_drat(fd, strict_deletions): the forward check of the text DRAT file
-   open as fd against the active clauses, as checker.verify does it. */
+   open as fd against the active clauses, as checker.verify does it; a
+   deletion removes the clause find_clause names. */
 static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
 {
     Reader r = {0};
-    Index ix = {0};
     lit_t *key = NULL, *cand = NULL;
     Py_ssize_t cap_key = 0, cap_cand = 0, fileline = 0, proofline = 0, line = 0;
     Py_ssize_t rup_calls = 0, rup_pass = 0, rat_calls = 0, rat_pass = 0;
@@ -899,16 +832,9 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
         return NULL;
     if ((unmatched = PyList_New(0)) == NULL)
         return NULL;
-    for (cid = 0; cid < self->ncl; cid++) {
-        const Clause *c = &self->cls[cid];
-        if (c->active &&
-            index_add(self, &ix, cid, multiset_hash(self->lits + c->start, c->size)) < 0)
-            goto done;
-    }
     for (;;) {
         Py_ssize_t start, end, n;
         int ended, got = next_line(&r, &start, &end, &ended), kind, ok;
-        uint64_t h;
         if (got < 0)
             goto done;
         if (r.not_ascii) {
@@ -934,12 +860,11 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
             break;
         }
         line = ++proofline;
-        h = multiset_hash(self->buf, n);
         if (kind == DELETE) {
             PyObject *number;
             if (reserve(&cand, &cap_cand, n) < 0)
                 goto done;
-            if ((cid = index_take(self, &ix, key, n, h, cand)) >= 0) {
+            if ((cid = find_clause(self, key, n, cand)) >= 0) {
                 deactivate(self, cid);
                 deletes++;
                 continue;
@@ -980,7 +905,7 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
             outcome = ACCEPTED;
             break;
         }
-        if ((cid = store(self, self->buf, n)) < 0 || index_add(self, &ix, cid, h) < 0)
+        if (store(self, self->buf, n) < 0)
             goto done;
         adds++;
     }
@@ -990,9 +915,6 @@ done:
     if (raw != Py_None)
         Py_DECREF(raw);
     Py_DECREF(unmatched);
-    PyMem_Free(ix.head);
-    PyMem_Free(ix.next);
-    PyMem_Free(ix.hash);
     PyMem_Free(key);
     PyMem_Free(cand);
     PyMem_Free(r.buf);

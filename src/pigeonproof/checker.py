@@ -20,8 +20,8 @@ so separate proofs may be checked in parallel threads or processes.
 
 :func:`verify` takes a proof as lines or as the path of a text DRAT file.
 On the compiled core a file is checked in one call, which reads it in
-chunks, parses it and keeps the deletion index in C; otherwise, and for
-lines, ``verify`` feeds the database one line at a time.
+chunks, parses it and finds deleted clauses through its occurrence lists;
+otherwise, and for lines, ``verify`` feeds the database one line at a time.
 """
 
 from __future__ import annotations

@@ -107,8 +107,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise UsageError("proof counting needs n >= 2")
     from . import counts
 
     if args.breakdown:
@@ -126,6 +124,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise UsageError("bench needs n_max >= 2")
     styles = [s.strip() for s in args.styles.split(",") if s.strip()]
+    if not styles:
+        raise UsageError("bench needs at least one style")
     for style in styles:
         if style not in GENERATORS:
             raise UsageError(f"unknown style {style!r}")

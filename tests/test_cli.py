@@ -217,6 +217,13 @@ def test_count_breakdown(capsys):
     assert out.splitlines() == ["k=2: 29", "k=1: 9", "empty: 1", "39"]
 
 
+@pytest.mark.parametrize("style", ("ours", "cook"))
+@pytest.mark.parametrize("breakdown", ((), ("--breakdown",)))
+def test_count_rejects_n1(style, breakdown, capsys):
+    code, out, err = run_cli("count", "1", "--style", style, *breakdown, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: proof counting needs n >= 2\n")
+
+
 def test_bench_csv(capsys):
     code, out, err = run_cli("bench", "10", capsys=capsys)
     assert code == 0
@@ -269,6 +276,15 @@ def test_bench_unknown_style_exits_2_without_traceback():
     assert result.returncode == 2
     assert "unknown style 'bogus'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("styles", ("", ",", " , "))
+def test_bench_without_styles_exits_2(styles, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    args = ("bench", "3", "--styles", styles, "--out", str(out))
+    code, stdout, err = run_cli(*args, capsys=capsys)
+    assert (code, stdout, err) == (2, "", "error: bench needs at least one style\n")
+    assert not out.exists()
 
 
 def test_gen_proof_100_add_line_count(tmp_path):

@@ -259,7 +259,9 @@ def test_file_check_of_truncated_proofs_agrees_with_python_backend(native, tmp_p
     assert results == {"ACCEPTED", "INCOMPLETE", ValueError}
 
 
-def test_file_check_of_absent_deletions_agrees_with_python_backend(native, tmp_path):
+def test_file_check_of_absent_deletions_agrees_with_python_backend(
+    native, monkeypatch, tmp_path
+):
     formula = php_standard(3)
     lines = list(proof_ours.iter_proof_lines(3, emit_deletions=True))
     absent = [(1, 2, 3, 4, 5), (2147483647, -1), (-12,)]
@@ -282,6 +284,22 @@ def test_file_check_of_absent_deletions_agrees_with_python_backend(native, tmp_p
     result, warned = _same_on_both(formula, _proof_file(tmp_path, proof + [EMPTY]))
     assert result == ("REJECTED", 4, "empty clause is not RUP (and has no pivot for RAT)")
     assert warned == ["proof line 3: deleted clause not in the formula"]
+    # Two copies of (1 2) again, deleted after the blocked-clause screen of
+    # (-1 -2 -4) has swap-removed the deleted (1 3) from the occurrences of 1,
+    # the shortest list of (1 2), and so left that list out of id order.
+    formula = CnfFormula(4, ((1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, -3)))
+    proof = [ProofLine(True, (1, 3)), ProofLine(False, (-1, -2, -4))]
+    proof += [ProofLine(True, (2, 1)), ProofLine(True, (1, 2)), ProofLine(True, (1, 2)), EMPTY]
+    path = _proof_file(tmp_path, proof)
+    result, warned = _same_on_both(formula, path)
+    assert result == ("REJECTED", 6, "empty clause is not RUP (and has no pivot for RAT)")
+    assert warned == ["proof line 5: deleted clause not in the formula"]
+    assert _same_on_both(formula, path, strict_deletions=True) == (
+        ("REJECTED", 5, "deletion of a clause not in the formula"),
+        [],
+    )
+    with pytest.warns(UserWarning, match="proof line 5"):
+        assert _counters(formula, proof, path, monkeypatch) == ((2, 0, 1, 1, 1, 3),) * 2
 
 
 def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
