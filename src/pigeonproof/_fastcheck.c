@@ -634,18 +634,29 @@ static void sort_lits(lit_t *l, Py_ssize_t n)
     }
 }
 
-/* The id of the newest active clause whose literals, sorted, are key[0..n)
+/* The key literal's bit in cmark while find_clause runs: each sign has its
+   own, so a tautological key marks both. */
+static inline signed char key_bit(lit_t l)
+{
+    return l > 0 ? 1 : 2;
+}
+
+/* The id of the newest active clause with exactly the literals key[0..n)
    (n >= 1, no literal repeated); -1 if there is none.  It walks the shortest
    occurrence list of the key's literals and drops inactive entries as
    next_resolvent does.  Swap-removal leaves a list out of id order, so every
-   entry is compared.  A deletion thus costs the length of that list, where
-   a hash index would cost O(1) expected time; that is the price of keeping
-   no second index of every clause.  cand is scratch for n literals. */
+   entry of size n is compared: the key is marked in cmark, and a candidate
+   matches when each of its literals takes a mark (a repeated literal finds
+   its mark taken).  Taken marks go back after each candidate, and cmark is
+   clear again on return.  A deletion thus costs the length of that list,
+   where a hash index would cost O(1) expected time; that is the price of
+   keeping no second index of every clause. */
 static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
-                              Py_ssize_t n, lit_t *cand)
+                              Py_ssize_t n)
 {
+    signed char *mark = self->cmark;
     Vec *ov = NULL;
-    Py_ssize_t i, found = -1;
+    Py_ssize_t i, j, found = -1;
     for (i = 0; i < n; i++) {
         Vec *o;
         if (var_of(key[i]) > self->max_var)
@@ -654,10 +665,13 @@ static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
         if (ov == NULL || o->size < ov->size)
             ov = o;
     }
+    for (i = 0; i < n; i++)
+        mark[var_of(key[i])] |= key_bit(key[i]);
     i = 0;
     while (i < ov->size) {
         int32_t cid = ov->data[i];
         const Clause *c = &self->cls[cid];
+        const lit_t *l = self->lits + c->start;
         if (!c->active) {
             vec_swap_remove(ov, i);
             continue;
@@ -665,11 +679,15 @@ static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
         i++;
         if (c->size != n || cid <= found)
             continue;
-        memcpy(cand, self->lits + c->start, (size_t)n * sizeof *cand);
-        sort_lits(cand, n);
-        if (memcmp(cand, key, (size_t)n * sizeof *cand) == 0)
+        for (j = 0; j < n && (mark[var_of(l[j])] & key_bit(l[j])); j++)
+            mark[var_of(l[j])] &= (signed char)~key_bit(l[j]);
+        if (j == n)
             found = cid;
+        while (j-- > 0)
+            mark[var_of(l[j])] |= key_bit(l[j]);
     }
+    for (i = 0; i < n; i++)
+        mark[var_of(key[i])] = 0;
     return found;
 }
 
@@ -822,8 +840,8 @@ static int parse_line(FastDatabase *self, const char *s, const char *end,
 static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
 {
     Reader r = {0};
-    lit_t *key = NULL, *cand = NULL;
-    Py_ssize_t cap_key = 0, cap_cand = 0, fileline = 0, proofline = 0, line = 0;
+    lit_t *key = NULL;
+    Py_ssize_t cap_key = 0, fileline = 0, proofline = 0, line = 0;
     Py_ssize_t rup_calls = 0, rup_pass = 0, rat_calls = 0, rat_pass = 0;
     Py_ssize_t adds = 0, deletes = 0, cid;
     PyObject *unmatched = NULL, *raw = Py_None, *result = NULL;
@@ -862,9 +880,7 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
         line = ++proofline;
         if (kind == DELETE) {
             PyObject *number;
-            if (reserve(&cand, &cap_cand, n) < 0)
-                goto done;
-            if ((cid = find_clause(self, key, n, cand)) >= 0) {
+            if ((cid = find_clause(self, key, n)) >= 0) {
                 deactivate(self, cid);
                 deletes++;
                 continue;
@@ -916,7 +932,6 @@ done:
         Py_DECREF(raw);
     Py_DECREF(unmatched);
     PyMem_Free(key);
-    PyMem_Free(cand);
     PyMem_Free(r.buf);
     return result;
 }

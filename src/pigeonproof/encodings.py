@@ -15,6 +15,7 @@ Layer id blocks are contiguous and pairwise disjoint: layer k allocates its
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from .model import Clause, CnfFormula
@@ -23,8 +24,9 @@ from .model import Clause, CnfFormula
 #: 64-bit range regardless.
 MAX_N = 5000
 
-# Group members are symbolic until bound to a layout and hole:
-# ("x", p) is the pigeon-p literal, ("ny", g) the negated group-g auxiliary.
+# Group members are symbolic until bound to a layout (see member_literals):
+# ("x", p) stands for the pigeon-p literals x_var(p, h), ("ny", g) for the
+# negated group-g auxiliaries -y_var(g, h), over the layer's holes h.
 Member = tuple[str, int]
 
 
@@ -139,12 +141,19 @@ class LayerLayout(NamedTuple):
         return range(self.x_base + 1, self.y_base + self.y_count + 1)
 
 
-def member_literal(member: Member, layout: LayerLayout, hole: int) -> int:
-    """Bind a symbolic group member to a concrete literal."""
+def member_literals(member: Member, layout: LayerLayout, sign: int = 1) -> range:
+    """``sign`` times a group member's literal at holes 1..layout.layer.
+
+    A member's literal is ±(base + h), since x_var(p, h) == x_var(p, 0) + h
+    and y_var(g, h) == y_var(g, 0) + h, so its literals over the holes form
+    a range: step 1 for a positive literal, -1 for a negative one.
+    """
     kind, index = member
     if kind == "x":
-        return layout.x_var(index, hole)
-    return -layout.y_var(index, hole)
+        base = layout.x_var(index, 0)
+    else:
+        base, sign = layout.y_var(index, 0), -sign
+    return range(sign * (base + 1), sign * (base + layout.layer + 1), sign)
 
 
 def _layouts_down_to(n: int, k_min: int, chained: bool) -> dict[int, LayerLayout]:
@@ -209,20 +218,20 @@ def php_amo_clause_count(n: int) -> int:
 
 def iter_php_amo_clauses(n: int) -> Iterator[Clause]:
     layout = LayerLayout(n, 0, n * (n + 1), group_count(n + 1) - 1)
-    chain = groups(n + 1)
     for p in range(n + 1):
         yield tuple(layout.x_var(p, h) for h in range(1, n + 1))
-    for h in range(1, n + 1):
-        for group in chain.groups:
-            members = [member_literal(m, layout, h) for m in group.members]
-            if not group.final:
-                y = layout.y_var(group.y_new, h)
-                yield (y, *members)
-                for lit in members:
-                    yield (-y, -lit)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    yield (-members[i], -members[j])
+    # One row per clause of a hole; zipping the rows walks the holes in turn.
+    rows: list[Iterator[Clause]] = []
+    for group in groups(n + 1).groups:
+        negated = [member_literals(m, layout, -1) for m in group.members]
+        if not group.final:
+            ny = ("ny", group.y_new)
+            members = [member_literals(m, layout) for m in group.members]
+            rows.append(zip(member_literals(ny, layout, -1), *members))
+            neg_y = member_literals(ny, layout)
+            rows.extend(zip(neg_y, neg) for neg in negated)
+        rows.extend(zip(*pair) for pair in combinations(negated, 2))
+    yield from chain.from_iterable(zip(*rows))
 
 
 def php_amo(n: int) -> CnfFormula:

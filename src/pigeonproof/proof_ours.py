@@ -17,6 +17,10 @@ After iteration 1 the two unit clauses contradict the single pairwise
 constraint, so the empty clause closes the proof.  Every clause is written
 pivot first; at-least-one clauses and the empty clause need no pivot.
 
+A group member's literal is ±(base + h) in the hole h, so the group builders
+bind each member once to a range over the holes; a clause row of a group is
+a zip of such ranges, and the rows are zipped hole by hole.
+
 Both proof families share this module's driver, :func:`iter_blocks`: a
 family is a table ``(chained, ((tag, builder), ...))`` naming the layout
 style and the builders of one iteration, in order.
@@ -35,7 +39,7 @@ from .encodings import (
     _layouts_down_to,
     groups,
     iter_php_standard_clauses,
-    member_literal,
+    member_literals,
 )
 from .model import DELETE, Block, Clause, Proof, ProofLine
 
@@ -119,46 +123,40 @@ def y_definition_clauses(plan: IterationPlan) -> list[Clause]:
 
     The positive four-literal clause is not needed to encode at-most-one,
     but it turns each group into an exactly-one block, which is what keeps
-    every later check a plain propagation instead of a case split.
+    every later check a plain propagation instead of a case split.  Each of
+    the four is a row of ranges over the holes (literals are ±(base + h)).
     """
     group_layout = plan.group_layout
-    out: list[Clause] = []
-    if group_layout is None or group_layout.group_count == 1:
-        return out
-    append = out.append
+    if group_layout is None:
+        return []
     nxt = plan.next
-    for h in range(1, plan.k + 1):
-        for group in group_layout.groups:
-            if group.final:
-                continue
-            y = nxt.y_var(group.y_new, h)
-            l1, l2, l3 = [member_literal(m, nxt, h) for m in group.members]
-            append((y, l1, l2, l3))
-            append((-y, -l1))
-            append((-y, -l2))
-            append((-y, -l3))
-    return out
+    rows: list[Iterator[Clause]] = []
+    for group in group_layout.groups[:-1]:  # the final group adds no auxiliary
+        ny = ("ny", group.y_new)  # the negated auxiliary, as a member
+        members = [member_literals(m, nxt) for m in group.members]
+        rows.append(zip(member_literals(ny, nxt, -1), *members))
+        neg_y = member_literals(ny, nxt)
+        rows.extend(zip(neg_y, member_literals(m, nxt, -1)) for m in group.members)
+    return list(chain.from_iterable(zip(*rows)))  # hole by hole, tuples built in C
 
 
 def derived_group_clauses(plan: IterationPlan) -> list[Clause]:
     """Pairwise constraints inside every group of the new layer.
 
     For members l_i, l_j (i < j) the clause is (-l_j, -l_i): the literal
-    with the larger pigeon index is the pivot.  Requires the iteration's
+    with the larger pigeon index is the pivot.  Each pair is a row of ranges
+    over the holes (literals are ±(base + h)).  Requires the iteration's
     definition clauses to be in the working formula already.
     """
     group_layout = plan.group_layout
     if group_layout is None:
         raise ValueError("derived group clauses need a group layout")
     nxt = plan.next
-    out: list[Clause] = []
-    append = out.append
-    for h in range(1, plan.k + 1):
-        for group in group_layout.groups:
-            negated = [-member_literal(m, nxt, h) for m in group.members]
-            for neg_i, neg_j in combinations(negated, 2):
-                append((neg_j, neg_i))
-    return out
+    rows: list[Iterator[Clause]] = []
+    for group in group_layout.groups:
+        negated = [member_literals(m, nxt, -1) for m in group.members]
+        rows.extend(zip(neg_j, neg_i) for neg_i, neg_j in combinations(negated, 2))
+    return list(chain.from_iterable(zip(*rows)))
 
 
 def alo_clauses(plan: IterationPlan) -> list[Clause]:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -306,3 +307,22 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "10"
+
+
+def test_gen_proof_60_matches_the_benchmark_pin(tmp_path):
+    # The size and SHA-256 of the n=60 proof that perfbench/run.py pins as
+    # OURS_60, so a change to the clause builders fails here as well.
+    out = tmp_path / "ours-60.drat"
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", "gen-proof", "60", "--style", "ours",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    assert out.stat().st_size == 10_114_414
+    assert digest.hexdigest() == "f9253b6a17b21bbee40bcd04bbb912e46a03aaad04f69c48a74ab1cba5df33d7"

@@ -1,15 +1,16 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
 import brute_force
-from pigeonproof import CnfFormula, php_amo, php_standard
+from pigeonproof import CnfFormula, emit_dimacs, php_amo, php_standard
 from pigeonproof.encodings import (
     f_group,
     group_count,
     groups,
     layer_layout,
-    member_literal,
+    member_literals,
     php_amo_clause_count,
 )
 
@@ -199,5 +200,29 @@ def test_group_structure_matches_clause_budget(k):
 
 def test_member_literal_binding():
     layout = layer_layout(6, 5)
-    assert member_literal(("x", 2), layout, 1) == layout.x_var(2, 1)
-    assert member_literal(("ny", 0), layout, 3) == -layout.y_var(0, 3)
+    pigeon, aux = member_literals(("x", 2), layout), member_literals(("ny", 0), layout)
+    assert pigeon[0] == layout.x_var(2, 1)  # hole 1
+    assert aux[2] == -layout.y_var(0, 3)  # hole 3
+    assert list(pigeon) == [layout.x_var(2, h) for h in range(1, 6)]
+    assert list(aux) == [-layout.y_var(0, h) for h in range(1, 6)]
+    assert list(member_literals(("ny", 0), layout, -1)) == [-lit for lit in aux]
+
+
+# SHA-256 of emit_dimacs(php_amo(n)), recorded before members were bound to
+# ranges over the holes; the golden files stop at n = 4.
+PHP_AMO_DIGESTS = {
+    5: "677114aac59ab90630a17d78053d3e49e2f52bbee49fb7976af63a8ca69a7b10",
+    6: "d7cb8c81fd2e5a39630376326539a8b988f4ae5749e6691fef8570618929de48",
+    7: "4d2a0dba925f21d0b66825816554ca9c4e7a3243764fc25d26eade218d686205",
+    8: "3e929a124baae541224d751575a7c8f3a0257330edaa6d813000aaaaf1ea0306",
+    9: "92feb4149e8e9226b763eaef38a744f6d49516743f2c7bac7e3ca93002eeb16b",
+    10: "41222c3b452be828359ee49fb59af600a10ad79b22fba08a8b108543de48b88f",
+    11: "270e22ef5edc144af36f3ed6f9f8584982b729302ad41ba0fe9c9f57f0da08af",
+    12: "2166b57f5fa0e052d013b8a3757e1de55b261671f1f569efecc3838b99a58a7f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PHP_AMO_DIGESTS))
+def test_php_amo_text_is_unchanged(n):
+    text = emit_dimacs(php_amo(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == PHP_AMO_DIGESTS[n]

@@ -38,6 +38,24 @@ DIMACS_DIGESTS = {
     php_amo: "26fc73b72a645fc7fbdf249df168bbdfcf017be770b3f9e32b323c9b52203be3",
 }
 
+# SHA-256 of write_drat_blocks(iter_blocks(n, family, deletions)) for sizes
+# past the golden files, whose layers hold at most two groups; recorded
+# before the group builders bound members to ranges over the holes.
+BUILDER_DIGESTS = {
+    ("ours", 5, False): "f7ddaaee4473aab57c7b715dd1454cad314caad24a828930e7fecd3a1c21dd59",
+    ("ours", 5, True): "13283a74eb8149792a8fa5bbded1c5244bf76e75639c61e8eb26feff7f51dc35",
+    ("ours", 9, False): "eebbf66fbd8f98f820e786c004241888483257bc99b2beb1d23c2bd75358da9e",
+    ("ours", 9, True): "3338c78a8150986f06f6ce991a1125bce270bcc17a7779098c2868f237fcb556",
+    ("ours", 17, False): "39e909e88a01a7e47ebe585926292331f6c9dc5daf5529602b6929c79e16db65",
+    ("ours", 17, True): "e94a049f38a19875ab48cc09dff14022e794d08c1068c1d81e1c1868ac38e7c1",
+    ("ours", 33, False): "5eaa95fa88605fec16d6d7d90da3d7b9c91fc2c615292c1dcbf0fa1d7e58cafd",
+    ("ours", 33, True): "d692e4f458d62c6322923a05888c83a7b513e926214efcc329f64d6d47a0a0e5",
+    ("cook", 5, False): "1f02905c354d0f1b0e73a7db49606798c7fa7baa57fb05042fd01f541b253682",
+    ("cook", 5, True): "0ce2fd5bd430bc24863503c6ed9ff530dc1c35b9418f0016bb1651c27f961cab",
+    ("cook", 9, False): "15873be597fa36bce3bec0af1746a6fae079f71b2911fd4b42b67d78e6c6e119",
+    ("cook", 9, True): "553aee69604284ac46a25e30c999395f7359361236759f04d7129f2fc84b80f2",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -221,6 +239,14 @@ def test_block_emission_matches_line_emission(style, deletions):
         assert out.getvalue() == emit_drat(module.iter_proof_lines(n, deletions)), n
         texts.append(out.getvalue())
     assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
+
+
+@pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
+def test_block_emission_beyond_golden_sizes_is_unchanged(style, n, deletions):
+    family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
+    out = io.StringIO()
+    write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+    assert sha256(out.getvalue()) == BUILDER_DIGESTS[style, n, deletions]
 
 
 def test_parse_drat_trivial():

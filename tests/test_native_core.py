@@ -302,6 +302,30 @@ def test_file_check_of_absent_deletions_agrees_with_python_backend(
         assert _counters(formula, proof, path, monkeypatch) == ((2, 0, 1, 1, 1, 3),) * 2
 
 
+def test_file_check_finds_tautological_deletions_as_the_python_backend(
+    native, monkeypatch, tmp_path
+):
+    # A tautological clause holds both signs of one variable; deleting it
+    # (in any literal order) must match it exactly, and leave no trace on
+    # the deletions and checks that follow.
+    formula = CnfFormula(2, ((1, -1, 2), (2, -2, 1), (1, 2), (-1,), (-2,)))
+    deleted = [(2, 1, -1), (-2, 1, 2), (1, -1, 2), (1, -1)]
+    proof = [ProofLine(True, lits) for lits in deleted] + [EMPTY]
+    warned_lines = ["proof line 3: deleted clause not in the formula",
+                    "proof line 4: deleted clause not in the formula"]
+    path = _proof_file(tmp_path, proof)
+    assert _same_on_both(formula, path) == (("ACCEPTED", None, None), warned_lines)
+    proof.insert(4, ProofLine(True, (2, 1)))
+    path = _proof_file(tmp_path, proof)
+    assert _same_on_both(formula, path) == (
+        ("REJECTED", 6, "empty clause is not RUP (and has no pivot for RAT)"),
+        warned_lines,
+    )
+    with pytest.warns(UserWarning, match="deleted clause not in the formula"):
+        native_counts, python_counts = _counters(formula, proof, path, monkeypatch)
+    assert native_counts == python_counts == (1, 0, 0, 0, 0, 3)
+
+
 def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
     # File lines and proof lines differ: comments, blank lines, all three
     # line breaks, and a malformed line after the accepted empty clause,
