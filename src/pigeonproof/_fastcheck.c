@@ -4,9 +4,10 @@
    (add_clause, delete_clause, clause, __len__, rup, rat, snapshot), the same
    verdicts and the same exceptions.  check_drat also checks a whole text
    DRAT file in one call: it reads and parses the file and finds each
-   deleted clause through the occurrence lists.  Literals are int32 in one
-   flat buffer; watch and occurrence lists are growable vectors of clause
-   ids indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
+   deleted clause through the occurrence lists, deciding every byte with the
+   grammar of formats.parse_drat_line.  Literals are int32 in one flat
+   buffer; watch and occurrence lists are growable vectors of clause ids
+   indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
    trail and the RAT scratch marks are indexed by variable and grow with the
    largest variable seen, so the trail has room for every variable and never
    grows during a check.
@@ -603,15 +604,12 @@ static PyObject *db_snapshot(FastDatabase *self, PyObject *unused)
 
 /* -- checking a DRAT file ------------------------------------------------ */
 
-/* Bytes per read.  A multiple of the 8 KiB chunk in which Python's text
-   reader decodes a file, so that when the check stops this has read every
-   byte the text reader would have decoded (bar the one chunk it reads past
-   a "\r" at the end of a chunk); see NOT_ASCII in checker.py. */
+/* Bytes per read. */
 #define CHUNK 65536
 
 /* Outcomes of check_drat, in the order checker.py maps them to verdicts. */
 enum { INCOMPLETE, ACCEPTED, EMPTY_NOT_RUP, NOT_RUP_OR_RAT, NOT_PRESENT,
-       MALFORMED, NOT_ASCII };
+       MALFORMED };
 
 static int cmp_lits(const void *a, const void *b)
 {
@@ -695,13 +693,13 @@ typedef struct {
     int fd;
     char *buf;
     Py_ssize_t lo, hi, cap; /* unconsumed bytes are buf[lo..hi) */
-    int eof, skip_lf, not_ascii;
+    int eof, skip_lf;
 } Reader;
 
 /* Append the next chunk of the file to the unconsumed bytes. */
 static int fill(Reader *r)
 {
-    Py_ssize_t got, i;
+    Py_ssize_t got;
     if (r->lo > 0) {
         memmove(r->buf, r->buf + r->lo, (size_t)(r->hi - r->lo));
         r->hi -= r->lo;
@@ -723,8 +721,6 @@ static int fill(Reader *r)
         PyErr_SetFromErrno(PyExc_OSError);
         return -1;
     }
-    for (i = r->hi; i < r->hi + got; i++)
-        r->not_ascii |= (unsigned char)r->buf[i] >> 7;
     r->hi += got;
     r->eof = got == 0;
     return 0;
@@ -761,7 +757,8 @@ static int next_line(Reader *r, Py_ssize_t *start, Py_ssize_t *end, int *ended)
     }
 }
 
-/* The whitespace of Python's str.split() within one line of ASCII text. */
+/* ASCII whitespace, where str.split() splits ASCII text.  No byte beyond
+   ASCII is whitespace. */
 static inline int is_space(char c)
 {
     return c == ' ' || (c >= '\t' && c <= '\r') || (c >= '\x1c' && c <= '\x1f');
@@ -774,10 +771,12 @@ static inline int is_digit(char c)
 
 enum { BLANK, ADD, DELETE, BAD };
 
-/* Parse one DRAT line of ASCII text with formats.parse_drat_line's grammar:
-   BLANK for a blank or comment line, ADD or DELETE with the literals in
-   self->buf and their sorted copy in *key, or BAD if parse_drat_line would
-   raise.  -1 with MemoryError set. */
+/* Parse one DRAT line with formats.parse_drat_line's grammar: BLANK for a
+   blank or comment line, ADD or DELETE with the literals in self->buf and
+   their sorted copy in *key, or BAD if parse_drat_line would raise.  -1 with
+   MemoryError set.  The copy is sorted, not marked in cmark, as this runs
+   before cover() grows the per-variable arrays, which a malformed line or a
+   deletion matching no clause must not do. */
 static int parse_line(FastDatabase *self, const char *s, const char *end,
                       Py_ssize_t *count, lit_t **key, Py_ssize_t *cap_key)
 {
@@ -855,10 +854,6 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
         int ended, got = next_line(&r, &start, &end, &ended), kind, ok;
         if (got < 0)
             goto done;
-        if (r.not_ascii) {
-            outcome = NOT_ASCII;
-            break;
-        }
         if (got == 0)
             break;
         fileline++;
@@ -1114,7 +1109,7 @@ static PyMethodDef db_methods[] = {
      "1 accepted, 2 empty clause not RUP, 3 neither RUP nor RAT, 4 deleted\n"
      "clause not present (strict), with line the proof line it stopped at; or\n"
      "5, a line formats.parse_drat_line rejects, with line its file line and raw\n"
-     "its bytes; or 6, a byte beyond ASCII was read and nothing is decided.\n"
+     "its bytes.\n"
      "unmatched lists the proof lines of deletions that matched no clause;\n"
      "counters are RUP calls, RUP passes, RAT calls, RAT passes, additions and\n"
      "deletions."},

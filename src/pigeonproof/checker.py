@@ -19,9 +19,10 @@ the same exceptions on bad input.  A verification session owns its database,
 so separate proofs may be checked in parallel threads or processes.
 
 :func:`verify` takes a proof as lines or as the path of a text DRAT file.
-On the compiled core a file is checked in one call, which reads it in
-chunks, parses it and finds deleted clauses through its occurrence lists;
-otherwise, and for lines, ``verify`` feeds the database one line at a time.
+On the compiled core a file is checked in one pass, which reads it in
+chunks, parses every byte and finds deleted clauses through its occurrence
+lists; otherwise, and for lines, ``verify`` feeds the database one line at a
+time.  A byte beyond ASCII is comment text or a bad token on both.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ _NOT_RUP_OR_RAT = "RUP and RAT checks both failed"
 _NOT_PRESENT = "deletion of a clause not in the formula"
 
 #: Status and reason of each outcome of ``FastDatabase.check_drat`` that is a
-#: verdict; outcome ``_MALFORMED`` is a line to raise on, ``_NOT_ASCII`` a file
-#: to check line by line.
+#: verdict; outcome ``_MALFORMED`` is a line to raise on.
 _OUTCOMES = (
     (INCOMPLETE, _NEVER_EMPTY),
     (ACCEPTED, None),
@@ -61,7 +61,7 @@ _OUTCOMES = (
     (REJECTED, _NOT_RUP_OR_RAT),
     (REJECTED, _NOT_PRESENT),
 )
-_MALFORMED, _NOT_ASCII = 5, 6
+_MALFORMED = 5
 
 
 class Verdict(NamedTuple):
@@ -125,19 +125,17 @@ def verify(
     added one is removed.  Lines after an accepted empty clause are neither
     checked nor parsed.  A malformed file line raises the ``ValueError`` of
     :func:`~pigeonproof.formats.parse_drat_line`; ``Verdict.line`` counts
-    proof lines, not blank or comment lines.  On the compiled core a file is
-    checked in one native call.
+    proof lines, not blank or comment lines.  A file is read as a stream,
+    from start to end, so a pipe such as ``/dev/stdin`` will do; on the
+    compiled core it is checked in one native call.
     """
     if not isinstance(proof, (str, os.PathLike)):
         lines = proof.lines if isinstance(proof, Proof) else proof
         return _verify_lines(formula, iter(lines), strict_deletions, backend)
     with open(proof, "rb") as handle:
         if select_backend(backend) == "native":
-            verdict = _check_file(formula, handle, strict_deletions)
-            if verdict is not None:
-                return verdict
-            handle.seek(0)
-        text = io.TextIOWrapper(handle, encoding="utf-8")
+            return _check_file(formula, handle, strict_deletions)
+        text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
         return _verify_lines(
             formula, formats.iter_drat_lines(text), strict_deletions, backend
         )
@@ -145,21 +143,18 @@ def verify(
 
 def _check_file(
     formula: CnfFormula, handle: BinaryIO, strict_deletions: bool
-) -> Verdict | None:
-    """Check a DRAT file on the compiled core; None for a file beyond ASCII.
+) -> Verdict:
+    """Check a DRAT file on the compiled core.
 
-    Bytes beyond ASCII can only be comment text or Unicode whitespace, and
-    whether they raise ``UnicodeDecodeError`` depends on how far the text
-    reader reads, so such a file is left to the text reader.
+    A malformed line is decoded as the text reader decodes it, so that
+    :func:`~pigeonproof.formats.parse_drat_line` raises the same error.
     """
     db = new_database(formula, "native")
     outcome, line, raw, unmatched, _ = db.check_drat(handle.fileno(), strict_deletions)
-    if outcome == _NOT_ASCII:
-        return None
     for lineno in unmatched:
         _warn_not_present(lineno)
     if outcome == _MALFORMED:
-        formats.parse_drat_line(raw.decode("ascii"), line)
+        formats.parse_drat_line(raw.decode("utf-8", "surrogateescape"), line)
         raise RuntimeError(f"line {line}: the native parser rejects {raw!r}")
     status, reason = _OUTCOMES[outcome]
     return Verdict(status, line if status == REJECTED else None, reason)

@@ -90,10 +90,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             formula = formats.parse_dimacs(handle)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read CNF {args.cnf}: {exc}")
+    # verify reads a file once, from start to end, so a pipe will do.
+    proof = "/dev/stdin" if args.proof == "-" else args.proof
     try:
-        verdict = checker.verify(
-            formula, args.proof, strict_deletions=args.strict_deletions
-        )
+        verdict = checker.verify(formula, proof, strict_deletions=args.strict_deletions)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read proof {args.proof}: {exc}")
     if verdict.status == checker.ACCEPTED:
@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a DRAT proof against a CNF")
     p.add_argument("cnf")
-    p.add_argument("proof")
+    p.add_argument("proof", help="DRAT proof path, or - for standard input")
     p.add_argument("--strict-deletions", action="store_true")
     p.set_defaults(func=cmd_check)
 

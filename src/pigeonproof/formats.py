@@ -65,6 +65,7 @@ def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
 
 # A token is ASCII ``-?[0-9]+``: int() alone would also take "+5", "1_0" and "٣".
 _is_token = re.compile(r"-?[0-9]+").fullmatch
+_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"  # ASCII whitespace, as str.split() sees it
 
 
 def _bad_token(text: str, tokens: list[str]) -> str | None:
@@ -175,19 +176,21 @@ def write_dimacs(
 def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
     """Parse one DRAT text line; None for blanks and comments.
 
-    Tokens are whitespace-separated ``-?[0-9]+``, the last of them ``0``.
-    The compiled core parses proof files with the same grammar.
+    Tokens are ``-?[0-9]+`` between ASCII whitespace, the last of them ``0``.
+    A line whose first other character is ``c`` is a comment, whatever else
+    it holds; any other character beyond ASCII is a bad token.  The compiled
+    core parses proof files with the same grammar, byte by byte.
     """
-    stripped = line.strip()
+    stripped = line.strip(_SPACE)
     if not stripped or stripped.startswith("c"):
         return None
     delete = False
     if stripped == "d" or stripped.startswith("d "):
         delete = True
-        stripped = stripped[1:].strip()
+        stripped = stripped[1:].strip(_SPACE)
     tokens = stripped.split()
     try:
-        if _bad_token(stripped, tokens) is not None:
+        if not stripped.isascii() or _bad_token(stripped, tokens) is not None:
             raise ValueError
         values = list(map(int, tokens))
     except ValueError:
@@ -211,7 +214,10 @@ def iter_drat_lines(source: IO[str] | Iterable[str]) -> Iterator[ProofLine]:
 
 
 def parse_drat(data: str | bytes) -> Proof:
-    """Parse text DRAT into a proof; literal order (pivot position) is kept."""
+    """Parse text DRAT into a proof; literal order (pivot position) is kept.
+    Bytes are decoded as ``verify`` reads a file, with ``surrogateescape``."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", "surrogateescape")
     return Proof(tuple(iter_drat_lines(_text_lines(data))))
 
 

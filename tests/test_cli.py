@@ -137,6 +137,19 @@ def test_check_missing_proof_file_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_check_reads_a_piped_proof_from_dash(tmp_path):
+    cnf = tmp_path / "php6.cnf"
+    assert main(["gen-cnf", "6", "--out", str(cnf)]) == 0
+    cli = [sys.executable, "-m", "pigeonproof.cli"]
+    proof = subprocess.run(cli + ["gen-proof", "6"], capture_output=True, check=True).stdout
+    check = cli + ["check", str(cnf), "-"]
+    result = subprocess.run(check, input="c café\n".encode() + proof, capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"ACCEPTED\n", b"")
+    result = subprocess.run(check, input="1 x 0\n", capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot read proof -: line 1: bad token in '1 x 0\\n'\n"
+
+
 @pytest.mark.parametrize("command", [["gen-cnf", "2"], ["gen-proof", "2"]])
 def test_unwritable_out_path_exits_2_without_traceback(command, tmp_path):
     out = tmp_path / "no-such-dir" / "out.txt"

@@ -278,6 +278,40 @@ def test_parse_drat_rejects_tokens_beyond_ascii_digits(text):
     assert parse_drat(" 5\t-3 0 \n").lines == (ProofLine(False, (5, -3)),)
 
 
+_ONE = (ProofLine(False, (1,)),)
+
+
+# The DRAT grammar beyond ASCII, with the lines or the error parse_drat gives:
+# a comment may hold any bytes, and any other byte beyond ASCII, UTF-8 or
+# not, is a bad token; Unicode whitespace and digits are not ASCII.
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"c caf\xc3\xa9\n1 0\n", _ONE),
+        (b"1 0\nc \xff\n", _ONE),
+        (b" \tc \xed\xa0\x80\r1 0\r\n", _ONE),
+        (b"\xc2\xa01 0\n", "line 1: bad token in '\\xa01 0\\n'"),
+        (b"1 \xd9\xa3 0\n", "line 1: bad token in '1 ٣ 0\\n'"),
+        (b"1 0\n1 \xff 0\n", "line 2: bad token in '1 \\udcff 0\\n'"),
+        (b"\xe3\x80\x80c x\n", "line 1: bad token in '\\u3000c x\\n'"),
+        (b"d 1 0\xc2\x85\n", "line 1: bad token in 'd 1 0\\x85\\n'"),
+    ],
+)
+def test_parse_drat_of_bytes_reads_as_a_file_does(data, expected, tmp_path):
+    path = tmp_path / "p.drat"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return tuple(read())
+        except ValueError as exc:
+            return str(exc)
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        from_file = outcome(lambda: iter_drat_lines(handle))
+    assert outcome(lambda: parse_drat(data).lines) == from_file == expected
+
+
 def test_emit_drat_empty_clause_only():
     assert emit_drat(Proof((ProofLine(False, ()),))) == "0\n"
 

@@ -7,8 +7,10 @@ The core is compiled once per session by the ``fastcheck`` fixture in
 import enum
 import io
 import itertools
+import os
 import random
 import shutil
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -201,7 +203,7 @@ def _outcome(formula, path, backend, strict_deletions):
         try:
             verdict = verify(formula, path, strict_deletions, backend)
             result = (verdict.status, verdict.line, verdict.reason)
-        except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
+        except (ValueError, OSError) as exc:
             result = (type(exc), str(exc))
     return result, [str(w.message) for w in caught]
 
@@ -348,23 +350,63 @@ def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
     )
 
 
+def _through_pipe(formula, data, backend):
+    """_outcome() of ``data`` read from a pipe, which cannot seek."""
+    read_end, write_end = os.pipe()
+    try:
+        with open(write_end, "wb") as handle:  # data fits in the pipe's buffer
+            handle.write(data)
+        return _outcome(formula, f"/dev/fd/{read_end}", backend, False)
+    finally:
+        os.close(read_end)
+
+
 def test_file_check_beyond_ascii_agrees_with_python_backend(native, tmp_path):
-    # A file with a byte beyond ASCII goes through the text reader on both
-    # backends: not UTF-8 raises UnicodeDecodeError, even in a comment after
-    # the empty clause.
+    # A comment may hold any bytes, even after the empty clause; any other
+    # byte beyond ASCII is a bad token, decided in the one native pass, so a
+    # pipe is checked as a file is.
     formula = php_standard(2)
     proof = emit_drat(proof_ours.iter_proof_lines(2)).encode()
     path = tmp_path / "p.drat"
+    accepted = ("ACCEPTED", None, None)
     expected = {
-        b"c caf\xc3\xa9\n" + proof: "ACCEPTED",
-        b"c \xff\n" + proof: UnicodeDecodeError,
-        proof + b"c \xff\n": UnicodeDecodeError,
-        b"\xc2\xa0" + proof: "ACCEPTED",
-        b"1 \xd9\xa3 0\n" + proof: ValueError,
+        b"c caf\xc3\xa9\n" + proof: accepted,
+        b"c \xff\n" + proof: accepted,
+        proof + b"c \xff\n": accepted,
+        proof + b"1 \xff 0\n": accepted,
+        b"\xc2\xa01 0\n" + proof: (ValueError, "line 1: bad token in '\\xa01 0\\n'"),
+        b"1 \xd9\xa3 0\n" + proof: (ValueError, "line 1: bad token in '1 ٣ 0\\n'"),
+        b"1 \xff 0\n" + proof: (ValueError, "line 1: bad token in '1 \\udcff 0\\n'"),
+        b"\xe3\x80\x80c x\n" + proof: (ValueError, "line 1: bad token in '\\u3000c x\\n'"),
     }
-    for data, status in expected.items():
+    for data, outcome in expected.items():
         path.write_bytes(data)
-        assert _same_on_both(formula, path)[0][0] == status
+        assert _same_on_both(formula, path) == (outcome, [])
+        for backend in ("native", "python"):
+            assert _through_pipe(formula, data, backend) == (outcome, [])
+
+
+def test_file_check_finds_repeated_literals_at_the_cap_without_growth(native, tmp_path):
+    # parse_line finds a repeated literal in a sorted copy before cover(), so
+    # no engine sizes its per-variable arrays for 2**31 variables to raise it.
+    formula = php_standard(2)
+    proof = emit_drat(proof_ours.iter_proof_lines(2)).encode()
+    path = tmp_path / "p.drat"
+    lines = {
+        b"d 2147483647 2147483647 0": "2147483647 in clause (2147483647, 2147483647)",
+        b"2147483647 2147483647 0": "2147483647 in clause (2147483647, 2147483647)",
+        b"d 5 -2147483647 5 0": "5 in clause (5, -2147483647, 5)",
+    }
+    for line, message in lines.items():
+        path.write_bytes(line + b"\n" + proof)
+        tracemalloc.start()
+        try:
+            result = _same_on_both(formula, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == ((ValueError, f"duplicate literal {message}"), [])
+        assert peak < 1 << 20
 
 
 _PROOF_2 = emit_drat(proof_ours.iter_proof_lines(2, emit_deletions=True)).splitlines()
@@ -485,14 +527,17 @@ def _counters(formula, lines, path, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_file_check_counters_equal_per_line_counts(n, native, monkeypatch, tmp_path):
     formula = php_standard(n)
+    path = tmp_path / "proof.drat"
     for module, count in ((proof_ours, count_ours), (proof_cook, count_cook)):
         for deletions in (False, True):
             lines = list(module.iter_proof_lines(n, deletions))
-            native_counts, line_counts = _counters(
-                formula, lines, _proof_file(tmp_path, lines), monkeypatch
-            )
-            assert native_counts == line_counts
-            assert native_counts[4] == count(n) - 1  # the empty clause is not stored
+            text = emit_drat(lines).encode()
+            # A comment beyond ASCII, UTF-8 or not, leaves the file one pass.
+            for head in (b"", b"c caf\xc3\xa9\n", b"c \xff\n"):
+                path.write_bytes(head + text)
+                native_counts, line_counts = _counters(formula, lines, path, monkeypatch)
+                assert native_counts == line_counts
+                assert native_counts[4] == count(n) - 1  # the empty clause is not stored
     # Rejected proofs stop both paths at the same check.
     base = list(proof_ours.iter_proof_lines(n))
     rng = random.Random(n)
