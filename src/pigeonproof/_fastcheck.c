@@ -2,10 +2,13 @@
 
    A drop-in replacement for ``propagation.ClauseDatabase``: the same methods
    (add_clause, delete_clause, clause, __len__, rup, rat, snapshot), the same
-   verdicts and the same exceptions.  check_drat also checks a whole text
-   DRAT file in one call: it reads and parses the file and finds each
-   deleted clause through the occurrence lists, deciding every byte with the
-   grammar of formats.parse_drat_line.  Literals are int32 in one flat
+   verdicts and the same exceptions.  rat is the one check of a non-empty
+   addition: a screen for a blocked clause, then RUP on the whole clause,
+   then the resolvents on that same trail (see rat_check).  check_drat also
+   checks a whole text DRAT file in one call: it reads and parses the file,
+   runs rat on every non-empty addition and rup on the empty clause, and
+   finds each deleted clause through the occurrence lists, deciding every
+   byte with the grammar of formats.parse_drat_line.  Literals are int32 in one flat
    buffer; watch and occurrence lists are growable vectors of clause ids
    indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
    trail and the RAT scratch marks are indexed by variable and grow with the
@@ -502,8 +505,8 @@ static Py_ssize_t next_resolvent(FastDatabase *self, Vec *ov, Py_ssize_t i,
     return i;
 }
 
-/* Is every resolvent from ov[i] on a tautology or RUP, with the shared
-   assumptions of the RAT check propagated?  1 or 0, or -1 with MemoryError
+/* Is every resolvent from ov[i] on a tautology or RUP, with the complement
+   of the checked clause propagated?  1 or 0, or -1 with MemoryError
    set. */
 static int resolvents_rup(FastDatabase *self, Vec *ov, Py_ssize_t i,
                           lit_t neg_pivot)
@@ -522,31 +525,35 @@ static int resolvents_rup(FastDatabase *self, Vec *ov, Py_ssize_t i,
     return 1;
 }
 
-/* RAT on the first literal of l (n >= 1): every resolvent with a clause
-   containing the pivot's complement is a tautology or RUP.  The screen comes
-   first: if every resolvent is a tautology, l is blocked and RAT holds
-   without propagating.  Otherwise the complements of the other literals are
-   propagated once and shared by the resolvents left to check.
+/* The check of a non-empty addition l: RAT on its first literal, with RUP
+   folded in, on one trail.  First the screen: if every resolvent with a
+   clause containing the pivot's complement is a tautology, l is blocked and
+   passes without propagating.  Otherwise the complement of every literal of
+   l, the pivot's included, is propagated once; a conflict means l is RUP,
+   which implies RAT.  Otherwise the resolvents left are checked on top of
+   that trail.  Keeping the pivot's complement assumed there changes no
+   verdict: each partner contains it, and under the complement of the
+   resolvent its other literals are false, so it propagates the pivot's
+   complement anyway.
    1 or 0, or -1 with MemoryError set. */
 static int rat_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
-    const lit_t *rest = l + 1;
     lit_t neg_pivot = -l[0];
     Vec *ov = &self->occ[code_of(neg_pivot)];
     Py_ssize_t i;
     int result = 1;
-    for (i = 0; i < n - 1; i++)
-        self->cmark[var_of(rest[i])] = sign_of(rest[i]);
+    for (i = 1; i < n; i++)
+        self->cmark[var_of(l[i])] = sign_of(l[i]);
     i = next_resolvent(self, ov, 0, neg_pivot);
     if (i < ov->size) { /* not blocked */
-        result = seed_units(self) || assume_complements(self, rest, n - 1, NO_SKIP);
+        result = seed_units(self) || assume_complements(self, l, n, NO_SKIP);
         if (!result)
             result = propagate(self);
-        if (!result) /* no conflict from the shared assumptions alone */
+        if (!result) /* not RUP */
             result = resolvents_rup(self, ov, i, neg_pivot);
     }
-    for (i = 0; i < n - 1; i++)
-        self->cmark[var_of(rest[i])] = 0;
+    for (i = 1; i < n; i++)
+        self->cmark[var_of(l[i])] = 0;
     undo_to(self, 0);
     return result;
 }
@@ -700,6 +707,7 @@ typedef struct {
 static int fill(Reader *r)
 {
     Py_ssize_t got;
+    int err;
     if (r->lo > 0) {
         memmove(r->buf, r->buf + r->lo, (size_t)(r->hi - r->lo));
         r->hi -= r->lo;
@@ -715,9 +723,14 @@ static int fill(Reader *r)
     do {
         if (PyErr_CheckSignals() < 0)
             return -1;
+        /* Another thread may be the one that writes a pipe being read. */
+        Py_BEGIN_ALLOW_THREADS
         got = read(r->fd, r->buf + r->hi, CHUNK);
-    } while (got < 0 && errno == EINTR);
+        err = errno;
+        Py_END_ALLOW_THREADS
+    } while (got < 0 && err == EINTR);
     if (got < 0) {
+        errno = err;
         PyErr_SetFromErrno(PyExc_OSError);
         return -1;
     }
@@ -894,26 +907,20 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
         }
         if (cover(self, self->buf, n) < 0)
             goto done;
-        rup_calls++;
-        if ((ok = rup_check(self, self->buf, n)) < 0)
-            goto done;
-        rup_pass += ok;
-        if (!ok && n == 0) {
-            outcome = EMPTY_NOT_RUP;
+        if (n == 0) {
+            rup_calls++;
+            if ((ok = rup_check(self, self->buf, n)) < 0)
+                goto done;
+            rup_pass += ok;
+            outcome = ok ? ACCEPTED : EMPTY_NOT_RUP;
             break;
         }
+        rat_calls++;
+        if ((ok = rat_check(self, self->buf, n)) < 0)
+            goto done;
+        rat_pass += ok;
         if (!ok) {
-            rat_calls++;
-            if ((ok = rat_check(self, self->buf, n)) < 0)
-                goto done;
-            rat_pass += ok;
-            if (!ok) {
-                outcome = NOT_RUP_OR_RAT;
-                break;
-            }
-        }
-        if (n == 0) {
-            outcome = ACCEPTED;
+            outcome = NOT_RUP_OR_RAT;
             break;
         }
         if (store(self, self->buf, n) < 0)
@@ -1101,7 +1108,11 @@ static PyMethodDef db_methods[] = {
     {"rup", (PyCFunction)db_rup, METH_O,
      "rup(lits) -> bool\n\nConflict after assuming the complement of every literal?"},
     {"rat", (PyCFunction)db_rat, METH_O,
-     "rat(lits) -> bool\n\nRAT on the first literal: every resolvent tautological or RUP."},
+     "rat(lits) -> bool\n\nRAT on the first literal: every resolvent tautological or RUP.\n"
+     "The check of a non-empty addition: a blocked clause passes without\n"
+     "propagating; otherwise the complement of every literal, the pivot's\n"
+     "included, is propagated, and then each resolvent on that trail.  RUP\n"
+     "implies RAT, so the clause passes on a conflict of the first step."},
     {"check_drat", (PyCFunction)db_check_drat, METH_VARARGS,
      "check_drat(fd, strict_deletions) -> (outcome, line, raw, unmatched, counters)\n\n"
      "Check the text DRAT file open as fd against the active clauses, line by\n"
@@ -1112,7 +1123,9 @@ static PyMethodDef db_methods[] = {
      "its bytes.\n"
      "unmatched lists the proof lines of deletions that matched no clause;\n"
      "counters are RUP calls, RUP passes, RAT calls, RAT passes, additions and\n"
-     "deletions."},
+     "deletions.  Only the empty clause gets rup, and every other addition\n"
+     "gets rat alone, which holds RUP: the counters are those of\n"
+     "db.rat(lits) if lits else db.rup(lits) on each addition."},
     {"snapshot", (PyCFunction)db_snapshot, METH_NOARGS,
      "snapshot() -> tuple\n\nAssigned (variable, value) pairs; for state-restoration checks."},
     {NULL, NULL, 0, NULL},

@@ -5,10 +5,16 @@ conflicts) or, failing that, RAT on its first literal.  Additions then join
 the working formula; deletions remove one clause with the same literal
 multiset.  A proof is accepted the moment the empty clause checks out.
 
-Both engines screen a RAT check first: if every resolvent on the pivot is a
-tautology, the clause is blocked and RAT holds without any propagation.
-Every extension definition is such a clause.  The screen only answers where
-the full check would answer the same, so verdicts and counters do not move.
+RUP implies RAT for a non-empty clause, as every resolvent contains the
+clause's other literals, so on both engines ``db.rat`` is the whole check of
+a non-empty addition, in three steps on one trail.  First a screen: if every
+resolvent on the pivot is a tautology, the clause is blocked and passes with
+no propagation; every extension definition is such a clause.  Then the
+complement of every literal, the pivot's included, is propagated; a conflict
+means the clause is RUP.  Then each resolvent left is checked on that trail.
+The native file check runs ``db.rat`` alone on every non-empty addition and
+``db.rup`` on the empty clause; the per-line path below still tries
+``db.rup`` first.  Both give the same verdicts.
 
 Two interchangeable propagation backends exist: a compiled core (the C
 extension ``_fastcheck``, built by ``setup.py`` when a C compiler is present)

@@ -199,7 +199,10 @@ def parse_drat_line(line: str, lineno: int = 0) -> ProofLine | None:
         raise ValueError(f"line {lineno}: missing terminating 0")
     if 0 in values[:-1]:
         raise ValueError(f"line {lineno}: 0 inside clause")
-    lits = validate_clause(values[:-1])
+    try:
+        lits = validate_clause(values[:-1])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     if delete and not lits:
         raise ValueError(f"line {lineno}: deletion of the empty clause")
     return ProofLine(delete, lits)

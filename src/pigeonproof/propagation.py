@@ -260,15 +260,19 @@ class ClauseDatabase:
 
         Every clause containing the pivot's complement must resolve with
         ``lits`` into a tautology or a clause implied by unit propagation.
-        The screen comes first: if every resolvent is a tautology, ``lits``
-        is blocked and RAT holds without propagating.  Otherwise the shared
-        assumptions (complements of the non-pivot literals) are propagated
-        once and reused across the resolvents left to check.
+        This is the one check of a non-empty addition, as in the compiled
+        core.  The screen comes first: if every resolvent is a tautology,
+        ``lits`` is blocked and RAT holds without propagating.  Otherwise
+        the complement of every literal, the pivot's included, is
+        propagated once; a conflict means ``lits`` is RUP, which implies
+        RAT.  Otherwise the resolvents left are checked on that trail.  The
+        assumed complement of the pivot changes no verdict there: each
+        partner clause contains it, and its other literals are false under
+        the complement of the resolvent, so it propagates it anyway.
         """
         pivot = lits[0]
-        rest = lits[1:]
         self.assignment.ensure_var(_max_var(lits))
-        cset = set(rest)
+        cset = set(lits[1:])
         neg_pivot = -pivot
         occ = self._occ.get(neg_pivot, [])
         i = self._next_resolvent(occ, 0, cset, neg_pivot)
@@ -276,7 +280,7 @@ class ClauseDatabase:
             return True
         conflict = self._seed_units()
         if conflict is None:
-            conflict = self._assume_complements(rest)
+            conflict = self._assume_complements(lits)
         if conflict is None:
             conflict = self.propagate()
         result = conflict is not None or self._resolvents_rup(occ, i, cset, neg_pivot)
@@ -287,7 +291,7 @@ class ClauseDatabase:
         self, occ: list[int], i: int, cset: set[int], neg_pivot: int
     ) -> bool:
         """Is every resolvent from ``occ[i]`` on a tautology or RUP, with the
-        shared assumptions of the RAT check propagated?"""
+        complement of the checked clause propagated?"""
         mark = len(self.assignment.trail)
         value = self.assignment.value
         while i < len(occ):

@@ -81,6 +81,13 @@ def test_parse_literal_out_of_range():
         parse_drat("-2147483648 0\n")
 
 
+def test_parse_drat_names_the_line_of_a_literal_error():
+    with pytest.raises(ValueError, match=r"^line 2: duplicate literal 3 in clause \(3, 3\)$"):
+        parse_drat("1 0\n3 3 0\n")
+    with pytest.raises(ValueError, match=r"^line 3: literal -2147483648 out of range"):
+        parse_drat("1 0\nc\nd -2147483648 0\n")
+
+
 def test_parse_missing_terminator():
     with pytest.raises(ValueError, match="terminating 0"):
         parse_dimacs("p cnf 2 1\n1 -2\n")

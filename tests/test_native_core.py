@@ -10,6 +10,8 @@ import itertools
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import naive_checker
 from conftest import SOURCE
 from pigeonproof import (
     CnfFormula,
@@ -35,7 +38,7 @@ from pigeonproof import (
 )
 from pigeonproof.propagation import ClauseDatabase
 from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
-from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, loaded_by, loaded_by_check
+from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, SRC, loaded_by, loaded_by_check
 from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
 EMPTY = ProofLine(False, ())
@@ -85,6 +88,40 @@ def test_rat_screen_agrees_with_rescan_reference(case, engine):
     result, naive, restored = rat_screen_case(engine, clauses, deleted, lits)
     assert result == naive == expected
     assert restored
+
+
+_LITERAL = st.integers(1, 5).flatmap(lambda var: st.sampled_from([var, -var]))
+_CLAUSE = st.lists(_LITERAL, min_size=1, max_size=4, unique=True)
+_STEP = st.one_of(
+    st.tuples(st.just("add"), _CLAUSE),
+    st.tuples(st.just("delete"), st.integers(0, 20)),
+    st.tuples(st.just("rat"), _CLAUSE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CLAUSE, max_size=10), st.lists(_STEP, max_size=12))
+def test_rat_is_rup_or_rat_of_the_reference(fastcheck, formula, steps):
+    """rat on both engines, with deletions interleaved, answers what the
+    rescan oracle's RUP-or-RAT answers, and leaves no assignment behind."""
+    dbs = (fastcheck.FastDatabase(), ClauseDatabase())
+    active = {}
+    for step in [("add", clause) for clause in formula] + steps:
+        if step[0] == "add":
+            (cid,) = {db.add_clause(step[1]) for db in dbs}
+            active[cid] = step[1]
+        elif step[0] == "delete" and active:
+            cid = sorted(active)[step[1] % len(active)]
+            for db in dbs:
+                db.delete_clause(cid)
+            del active[cid]
+        elif step[0] == "rat":
+            working = list(active.values())
+            lits = step[1]
+            expected = naive_checker.rup(working, lits) or naive_checker.rat(working, lits)
+            for db in dbs:
+                assert db.rat(lits) == expected
+                assert db.snapshot() == ()
 
 
 def _package_with_core(fastcheck, root: Path) -> Path:
@@ -261,9 +298,7 @@ def test_file_check_of_truncated_proofs_agrees_with_python_backend(native, tmp_p
     assert results == {"ACCEPTED", "INCOMPLETE", ValueError}
 
 
-def test_file_check_of_absent_deletions_agrees_with_python_backend(
-    native, monkeypatch, tmp_path
-):
+def test_file_check_of_absent_deletions_agrees_with_python_backend(native, tmp_path):
     formula = php_standard(3)
     lines = list(proof_ours.iter_proof_lines(3, emit_deletions=True))
     absent = [(1, 2, 3, 4, 5), (2147483647, -1), (-12,)]
@@ -300,13 +335,11 @@ def test_file_check_of_absent_deletions_agrees_with_python_backend(
         ("REJECTED", 5, "deletion of a clause not in the formula"),
         [],
     )
-    with pytest.warns(UserWarning, match="proof line 5"):
-        assert _counters(formula, proof, path, monkeypatch) == ((2, 0, 1, 1, 1, 3),) * 2
+    # One RUP call, on the empty clause, and one RAT call, on (-1 -2 -4).
+    assert _counters(formula, proof, path) == ((1, 0, 1, 1, 1, 3),) * 3
 
 
-def test_file_check_finds_tautological_deletions_as_the_python_backend(
-    native, monkeypatch, tmp_path
-):
+def test_file_check_finds_tautological_deletions_as_the_python_backend(native, tmp_path):
     # A tautological clause holds both signs of one variable; deleting it
     # (in any literal order) must match it exactly, and leave no trace on
     # the deletions and checks that follow.
@@ -323,9 +356,7 @@ def test_file_check_finds_tautological_deletions_as_the_python_backend(
         ("REJECTED", 6, "empty clause is not RUP (and has no pivot for RAT)"),
         warned_lines,
     )
-    with pytest.warns(UserWarning, match="deleted clause not in the formula"):
-        native_counts, python_counts = _counters(formula, proof, path, monkeypatch)
-    assert native_counts == python_counts == (1, 0, 0, 0, 0, 3)
+    assert _counters(formula, proof, path) == ((1, 0, 0, 0, 0, 3),) * 3
 
 
 def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
@@ -386,6 +417,45 @@ def test_file_check_beyond_ascii_agrees_with_python_backend(native, tmp_path):
             assert _through_pipe(formula, data, backend) == (outcome, [])
 
 
+# Checks a proof from a FIFO that a thread of the same process writes; the
+# core must let that thread run while it waits in read().
+_FIFO_CHECK = """
+import importlib.util, sys, threading
+from pigeonproof import checker, emit_drat, php_standard, proof_ours, verify
+spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
+checker._fastcheck = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(checker._fastcheck)
+checker.HAVE_NATIVE = True
+fifo = sys.argv[2]
+data = b"c padding\\n" * 300_000 + emit_drat(proof_ours.iter_proof_lines(5)).encode()
+assert len(data) > 1 << 21  # more than a pipe holds, even one grown to its cap
+
+def write():  # a piece at a time, taking the GIL between pieces
+    with open(fifo, "wb", buffering=0) as out:
+        for start in range(0, len(data), 4096):
+            out.write(data[start : start + 4096])
+
+writer = threading.Thread(target=write)
+writer.start()
+print(verify(php_standard(5), fifo, backend="native").status)
+writer.join()
+"""
+
+
+def test_file_check_reads_a_fifo_that_a_thread_writes(fastcheck, tmp_path):
+    fifo = tmp_path / "proof.fifo"
+    os.mkfifo(fifo)
+    result = subprocess.run(
+        [sys.executable, "-c", _FIFO_CHECK, fastcheck.__file__, str(fifo)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ACCEPTED"]
+
+
 def test_file_check_finds_repeated_literals_at_the_cap_without_growth(native, tmp_path):
     # parse_line finds a repeated literal in a sorted copy before cover(), so
     # no engine sizes its per-variable arrays for 2**31 variables to raise it.
@@ -405,7 +475,7 @@ def test_file_check_finds_repeated_literals_at_the_cap_without_growth(native, tm
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result == ((ValueError, f"duplicate literal {message}"), [])
+        assert result == ((ValueError, f"line 1: duplicate literal {message}"), [])
         assert peak < 1 << 20
 
 
@@ -481,74 +551,81 @@ def test_file_check_fuzz_agrees_with_python_backend(
     _same_on_both(php_standard(2), path, strict)
 
 
-class _Counting:
-    """A database that counts the calls ``verify`` makes of it."""
-
-    def __init__(self, db, counts):
-        self._db, self._counts = db, counts
-
-    def add_clause(self, lits):
-        self._counts["adds"] += 1
-        return self._db.add_clause(lits)
-
-    def delete_clause(self, cid):
-        self._counts["deletes"] += 1
-        self._db.delete_clause(cid)
-
-    def rup(self, lits):
-        ok = self._db.rup(lits)
-        self._counts["rup"] += 1
-        self._counts["rup_pass"] += ok
-        return ok
-
-    def rat(self, lits):
-        ok = self._db.rat(lits)
-        self._counts["rat"] += 1
-        self._counts["rat_pass"] += ok
-        return ok
+_ENGINES = ("native", "python")
 
 
-def _counters(formula, lines, path, monkeypatch):
-    """Counters of the native file call, and those of verify()'s per-line
-    path over the same lines: RUP calls and passes, RAT calls and passes,
-    additions and deletions applied."""
+def _file_counters(formula, path):
+    """The counters of the native file call: RUP calls and passes, RAT calls
+    and passes, additions and deletions applied."""
     db = checker.new_database(formula, "native")
     with open(path, "rb") as handle:
-        *_, native = db.check_drat(handle.fileno(), False)
+        return db.check_drat(handle.fileno(), False)[-1]
+
+
+def _replayed_counters(formula, lines, backend):
+    """The same counters from replaying ``lines`` on one engine as the file
+    call checks them, ``db.rat(lits) if lits else db.rup(lits)``, up to the
+    first check that fails or the empty clause."""
     counts = dict.fromkeys(("rup", "rup_pass", "rat", "rat_pass", "adds", "deletes"), 0)
-    real = checker.new_database
-    with monkeypatch.context() as patch:
-        patch.setattr(checker, "new_database", lambda *a, **k: _Counting(real(*a, **k), counts))
-        verify(formula, lines, backend="native")
-    counts["adds"] -= len(formula.clauses)
-    return native, tuple(counts.values())
+    db = checker.new_database(formula, backend)
+    by_key = {}
+    for cid, clause in enumerate(formula.clauses):
+        by_key.setdefault(tuple(sorted(clause)), []).append(cid)
+    for delete, lits in lines:
+        key = tuple(sorted(lits))
+        if delete:
+            if by_key.get(key):
+                db.delete_clause(by_key[key].pop())
+                counts["deletes"] += 1
+            continue
+        kind = "rat" if lits else "rup"
+        ok = getattr(db, kind)(list(lits))
+        counts[kind] += 1
+        counts[kind + "_pass"] += ok
+        if not ok or not lits:
+            break
+        by_key.setdefault(key, []).append(db.add_clause(lits))
+        counts["adds"] += 1
+    return tuple(counts.values())
+
+
+def _counters(formula, lines, path):
+    """The counters of the file call, then those of the replay of the same
+    lines on each engine."""
+    replayed = [_replayed_counters(formula, lines, engine) for engine in _ENGINES]
+    return (_file_counters(formula, path), *replayed)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_file_check_counters_equal_per_line_counts(n, native, monkeypatch, tmp_path):
+def test_file_check_counters_equal_per_line_counts(n, native, tmp_path):
     formula = php_standard(n)
     path = tmp_path / "proof.drat"
     for module, count in ((proof_ours, count_ours), (proof_cook, count_cook)):
         for deletions in (False, True):
             lines = list(module.iter_proof_lines(n, deletions))
+            native_counts, python_counts = (
+                _replayed_counters(formula, lines, engine) for engine in _ENGINES
+            )
+            assert native_counts == python_counts
+            # One RUP call, on the empty clause; one RAT call per other addition.
+            assert native_counts[:4] == (1, 1, count(n) - 1, count(n) - 1)
+            assert native_counts[4] == count(n) - 1  # the empty clause is not stored
             text = emit_drat(lines).encode()
             # A comment beyond ASCII, UTF-8 or not, leaves the file one pass.
             for head in (b"", b"c caf\xc3\xa9\n", b"c \xff\n"):
                 path.write_bytes(head + text)
-                native_counts, line_counts = _counters(formula, lines, path, monkeypatch)
-                assert native_counts == line_counts
-                assert native_counts[4] == count(n) - 1  # the empty clause is not stored
-    # Rejected proofs stop both paths at the same check.
+                assert _file_counters(formula, path) == native_counts
+    # Rejected proofs stop the file call and both replays at the same check.
     base = list(proof_ours.iter_proof_lines(n))
     rng = random.Random(n)
     for _ in range(5):
         index = rng.randrange(len(base) - 1)
         lits = tuple(-lit for lit in base[index].lits)
         mutated = base[:index] + [ProofLine(False, lits)] + base[index + 1 :]
-        native_counts, line_counts = _counters(
-            formula, mutated, _proof_file(tmp_path, mutated), monkeypatch
+        file_counts, native_counts, python_counts = _counters(
+            formula, mutated, _proof_file(tmp_path, mutated)
         )
-        assert native_counts == line_counts
+        assert file_counts == native_counts == python_counts
 
 
 # -- formatting emitted text: the native chunk call against the template join --

@@ -147,6 +147,20 @@ RAT_SCREEN_CASES = {
         True,
     ),
     "the shared assumptions conflict": ([(1,), (-4, 3)], [], (4, 1), True),
+    # (3 1) resolves (4 3) with (-4 1); under its complement the partner
+    # (-4 1) implies -4, and only with -4 does (4 1 3) conflict.
+    "a resolvent needs the pivot's complement from its partner": (
+        [(-4, 1), (4, 1, 3)],
+        [],
+        (4, 3),
+        True,
+    ),
+    "the pivot's complement from the partner is not enough": (
+        [(-4, 1), (4, 2, 3)],
+        [],
+        (4, 3),
+        False,
+    ),
 }
 
 
