@@ -18,9 +18,11 @@
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
 
-   The module function format_clauses formats emitted text: one chunk of
-   clauses becomes their DIMACS or DRAT lines, written straight into one str.
-   It takes only exact tuples of exact ints within int64 and returns None for
+   Two module functions format emitted text, written straight into one str
+   as DIMACS or DRAT lines.  format_clauses formats one chunk of clause
+   tuples.  format_rows formats a range of holes of a model.HoleRows part
+   from its (first, step) literals, so no clause tuple is ever built.  Each
+   takes only exact tuples of exact ints within int64 and returns None for
    anything else, which formats._format_python then formats, so the bytes and
    the errors are those of the pure-Python path. */
 
@@ -1018,6 +1020,33 @@ static inline uint64_t magnitude(int64_t v)
     return v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
 }
 
+/* Characters of v followed by a space. */
+static inline Py_ssize_t literal_width(int64_t v)
+{
+    return (v < 0) + digit_count(magnitude(v)) + 1;
+}
+
+/* Write v and a space at out; return the end of what was written. */
+static inline char *write_literal(char *out, int64_t v)
+{
+    uint64_t u = magnitude(v);
+    if (v < 0)
+        *out++ = '-';
+    out += digit_count(u);
+    write_digits(out, u);
+    *out++ = ' ';
+    return out;
+}
+
+/* New str of length characters at *out, or NULL with an exception set. */
+static PyObject *new_text(Py_ssize_t length, char **out)
+{
+    PyObject *text = PyUnicode_New(length, 127);
+    if (text != NULL)
+        *out = (char *)PyUnicode_1BYTE_DATA(text);
+    return text;
+}
+
 static PyObject *format_clauses(PyObject *module, PyObject *args)
 {
     PyObject *chunk, *flag, *result = NULL;
@@ -1041,7 +1070,7 @@ static PyObject *format_clauses(PyObject *module, PyObject *args)
     if ((vals = resized(NULL, nlits ? nlits : 1, sizeof *vals)) == NULL)
         return NULL;
     /* Pass 2: only exact ints within int64; the length of the text. */
-    length = nclauses * (delete ? 4 : 2) + nlits; /* "d ", "0\n", a space each */
+    length = nclauses * (delete ? 4 : 2); /* "d " and "0\n" each */
     for (i = k = 0; i < nclauses; i++) {
         PyObject *clause = PyList_GET_ITEM(chunk, i);
         for (j = 0; j < PyTuple_GET_SIZE(clause); j++, k++) {
@@ -1056,27 +1085,20 @@ static PyObject *format_clauses(PyObject *module, PyObject *args)
             if (overflow)
                 goto fallback;
             vals[k] = (int64_t)v;
-            length += (v < 0) + digit_count(magnitude(vals[k]));
+            length += literal_width(vals[k]);
         }
     }
     /* Pass 3: write the text into the str itself. */
-    if ((result = PyUnicode_New(length, 127)) == NULL)
+    if ((result = new_text(length, &out)) == NULL)
         goto done;
-    out = (char *)PyUnicode_1BYTE_DATA(result);
     for (i = k = 0; i < nclauses; i++) {
         Py_ssize_t size = PyTuple_GET_SIZE(PyList_GET_ITEM(chunk, i));
         if (delete) {
             *out++ = 'd';
             *out++ = ' ';
         }
-        for (j = 0; j < size; j++, k++) {
-            uint64_t u = magnitude(vals[k]);
-            if (vals[k] < 0)
-                *out++ = '-';
-            out += digit_count(u);
-            write_digits(out, u);
-            *out++ = ' ';
-        }
+        for (j = 0; j < size; j++, k++)
+            out = write_literal(out, vals[k]);
         *out++ = '0';
         *out++ = '\n';
     }
@@ -1088,6 +1110,124 @@ done:
     return result;
 }
 
+/* A row literal of format_rows: its value at the first hole formatted, and
+   its step. */
+typedef struct {
+    int64_t first, step;
+} RowLit;
+
+/* Read the row literal (first, step) of format_rows into *lit, for the
+   count holes from start, where its value is first + step * hole: 1 if it
+   is an exact tuple of two exact ints with step -1, 0 or 1 and first and
+   each of those values lie within int64, 0 if not, -1 with an exception
+   set. */
+static int read_row_literal(PyObject *spec, Py_ssize_t start, Py_ssize_t count,
+                            RowLit *lit)
+{
+    Py_ssize_t last = start + count - 1;
+    PyObject *first, *step;
+    long long f, s;
+    int overflow;
+    if (!PyTuple_CheckExact(spec) || PyTuple_GET_SIZE(spec) != 2)
+        return 0;
+    first = PyTuple_GET_ITEM(spec, 0);
+    step = PyTuple_GET_ITEM(spec, 1);
+    if (!PyLong_CheckExact(first) || !PyLong_CheckExact(step))
+        return 0;
+    f = PyLong_AsLongLongAndOverflow(first, &overflow);
+    if (f == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow)
+        return 0;
+    s = PyLong_AsLongLongAndOverflow(step, &overflow);
+    if (s == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || s < -1 || s > 1)
+        return 0;
+    if (count == 0)
+        return 1; /* no value is formatted */
+    /* The values run monotonically from hole start to hole last, so both
+       ends within int64 is enough; the bounds themselves cannot overflow,
+       as 0 <= start <= last. */
+    if ((s > 0 && f > INT64_MAX - last) || (s < 0 && f < INT64_MIN + last))
+        return 0;
+    lit->first = (int64_t)f + (int64_t)s * start;
+    lit->step = (int64_t)s;
+    return 1;
+}
+
+static PyObject *format_rows(PyObject *module, PyObject *args)
+{
+    PyObject *rows, *flag, *result = NULL;
+    int delete, ok;
+    Py_ssize_t start, count, nrows, nlits = 0, length, per_hole, i, r, j, k;
+    RowLit *lits;
+    char *out;
+    if (!PyArg_ParseTuple(args, "OnnO:format_rows", &rows, &start, &count, &flag))
+        return NULL;
+    if (start < 0 || count < 0) {
+        PyErr_SetString(PyExc_ValueError, "negative hole count");
+        return NULL;
+    }
+    if (!PyBool_Check(flag) || !PyTuple_CheckExact(rows))
+        Py_RETURN_NONE;
+    delete = flag == Py_True;
+    /* Pass 1: only exact tuples as rows; count their literals. */
+    nrows = PyTuple_GET_SIZE(rows);
+    for (r = 0; r < nrows; r++) {
+        PyObject *row = PyTuple_GET_ITEM(rows, r);
+        if (!PyTuple_CheckExact(row))
+            Py_RETURN_NONE;
+        nlits += PyTuple_GET_SIZE(row);
+    }
+    if (nrows == 0)
+        return PyUnicode_New(0, 127);
+    /* Every hole's text is at most per_hole characters: "d " and "0\n" a
+       row, and a sign, 19 digits and a space a literal.  A range of holes
+       past PY_SSIZE_T_MAX, or of more text, could never be formatted. */
+    per_hole = nrows * 4 + nlits * 21;
+    if (count > PY_SSIZE_T_MAX - start || count > PY_SSIZE_T_MAX / per_hole)
+        return PyErr_NoMemory();
+    if ((lits = resized(NULL, nlits ? nlits : 1, sizeof *lits)) == NULL)
+        return NULL;
+    /* Pass 2: only literals read_row_literal takes; the length of the text. */
+    length = count * (nrows * (delete ? 4 : 2));
+    for (r = k = 0; r < nrows; r++) {
+        PyObject *row = PyTuple_GET_ITEM(rows, r);
+        for (j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
+            ok = read_row_literal(PyTuple_GET_ITEM(row, j), start, count, &lits[k]);
+            if (ok < 0)
+                goto done;
+            if (ok == 0)
+                goto fallback;
+            for (i = 0; i < count; i++)
+                length += literal_width(lits[k].first + lits[k].step * i);
+        }
+    }
+    /* Pass 3: write the text into the str itself, hole by hole. */
+    if ((result = new_text(length, &out)) == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        for (r = k = 0; r < nrows; r++) {
+            Py_ssize_t size = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
+            if (delete) {
+                *out++ = 'd';
+                *out++ = ' ';
+            }
+            for (j = 0; j < size; j++, k++)
+                out = write_literal(out, lits[k].first + lits[k].step * i);
+            *out++ = '0';
+            *out++ = '\n';
+        }
+    }
+    goto done;
+fallback:
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(lits);
+    return result;
+}
+
 static PyMethodDef module_methods[] = {
     {"format_clauses", format_clauses, METH_VARARGS,
      "format_clauses(chunk, delete) -> str | None\n\n"
@@ -1095,6 +1235,17 @@ static PyMethodDef module_methods[] = {
      "prefixed with \"d \" if delete is True: the text formats._format_python\n"
      "gives.  None, with nothing formatted, unless delete is a bool, every\n"
      "clause an exact tuple and every literal an exact int within int64."},
+    {"format_rows", format_rows, METH_VARARGS,
+     "format_rows(rows, start, count, delete) -> str | None\n\n"
+     "The text lines of the clause rows of a model.HoleRows part at holes\n"
+     "start + 1 to start + count, hole by hole and in row order within a hole:\n"
+     "the text formats._format_python gives for model.row_clauses(rows, start,\n"
+     "start + count).  Each row is a tuple of (first, step) literals, whose\n"
+     "value at hole h is first + step * (h - 1).  ValueError if start or count\n"
+     "is negative, MemoryError if the holes or the text could not be indexed.\n"
+     "None, with nothing formatted, unless delete is a bool, rows and every row\n"
+     "an exact tuple, every literal an exact tuple of two exact ints with step\n"
+     "-1, 0 or 1, and first and every value formatted within int64."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,16 +15,16 @@ Layer id blocks are contiguous and pairwise disjoint: layer k allocates its
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from typing import Iterator, NamedTuple
+from itertools import combinations
+from typing import NamedTuple
 
-from .model import Clause, CnfFormula
+from .model import CnfFormula, HoleRows, Row, RowLiteral
 
 #: Generators refuse larger instances to bound memory; ids stay well inside
 #: 64-bit range regardless.
 MAX_N = 5000
 
-# Group members are symbolic until bound to a layout (see member_literals):
+# Group members are symbolic until bound to a layout (see member_literal):
 # ("x", p) stands for the pigeon-p literals x_var(p, h), ("ny", g) for the
 # negated group-g auxiliaries -y_var(g, h), over the layer's holes h.
 Member = tuple[str, int]
@@ -141,19 +141,31 @@ class LayerLayout(NamedTuple):
         return range(self.x_base + 1, self.y_base + self.y_count + 1)
 
 
-def member_literals(member: Member, layout: LayerLayout, sign: int = 1) -> range:
-    """``sign`` times a group member's literal at holes 1..layout.layer.
+def member_literal(member: Member, layout: LayerLayout, sign: int = 1) -> RowLiteral:
+    """``sign`` times a group member's literal, as a row literal over the holes.
 
     A member's literal is ±(base + h), since x_var(p, h) == x_var(p, 0) + h
-    and y_var(g, h) == y_var(g, 0) + h, so its literals over the holes form
-    a range: step 1 for a positive literal, -1 for a negative one.
+    and y_var(g, h) == y_var(g, 0) + h, so over the holes it is the row
+    literal ``(first, step)``: step 1 for a positive literal, -1 for a
+    negative one (see :class:`~pigeonproof.model.HoleRows`).
     """
     kind, index = member
     if kind == "x":
         base = layout.x_var(index, 0)
     else:
         base, sign = layout.y_var(index, 0), -sign
-    return range(sign * (base + 1), sign * (base + layout.layer + 1), sign)
+    return sign * (base + 1), sign
+
+
+def aux_definition_rows(group: Group, layout: LayerLayout) -> list[Row]:
+    """The four rows defining a non-final group's fresh auxiliary y: the
+    positive clause (y, members...) and (-y, -member) for each member."""
+    ny = ("ny", group.y_new)  # the negated auxiliary, as a member
+    neg_y = member_literal(ny, layout)
+    return [
+        (member_literal(ny, layout, -1), *(member_literal(m, layout) for m in group.members)),
+        *((neg_y, member_literal(m, layout, -1)) for m in group.members),
+    ]
 
 
 def _layouts_down_to(n: int, k_min: int, chained: bool) -> dict[int, LayerLayout]:
@@ -189,13 +201,23 @@ def php_standard_clause_count(n: int) -> int:
     return (n + 1) + n * (n + 1) * n // 2
 
 
-def iter_php_standard_clauses(n: int) -> Iterator[Clause]:
-    for p in range(n + 1):
-        yield tuple(p * n + h for h in range(1, n + 1))
-    for h in range(1, n + 1):
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                yield (-(p * n + h), -(q * n + h))
+def _alo_rows(layout: LayerLayout) -> tuple[Row, ...]:
+    """The at-least-one clause of every pigeon, each a row of constants."""
+    return tuple(
+        tuple((layout.x_var(p, h), 0) for h in range(1, layout.layer + 1))
+        for p in range(layout.layer + 1)
+    )
+
+
+def iter_php_standard_clauses(n: int) -> HoleRows:
+    """The clauses of ``php_standard(n)`` as rows: the at-least-one clauses
+    over one hole, then each pair p < q of pigeons over the n holes."""
+    layout = LayerLayout(n, 0, n * (n + 1), 0)
+    pairs = tuple(
+        (member_literal(("x", p), layout, -1), member_literal(("x", q), layout, -1))
+        for p, q in combinations(range(n + 1), 2)
+    )
+    return HoleRows([(1, _alo_rows(layout)), (n, pairs)])
 
 
 def php_standard(n: int) -> CnfFormula:
@@ -216,22 +238,17 @@ def php_amo_clause_count(n: int) -> int:
     return (n + 1) + n * f_group(n)
 
 
-def iter_php_amo_clauses(n: int) -> Iterator[Clause]:
+def iter_php_amo_clauses(n: int) -> HoleRows:
+    """The clauses of ``php_amo(n)`` as rows: the at-least-one clauses over
+    one hole, then every group's clauses of a hole over the n holes."""
     layout = LayerLayout(n, 0, n * (n + 1), group_count(n + 1) - 1)
-    for p in range(n + 1):
-        yield tuple(layout.x_var(p, h) for h in range(1, n + 1))
-    # One row per clause of a hole; zipping the rows walks the holes in turn.
-    rows: list[Iterator[Clause]] = []
+    rows: list[Row] = []
     for group in groups(n + 1).groups:
-        negated = [member_literals(m, layout, -1) for m in group.members]
         if not group.final:
-            ny = ("ny", group.y_new)
-            members = [member_literals(m, layout) for m in group.members]
-            rows.append(zip(member_literals(ny, layout, -1), *members))
-            neg_y = member_literals(ny, layout)
-            rows.extend(zip(neg_y, neg) for neg in negated)
-        rows.extend(zip(*pair) for pair in combinations(negated, 2))
-    yield from chain.from_iterable(zip(*rows))
+            rows.extend(aux_definition_rows(group, layout))
+        negated = [member_literal(m, layout, -1) for m in group.members]
+        rows.extend(combinations(negated, 2))
+    return HoleRows([(1, _alo_rows(layout)), (n, tuple(rows))])
 
 
 def php_amo(n: int) -> CnfFormula:

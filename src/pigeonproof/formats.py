@@ -4,10 +4,14 @@ Emission is canonical and byte-stable: one clause per line, space-separated
 literals, a ``0`` terminator, LF line endings.  Deletion lines in DRAT carry
 a ``d `` prefix.  Binary DRAT is not supported.
 
-Every writer formats clauses in chunks of ``_CHUNK``.  When the compiled
-core is built, one ``_fastcheck.format_clauses`` call formats a chunk of
-plain int tuples; it declines any other chunk, which the ``%``-template join
-of :func:`_format_python` formats instead.  Both give the same bytes.
+Every writer formats clauses in chunks of about ``_CHUNK`` lines.  When the
+compiled core is built, one ``_fastcheck.format_clauses`` call formats a
+chunk of plain int tuples, and a :class:`~pigeonproof.model.HoleRows` block
+is formatted a range of holes at a time by ``_fastcheck.format_rows``,
+straight from its rows, with no clause tuple built.  Either call declines
+input it does not take; the ``%``-template join of :func:`_format_python`
+then formats the clauses instead (a block's clauses expanded to tuples).
+Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .model import (
     Block,
     Clause,
     CnfFormula,
+    HoleRows,
     Proof,
     ProofLine,
+    row_clauses,
     validate_clause,
 )
 
@@ -47,11 +53,15 @@ class _Templates(dict):
 _TEMPLATES = (_Templates(""), _Templates("d "))
 _CHUNK = 4096  # clauses formatted into one string per write
 
-try:  # the compiled core formats a chunk of plain int tuples in one call
+try:  # the compiled core formats clause tuples, or rows over holes, in one call
     from ._fastcheck import format_clauses as _format_native
+    from ._fastcheck import format_rows as _format_rows
 except ImportError:  # pragma: no cover - depends on the build environment
 
     def _format_native(chunk: list[Clause], delete: bool) -> None:
+        return None
+
+    def _format_rows(rows: object, start: int, count: int, delete: bool) -> None:
         return None
 
 
@@ -150,6 +160,17 @@ def _format_python(chunk: list[Clause], delete: bool) -> str:
 
 
 def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
+    if isinstance(clauses, HoleRows):
+        for holes, rows in clauses.parts:
+            # Whole holes of at most _CHUNK lines, or one hole if it has more.
+            width = max(1, _CHUNK // max(1, len(rows)))
+            for start in range(0, holes, width):
+                stop = min(start + width, holes)
+                out.write(
+                    _format_rows(rows, start, stop - start, delete)
+                    or _format_python(list(row_clauses(rows, start, stop)), delete)
+                )
+        return
     clauses = iter(clauses)
     while chunk := list(islice(clauses, _CHUNK)):
         out.write(_format_native(chunk, delete) or _format_python(chunk, delete))

@@ -8,8 +8,9 @@ literal tuple is the empty clause.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from operator import countOf, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Clause = tuple[int, ...]
 
@@ -64,6 +65,56 @@ class ProofLine(NamedTuple):
 
     delete: bool
     lits: Clause
+
+
+#: A literal of a clause row: ``(first, step)`` with step -1, 0 or +1.
+RowLiteral = tuple[int, int]
+#: A clause row of a :class:`HoleRows` block.
+Row = tuple[RowLiteral, ...]
+
+
+class HoleRows:
+    """Clauses written as rows of literals swept over the holes of a layer.
+
+    ``parts`` is a sequence of ``(holes, rows)``.  A row is a tuple of
+    ``(first, step)`` literals: at hole h (from 1) the literal is
+    ``first + step * (h - 1)``, so step 0 holds a constant.  A part's
+    clauses are its rows taken hole by hole, in row order within each hole,
+    and the parts follow one another.  Iterating yields the clauses as int
+    tuples; ``formats`` writes their text from the rows, tuple-free.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[tuple[int, tuple[Row, ...]]]) -> None:
+        self.parts = tuple(parts)
+        if any(holes < 0 for holes, _ in self.parts):
+            raise ValueError("negative hole count")
+
+    def __len__(self) -> int:
+        return sum(holes * len(rows) for holes, rows in self.parts)
+
+    def __iter__(self) -> Iterator[Clause]:
+        return chain.from_iterable(
+            row_clauses(rows, 0, holes) for holes, rows in self.parts
+        )
+
+
+def row_clauses(rows: Sequence[Row], start: int, stop: int) -> Iterator[Clause]:
+    """The clauses of ``rows`` at holes ``start + 1`` to ``stop``, hole by hole."""
+    count = stop - start
+    columns = [
+        zip(*[
+            range(first + step * start, first + step * stop, step)
+            if step
+            else repeat(first, count)
+            for first, step in row
+        ])
+        if row
+        else repeat((), count)
+        for row in rows
+    ]
+    return chain.from_iterable(zip(*columns))
 
 
 #: A proof block ``(tag, k, clauses)``: clauses of one kind from iteration k.

@@ -11,9 +11,10 @@ plain RUP -- and finally the at-least-one clauses.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator
 
-from .model import Clause, Proof, ProofLine
+from .model import HoleRows, Proof, ProofLine
 from .proof_ours import (
     ALO,
     DEFINITION,
@@ -28,29 +29,22 @@ from .proof_ours import (
 PAIR = "pair"
 
 
-def cook_pair_clauses(plan: IterationPlan) -> list[Clause]:
+def cook_pair_clauses(plan: IterationPlan) -> HoleRows:
     """Pairwise at-most-one constraints on the new layer, two clauses a pair.
 
     The helper (-x'_{ph}, -x'_{qh}, -x_{p(k+1)}) rules out "pigeon p came
     from the removed hole"; with it in place the target (-x'_{ph}, -x'_{qh})
     propagates to a conflict as well, so neither clause needs a resolvent
-    check.
+    check.  Both are rows over the holes; -x_{p(k+1)} is the same in each.
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
-    out: list[Clause] = []
-    append = out.append
-    # -x_var(p, h) == -x_var(p, 0) - h: one negated row base per pigeon.
-    negated_rows = [-nxt.x_var(p, 0) for p in range(k + 1)]
-    for h in range(1, k + 1):
-        for p in range(k + 1):
-            not_xp = negated_rows[p] - h
-            not_moved = -prev.x_var(p, k + 1)
-            for q_row in negated_rows[p + 1 :]:
-                not_xq = q_row - h
-                append((not_xp, not_xq, not_moved))
-                append((not_xp, not_xq))
-    return out
+    negated = [(-nxt.x_var(p, 1), -1) for p in range(k + 1)]
+    rows = []
+    for p, q in combinations(range(k + 1), 2):
+        pair = (negated[p], negated[q])
+        rows += [(*pair, (-prev.x_var(p, k + 1), 0)), pair]
+    return HoleRows([(k, tuple(rows))])
 
 
 COOK: Family = (

@@ -17,9 +17,12 @@ After iteration 1 the two unit clauses contradict the single pairwise
 constraint, so the empty clause closes the proof.  Every clause is written
 pivot first; at-least-one clauses and the empty clause need no pivot.
 
-A group member's literal is ±(base + h) in the hole h, so the group builders
-bind each member once to a range over the holes; a clause row of a group is
-a zip of such ranges, and the rows are zipped hole by hole.
+Every literal the builders write, but those of the at-least-one clauses, is
+±(base + h) in the hole h or a constant.  So the builders return
+:class:`~pigeonproof.model.HoleRows` blocks: clause rows of ``(first, step)``
+literals swept hole by hole.  ``formats`` writes their text from the rows
+in C, and iterating a block yields the same clause tuples to every other
+consumer.
 
 Both proof families share this module's driver, :func:`iter_blocks`: a
 family is a table ``(chained, ((tag, builder), ...))`` naming the layout
@@ -29,19 +32,20 @@ style and the builders of one iteration, in order.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, repeat
-from typing import Callable, Iterator, NamedTuple
+from itertools import combinations, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .encodings import (
     GroupLayout,
     LayerLayout,
     _check_n,
     _layouts_down_to,
+    aux_definition_rows,
     groups,
     iter_php_standard_clauses,
-    member_literals,
+    member_literal,
 )
-from .model import DELETE, Block, Clause, Proof, ProofLine
+from .model import DELETE, Block, Clause, HoleRows, Proof, ProofLine, Row
 
 # Tags used by iter_tagged_lines (DELETE, from the model, marks deletions).
 DEFINITION = "definition"
@@ -86,77 +90,63 @@ def _plans(n: int, chained: bool) -> dict[int, IterationPlan]:
     }
 
 
-def definition_clauses(plan: IterationPlan) -> list[Clause]:
+def definition_clauses(plan: IterationPlan) -> HoleRows:
     """Fresh-variable definitions for every x'_{ph} of the new layer.
 
-    Four clauses per variable, pivot first.  In the chained style the top
-    pigeon p = k drops the two clauses with a negated pivot: propagation
-    only ever walks towards lower pigeon indices, so they are never needed.
-    The pairwise style (no group layout) keeps all four rows for every
-    pigeon, as Cook's construction does.
+    Four clauses per variable, pivot first, as four rows over the holes of
+    one part per pigeon.  In the chained style the top pigeon p = k drops
+    the two clauses with a negated pivot: propagation only ever walks
+    towards lower pigeon indices, so they are never needed.  The pairwise
+    style (no group layout) keeps all four rows for every pigeon, as Cook's
+    construction does.
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
-    out: list[Clause] = []
-    append = out.append
     keep_top = plan.group_layout is None
-    top_row = prev.x_var(k + 1, 0)  # x_var(p, h) == x_var(p, 0) + h
+    x_top = (prev.x_var(k + 1, 1), 1)  # the removed pigeon, hole by hole
+    not_top = (-x_top[0], -1)
+    parts = []
     for p in range(k + 1):
-        prev_row = prev.x_var(p, 0)
-        next_row = nxt.x_var(p, 0)
-        x_moved = prev_row + k + 1
-        negative_rows = p < k or keep_top
-        for h in range(1, k + 1):
-            xk = next_row + h
-            xp = prev_row + h
-            x_top = top_row + h
-            if negative_rows:
-                append((-xk, xp, x_moved))
-                append((-xk, xp, x_top))
-            append((xk, -xp))
-            append((xk, -x_moved, -x_top))
-    return out
+        xk, xp = nxt.x_var(p, 1), prev.x_var(p, 1)
+        x_moved = prev.x_var(p, k + 1)  # the same in every hole
+        rows: tuple[Row, ...] = (((xk, 1), (-xp, -1)), ((xk, 1), (-x_moved, 0), not_top))
+        if p < k or keep_top:
+            not_xk = (-xk, -1)
+            rows = ((not_xk, (xp, 1), (x_moved, 0)), (not_xk, (xp, 1), x_top)) + rows
+        parts.append((k, rows))
+    return HoleRows(parts)
 
 
-def y_definition_clauses(plan: IterationPlan) -> list[Clause]:
+def y_definition_clauses(plan: IterationPlan) -> HoleRows:
     """Definitions of the fresh group auxiliaries, four clauses each.
 
     The positive four-literal clause is not needed to encode at-most-one,
     but it turns each group into an exactly-one block, which is what keeps
-    every later check a plain propagation instead of a case split.  Each of
-    the four is a row of ranges over the holes (literals are ±(base + h)).
+    every later check a plain propagation instead of a case split.
     """
     group_layout = plan.group_layout
-    if group_layout is None:
-        return []
-    nxt = plan.next
-    rows: list[Iterator[Clause]] = []
-    for group in group_layout.groups[:-1]:  # the final group adds no auxiliary
-        ny = ("ny", group.y_new)  # the negated auxiliary, as a member
-        members = [member_literals(m, nxt) for m in group.members]
-        rows.append(zip(member_literals(ny, nxt, -1), *members))
-        neg_y = member_literals(ny, nxt)
-        rows.extend(zip(neg_y, member_literals(m, nxt, -1)) for m in group.members)
-    return list(chain.from_iterable(zip(*rows)))  # hole by hole, tuples built in C
+    rows: list[Row] = []
+    if group_layout is not None:
+        for group in group_layout.groups[:-1]:  # the final group adds no auxiliary
+            rows.extend(aux_definition_rows(group, plan.next))
+    return HoleRows([(plan.k, tuple(rows))])
 
 
-def derived_group_clauses(plan: IterationPlan) -> list[Clause]:
+def derived_group_clauses(plan: IterationPlan) -> HoleRows:
     """Pairwise constraints inside every group of the new layer.
 
     For members l_i, l_j (i < j) the clause is (-l_j, -l_i): the literal
-    with the larger pigeon index is the pivot.  Each pair is a row of ranges
-    over the holes (literals are ±(base + h)).  Requires the iteration's
+    with the larger pigeon index is the pivot.  Requires the iteration's
     definition clauses to be in the working formula already.
     """
     group_layout = plan.group_layout
     if group_layout is None:
         raise ValueError("derived group clauses need a group layout")
-    nxt = plan.next
-    rows: list[Iterator[Clause]] = []
+    rows: list[Row] = []
     for group in group_layout.groups:
-        negated = [member_literals(m, nxt, -1) for m in group.members]
-        rows.extend(zip(neg_j, neg_i) for neg_i, neg_j in combinations(negated, 2))
-    return list(chain.from_iterable(zip(*rows)))
+        negated = [member_literal(m, plan.next, -1) for m in group.members]
+        rows.extend((neg_j, neg_i) for neg_i, neg_j in combinations(negated, 2))
+    return HoleRows([(plan.k, tuple(rows))])
 
 
 def alo_clauses(plan: IterationPlan) -> list[Clause]:
@@ -168,7 +158,7 @@ def alo_clauses(plan: IterationPlan) -> list[Clause]:
     ]
 
 
-Builder = Callable[[IterationPlan], list[Clause]]
+Builder = Callable[[IterationPlan], Iterable[Clause]]
 Family = tuple[bool, tuple[tuple[str, Builder], ...]]
 
 OURS: Family = (
@@ -187,14 +177,13 @@ def iter_blocks(
 ) -> Iterator[Block]:
     """Stream a family's refutation of ``php_standard(n)`` as (tag, k, clauses).
 
-    Iteration k yields one list per builder of the family, in table order.
-    With ``emit_deletions`` it then yields a block tagged ``DELETE`` removing
+    Iteration k yields one block per builder of the family, in table order.
+    With ``emit_deletions`` it then yields blocks tagged ``DELETE`` removing
     layer k+1 -- the additions of iteration k+1, rebuilt by the same
     builders, or the input formula when k = n-1 -- since nothing below
     iteration k ever looks at that layer again.  Deletions never change
-    whether the proof checks.  A delete block is a one-shot iterator, so the
-    input formula of a large instance is never held in memory.  The empty
-    clause closes the stream as its own block, tagged ``empty`` with k = 0.
+    whether the proof checks.  The empty clause closes the stream as its own
+    block, tagged ``empty`` with k = 0.
     """
     _check_n(n, minimum=2)
     chained, builders = family
@@ -203,11 +192,11 @@ def iter_blocks(
         for tag, build in builders:
             yield tag, k, build(plans[k])
         if emit_deletions:
-            yield DELETE, k, (
-                iter_php_standard_clauses(n)
-                if k == n - 1
-                else chain.from_iterable(build(plans[k + 1]) for _, build in builders)
-            )
+            if k == n - 1:
+                yield DELETE, k, iter_php_standard_clauses(n)
+            else:
+                for _, build in builders:
+                    yield DELETE, k, build(plans[k + 1])
     yield EMPTY, 0, [()]
 
 

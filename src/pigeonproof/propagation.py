@@ -12,7 +12,7 @@ separate databases, never one propagation across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .model import MAX_LITERAL, Clause
 
@@ -78,17 +78,6 @@ class Assignment:
         )
 
 
-class PropagationResult(NamedTuple):
-    """Outcome of running propagation to fixpoint."""
-
-    conflict: Clause | None
-    assigned: int
-
-    @property
-    def is_conflict(self) -> bool:
-        return self.conflict is not None
-
-
 class ClauseDatabase:
     """Mutable clause store with watched-literal unit propagation.
 
@@ -150,16 +139,6 @@ class ClauseDatabase:
         return sum(self._active)
 
     # -- propagation ------------------------------------------------------
-
-    def assume(self, lit: int) -> bool:
-        """Assume a literal (no reason).  False if it contradicts the state."""
-        v = self.assignment.value(lit)
-        if v < 0:
-            return False
-        if v == 0:
-            self.assignment.ensure_var(abs(lit))
-            self.assignment.assign(lit, None)
-        return True
 
     def propagate(self) -> int | None:
         """Extend the assignment to the unit-propagation fixpoint.
@@ -350,15 +329,3 @@ class ClauseDatabase:
     def snapshot(self) -> tuple[tuple[int, int], ...]:
         return self.assignment.snapshot()
 
-
-def propagate(db: ClauseDatabase) -> PropagationResult:
-    """Run propagation on ``db`` (assumptions go in via ``db.assume`` first).
-
-    The assignment is left extended; callers needing the prior state should
-    snapshot and restore around this, as the checker does internally.
-    """
-    before = len(db.assignment.trail)
-    seed = db._seed_units()
-    cid = seed if seed is not None else db.propagate()
-    conflict = db.clause(cid) if cid is not None else None
-    return PropagationResult(conflict, len(db.assignment.trail) - before)

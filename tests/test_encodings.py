@@ -10,9 +10,10 @@ from pigeonproof.encodings import (
     group_count,
     groups,
     layer_layout,
-    member_literals,
+    member_literal,
     php_amo_clause_count,
 )
+from pigeonproof.model import row_clauses
 
 
 def test_php_standard_smallest():
@@ -200,12 +201,15 @@ def test_group_structure_matches_clause_budget(k):
 
 def test_member_literal_binding():
     layout = layer_layout(6, 5)
-    pigeon, aux = member_literals(("x", 2), layout), member_literals(("ny", 0), layout)
-    assert pigeon[0] == layout.x_var(2, 1)  # hole 1
-    assert aux[2] == -layout.y_var(0, 3)  # hole 3
-    assert list(pigeon) == [layout.x_var(2, h) for h in range(1, 6)]
-    assert list(aux) == [-layout.y_var(0, h) for h in range(1, 6)]
-    assert list(member_literals(("ny", 0), layout, -1)) == [-lit for lit in aux]
+    pigeon, aux = member_literal(("x", 2), layout), member_literal(("ny", 0), layout)
+    assert pigeon == (layout.x_var(2, 1), 1)  # hole 1, then one more a hole
+    assert aux == (-layout.y_var(0, 1), -1)
+    rows = (pigeon,), (aux,), (member_literal(("ny", 0), layout, -1),)
+    assert list(row_clauses(rows, 0, 5)) == [
+        clause
+        for h in range(1, 6)
+        for clause in ((layout.x_var(2, h),), (-layout.y_var(0, h),), (layout.y_var(0, h),))
+    ]
 
 
 # SHA-256 of emit_dimacs(php_amo(n)), recorded before members were bound to

@@ -13,6 +13,8 @@ from pigeonproof import (
     ProofLine,
     emit_dimacs,
     emit_drat,
+    encodings,
+    formats,
     generate_cook,
     generate_ours,
     parse_dimacs,
@@ -22,7 +24,7 @@ from pigeonproof import (
     proof_cook,
     proof_ours,
 )
-from pigeonproof.formats import iter_drat_lines, write_drat_blocks
+from pigeonproof.formats import iter_drat_lines, write_dimacs, write_drat_blocks
 
 # SHA-256 of the concatenated output for n = 2..8 (proofs) and n = 1..6
 # (formulas), as the line-by-line writer emitted it before proofs were
@@ -232,9 +234,29 @@ def test_emit_dimacs_is_unchanged(encode):
     assert sha256(text) == DIMACS_DIGESTS[encode]
 
 
+@pytest.fixture
+def pure_format(monkeypatch):
+    """Make ``formats`` format every chunk and row with the template join."""
+    monkeypatch.setattr(formats, "_format_native", lambda chunk, delete: None)
+    monkeypatch.setattr(formats, "_format_rows", lambda rows, start, count, delete: None)
+
+
+@pytest.mark.parametrize("encode", sorted(DIMACS_DIGESTS, key=lambda f: f.__name__))
+def test_row_dimacs_emission_is_unchanged(pure_format, encode):
+    rows_of = getattr(encodings, f"iter_{encode.__name__}_clauses")
+    texts = []
+    for n in range(1, 7):
+        formula = encode(n)
+        assert tuple(rows_of(n)) == formula.clauses
+        out = io.StringIO()
+        write_dimacs(out, formula.num_vars, rows_of(n), len(formula.clauses))
+        texts.append(out.getvalue())
+    assert sha256("".join(texts)) == DIMACS_DIGESTS[encode]
+
+
 @pytest.mark.parametrize("deletions", [False, True])
 @pytest.mark.parametrize("style", ["ours", "cook"])
-def test_block_emission_matches_line_emission(style, deletions):
+def test_block_emission_matches_line_emission(pure_format, style, deletions):
     module, family = {
         "ours": (proof_ours, proof_ours.OURS),
         "cook": (proof_cook, proof_cook.COOK),
@@ -249,7 +271,7 @@ def test_block_emission_matches_line_emission(style, deletions):
 
 
 @pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
-def test_block_emission_beyond_golden_sizes_is_unchanged(style, n, deletions):
+def test_block_emission_beyond_golden_sizes_is_unchanged(pure_format, style, n, deletions):
     family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
     out = io.StringIO()
     write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))

@@ -29,6 +29,7 @@ from pigeonproof import (
     count_cook,
     count_ours,
     emit_drat,
+    encodings,
     formats,
     php_amo,
     php_standard,
@@ -36,6 +37,7 @@ from pigeonproof import (
     proof_ours,
     verify,
 )
+from pigeonproof.model import HoleRows, row_clauses
 from pigeonproof.propagation import ClauseDatabase
 from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
 from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, SRC, loaded_by, loaded_by_check
@@ -144,10 +146,10 @@ def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
     code = (
         "from pigeonproof import cli, formats\n"
         f"assert cli.main(['gen-proof', '4', '--out', {str(out)!r}]) == 0\n"
-        "print(formats._format_native.__module__)"
+        "print(formats._format_native.__module__, formats._format_rows.__module__)"
     )
-    hook, modules = loaded_by(code, _package_with_core(fastcheck, tmp_path))
-    assert hook == "pigeonproof._fastcheck"
+    hooks, modules = loaded_by(code, _package_with_core(fastcheck, tmp_path))
+    assert hooks == "pigeonproof._fastcheck pigeonproof._fastcheck"
     assert modules & GEN_NEVER_LOADS == set()
     assert out.read_bytes() == (GOLDEN / "proof-ours-4.drat").read_bytes()
 
@@ -633,26 +635,42 @@ def test_file_check_counters_equal_per_line_counts(n, native, tmp_path):
 
 @pytest.fixture
 def native_format(fastcheck, monkeypatch):
-    """Make ``formats`` format chunks with the freshly compiled core."""
+    """Make ``formats`` format chunks and rows with the freshly compiled core."""
     monkeypatch.setattr(formats, "_format_native", fastcheck.format_clauses)
+    monkeypatch.setattr(formats, "_format_rows", fastcheck.format_rows)
+
+
+class _Writes(list):
+    """An output that keeps each string written to it."""
+
+    write = list.append
+
+
+def _writes(clauses, delete, native):
+    """The strings ``formats._write_clauses`` writes for ``clauses`` with the
+    formatters of the module ``native``, or with neither."""
+    out = _Writes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_format_native", native.format_clauses if native else _declined)
+        patch.setattr(formats, "_format_rows", native.format_rows if native else _declined)
+        formats._write_clauses(out, delete, clauses)
+    return out
+
+
+def _declined(*args):
+    return None
 
 
 def _written(clauses, delete, native):
-    """``formats._write_clauses`` of ``clauses`` with or without the native
-    formatter: the text, or the type and message of the exception."""
-    hook = native if native else lambda chunk, delete: None
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_format_native", hook)
-        try:
-            formats._write_clauses(out, delete, clauses)
-        except Exception as exc:
-            return type(exc), str(exc)
-    return out.getvalue()
+    """The text of :func:`_writes`, or the type and message of the exception."""
+    try:
+        return "".join(_writes(clauses, delete, native))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def _same_text(fastcheck, clauses, delete):
-    native = _written(clauses, delete, fastcheck.format_clauses)
+    native = _written(clauses, delete, fastcheck)
     assert native == _written(clauses, delete, None)
     return native
 
@@ -735,6 +753,105 @@ def test_format_spans_several_chunks(fastcheck):
         assert text.count("\n") == len(clauses)
 
 
+# -- formatting rows over holes: the native row call against the expansion --
+
+_FIRSTS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(
+        [0, 1, -1, 2**31 - 1, -(2**31 - 1), 2**63 - 1, 2**63 - 5, -(2**63), -(2**63) + 5,
+         2**63, -(2**63) - 1, 10**30]
+    ),
+)
+_ROWS = st.lists(
+    st.lists(st.tuples(_FIRSTS, st.sampled_from([-1, 0, 1])), max_size=4).map(tuple),
+    max_size=5,
+).map(tuple)
+
+
+def _fits(rows, start, count):
+    """Whether every first and every value formatted lies within int64."""
+    values = [lit for clause in row_clauses(rows, start, start + count) for lit in clause]
+    firsts = [first for row in rows for first, _ in row]
+    return all(INT64[0] <= value <= INT64[1] for value in values + firsts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, st.integers(0, 8), st.integers(0, 8), st.booleans())
+def test_format_rows_fuzz_agrees_with_expansion(fastcheck, rows, start, count, delete):
+    native = fastcheck.format_rows(rows, start, count, delete)
+    expanded = formats._format_python(list(row_clauses(rows, start, start + count)), delete)
+    assert (native is not None) == (not rows or _fits(rows, start, count))
+    if native is not None:
+        assert native == expanded
+    block = HoleRows([(start + count, rows)])
+    assert _same_text(fastcheck, block, delete) == formats._format_python(list(block), delete)
+
+
+#: Rows over four holes that the native row formatter declines: their
+#: expansion is formatted, or raises, on both paths alike.
+FALLBACK_ROWS = {
+    "bool-first": (((True, 1), (2, 0)),),
+    "bool-step": (((1, True),),),
+    "int-enum": (((_Lit.ONE, 1),),),
+    "int-subclass": (((_Int(7), 0),),),
+    "tuple-subclass-row": (_Clause(((1, 1),)),),
+    "list-row": ([(1, 1), (2, -1)],),
+    "list-literal": (([1, 1],),),
+    "list-of-rows": [((1, 1),)],
+    "step-2": (((1, 2),),),
+    "short-literal": (((1,),),),
+    "str": ((("2", 0),),),
+    "float": (((1.5, 0),),),
+    "beyond-int64": (((2**63, 0),),),
+    # The first three holes fit in int64; the fourth leaves it.
+    "last-hole-above-int64": (((2**63 - 3, 1),),),
+    "last-hole-below-int64": (((-(2**63) + 2, -1),),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_ROWS))
+@pytest.mark.parametrize("delete", [False, True])
+def test_format_fallback_rows_match_expansion(fastcheck, case, delete):
+    rows = FALLBACK_ROWS[case]
+    assert fastcheck.format_rows(rows, 0, 4, delete) is None
+    _same_text(fastcheck, HoleRows([(4, rows)]), delete)
+
+
+def test_format_rows_rejects_bad_hole_ranges(fastcheck):
+    rows = (((1, 1),),)
+    for start, count in ((0, -1), (-1, 2), (-(2**62), 0)):
+        with pytest.raises(ValueError, match="negative hole count"):
+            fastcheck.format_rows(rows, start, count, False)
+    with pytest.raises(ValueError, match="negative hole count"):
+        HoleRows([(2, rows), (-1, rows)])
+    # A range of holes past the index space, or of more text, raises at once.
+    for start, count in ((0, 2**62), (2**62, 2**62)):
+        with pytest.raises(MemoryError):
+            fastcheck.format_rows(rows, start, count, False)
+    with pytest.raises(OverflowError):
+        fastcheck.format_rows(rows, 0, 2**64, False)
+    assert fastcheck.format_rows((), 2**62, 2**62, False) == ""
+    assert fastcheck.format_rows(rows, 5, 0, True) == ""
+    assert fastcheck.format_rows(rows, 1, 2, 1) is None  # delete is not a bool
+    assert fastcheck.format_rows(rows, 1, 2, True) == "d 2 0\nd 3 0\n"
+
+
+@pytest.mark.parametrize("width", [37, formats._CHUNK + 3])
+def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, width):
+    """A block of more than 3 * _CHUNK lines is written in strings of at
+    most _CHUNK lines, or one hole each when a hole has more lines."""
+    rows = tuple(((-(10 * r + 1), -1), (5 * r + 2, 1), (7, 0)) for r in range(width))
+    holes = 3 * formats._CHUNK // width + 2
+    block = HoleRows([(holes, rows), (2, rows[:1])])
+    assert len(block) > 3 * formats._CHUNK
+    expected = formats._format_python(list(block), True)
+    for native in (fastcheck, None):
+        out = _writes(block, True, native)
+        assert "".join(out) == expected
+        assert len(out) > 3
+        assert max(text.count("\n") for text in out) == max(width, formats._CHUNK // width * width)
+
+
 @pytest.mark.parametrize("deletions", [False, True])
 @pytest.mark.parametrize("style", ["ours", "cook"])
 def test_native_block_emission_matches_digests_and_golden_files(native_format, style, deletions):
@@ -752,11 +869,14 @@ def test_native_block_emission_matches_digests_and_golden_files(native_format, s
 
 @pytest.mark.parametrize("encode", [php_standard, php_amo], ids=["standard", "amo"])
 def test_native_dimacs_emission_matches_digests_and_golden_files(native_format, encode):
+    rows_of = getattr(encodings, f"iter_{encode.__name__}_clauses")
     texts = []
     for n in range(1, 7):
         formula = encode(n)
-        out = io.StringIO()
+        out, rows_out = io.StringIO(), io.StringIO()
         formats.write_dimacs(out, formula.num_vars, formula.clauses, len(formula.clauses))
+        formats.write_dimacs(rows_out, formula.num_vars, rows_of(n), len(formula.clauses))
+        assert rows_out.getvalue() == out.getvalue(), n
         texts.append(out.getvalue())
         golden = GOLDEN / f"php-{encode.__name__[4:]}-{n}.cnf"
         if golden.exists():

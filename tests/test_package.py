@@ -64,7 +64,7 @@ INTERNALS = {
         "iteration_plan",
         "y_definition_clauses",
     ),
-    "propagation": ("ClauseDatabase", "propagate"),
+    "propagation": ("ClauseDatabase",),
 }
 
 

@@ -37,7 +37,7 @@ def test_top_pigeon_has_no_negative_pivot_definitions():
 
 
 def test_y_definitions_absent_for_single_group():
-    assert y_definition_clauses(iteration_plan(4, 3)) == []
+    assert list(y_definition_clauses(iteration_plan(4, 3))) == []
 
 
 def test_y_definitions_k4():

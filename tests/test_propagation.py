@@ -5,8 +5,11 @@ import pytest
 
 import naive_checker
 from pigeonproof import CnfFormula
-from pigeonproof.propagation import ClauseDatabase, propagate
+from pigeonproof.propagation import ClauseDatabase
 from pigeonproof.checker import new_database
+
+#: Every literal over the variables the generated formulas use.
+LITERALS = [sign * var for var in range(1, 7) for sign in (1, -1)]
 
 
 def db_from(clauses):
@@ -19,38 +22,35 @@ def db_from(clauses):
 def test_unit_conflict_from_empty_assignment():
     # (not-x or y), (not-y), (x): the units erase the first clause entirely.
     db = db_from([(-1, 2), (-2,), (1,)])
-    result = propagate(db)
-    assert result.is_conflict
+    assert db.rup(())
+    assert db.snapshot() == ()
 
 
 def test_no_units_is_a_fixpoint_without_assignments():
     db = db_from([(1, 2), (-1, -2)])
-    result = propagate(db)
-    assert not result.is_conflict
-    assert result.assigned == 0
+    assert not db.rup(())
+    assert not db.rup((1,))
+    assert db.snapshot() == ()
 
 
 def test_assumption_drives_conflict():
     # (a or not-b), (not-a or b), (b or not-c), (c); assuming not-b conflicts.
     db = db_from([(1, -2), (-1, 2), (2, -3), (3,)])
-    assert db.assume(-2)
-    result = propagate(db)
-    assert result.is_conflict
-    # the reported clause really is falsified under the current assignment
-    assert all(db.assignment.value(lit) < 0 for lit in result.conflict)
+    assert db.rup((2,))
+    assert db.snapshot() == ()
 
 
 def test_same_formula_without_assumption_is_satisfiable_fixpoint():
+    # The unit c propagates b and then a, with no conflict.
     db = db_from([(1, -2), (-1, 2), (2, -3), (3,)])
-    result = propagate(db)
-    assert not result.is_conflict
-    assert db.assignment.value(3) > 0
+    assert not db.rup(())
+    assert [db.rup((lit,)) for lit in (1, 2, 3, -1, -2, -3)] == [True] * 3 + [False] * 3
 
 
 def test_assume_already_false_literal_reports_failure():
     db = db_from([(1,)])
-    propagate(db)
-    assert not db.assume(-1)
+    assert db.rup((1,))  # its complement contradicts the unit
+    assert not db.rup((-1,))
 
 
 def test_trail_restore_is_exact(backend):
@@ -82,39 +82,33 @@ _assumptions = st.lists(
 )
 
 
+def _fixpoint(db, assumptions):
+    """Whether assuming ``assumptions`` conflicts, and then for every literal
+    whether the fixpoint under them and its complement conflicts: the
+    literals the fixpoint sets, seen through ``rup``."""
+    negated = tuple(-lit for lit in assumptions)
+    return db.rup(negated), [db.rup(negated + (lit,)) for lit in LITERALS]
+
+
 @settings(max_examples=120, deadline=None)
 @given(_clauses, _assumptions)
 def test_fixpoint_matches_rescan_reference(clauses, assumptions):
     db = db_from(clauses)
-    rejected = False
-    for lit in assumptions:
-        if not db.assume(lit):
-            rejected = True
-    result = propagate(db)
-    naive_conflict, naive_values = naive_checker.propagate(
-        list(clauses) + [(lit,) for lit in assumptions]
+    negated = tuple(-lit for lit in assumptions)
+    expected = (
+        naive_checker.rup(clauses, negated),
+        [naive_checker.rup(clauses, negated + (lit,)) for lit in LITERALS],
     )
-    if rejected:
-        # contradictory assumption set; the reference sees the same conflict
-        assert naive_conflict
-        return
-    assert result.is_conflict == naive_conflict
-    if not naive_conflict:
-        ours = {
-            var * value
-            for var, value in db.assignment.snapshot()
-        }
-        theirs = {var * value for var, value in naive_values.items()}
-        assert ours == theirs
+    assert _fixpoint(db, assumptions) == expected
+    assert db.snapshot() == ()
 
 
 @settings(max_examples=60, deadline=None)
-@given(_clauses)
-def test_propagation_is_deterministic(clauses):
+@given(_clauses, _assumptions)
+def test_propagation_is_deterministic(clauses, assumptions):
     first = db_from(clauses)
     second = db_from(clauses)
-    r1, r2 = propagate(first), propagate(second)
-    assert r1 == r2
+    assert _fixpoint(first, assumptions) == _fixpoint(second, assumptions)
     assert first.snapshot() == second.snapshot()
 
 
