@@ -18,13 +18,14 @@
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
 
-   Two module functions format emitted text, written straight into one str
-   as DIMACS or DRAT lines.  format_clauses formats one chunk of clause
-   tuples.  format_rows formats a range of holes of a model.HoleRows part
-   from its (first, step) literals, so no clause tuple is ever built.  Each
-   takes only exact tuples of exact ints within int64 and returns None for
-   anything else, which formats._format_python then formats, so the bytes and
-   the errors are those of the pure-Python path. */
+   One module function, format_rows, formats all emitted text, written
+   straight into one str as DIMACS or DRAT lines: a range of holes of a
+   model.HoleRows part, from its row literals, so no clause tuple is ever
+   built.  A plain clause is a row of constants, so a chunk of clauses is a
+   part of one hole.  It takes only exact tuples, exact ints and values
+   within int64, and returns None for anything else, which
+   formats._format_python then formats, so the bytes and the errors are
+   those of the pure-Python path. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1047,103 +1048,46 @@ static PyObject *new_text(Py_ssize_t length, char **out)
     return text;
 }
 
-static PyObject *format_clauses(PyObject *module, PyObject *args)
-{
-    PyObject *chunk, *flag, *result = NULL;
-    int delete;
-    Py_ssize_t nclauses, nlits = 0, length = 0, i, j, k;
-    int64_t *vals;
-    char *out;
-    if (!PyArg_ParseTuple(args, "O!O:format_clauses", &PyList_Type, &chunk, &flag))
-        return NULL;
-    if (!PyBool_Check(flag))
-        Py_RETURN_NONE;
-    delete = flag == Py_True;
-    /* Pass 1: only exact tuples; count their literals. */
-    nclauses = PyList_GET_SIZE(chunk);
-    for (i = 0; i < nclauses; i++) {
-        PyObject *clause = PyList_GET_ITEM(chunk, i);
-        if (!PyTuple_CheckExact(clause))
-            Py_RETURN_NONE;
-        nlits += PyTuple_GET_SIZE(clause);
-    }
-    if ((vals = resized(NULL, nlits ? nlits : 1, sizeof *vals)) == NULL)
-        return NULL;
-    /* Pass 2: only exact ints within int64; the length of the text. */
-    length = nclauses * (delete ? 4 : 2); /* "d " and "0\n" each */
-    for (i = k = 0; i < nclauses; i++) {
-        PyObject *clause = PyList_GET_ITEM(chunk, i);
-        for (j = 0; j < PyTuple_GET_SIZE(clause); j++, k++) {
-            PyObject *lit = PyTuple_GET_ITEM(clause, j);
-            int overflow;
-            long long v;
-            if (!PyLong_CheckExact(lit))
-                goto fallback;
-            v = PyLong_AsLongLongAndOverflow(lit, &overflow);
-            if (v == -1 && PyErr_Occurred())
-                goto done;
-            if (overflow)
-                goto fallback;
-            vals[k] = (int64_t)v;
-            length += literal_width(vals[k]);
-        }
-    }
-    /* Pass 3: write the text into the str itself. */
-    if ((result = new_text(length, &out)) == NULL)
-        goto done;
-    for (i = k = 0; i < nclauses; i++) {
-        Py_ssize_t size = PyTuple_GET_SIZE(PyList_GET_ITEM(chunk, i));
-        if (delete) {
-            *out++ = 'd';
-            *out++ = ' ';
-        }
-        for (j = 0; j < size; j++, k++)
-            out = write_literal(out, vals[k]);
-        *out++ = '0';
-        *out++ = '\n';
-    }
-    goto done;
-fallback:
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(vals);
-    return result;
-}
-
 /* A row literal of format_rows: its value at the first hole formatted, and
    its step. */
 typedef struct {
     int64_t first, step;
 } RowLit;
 
-/* Read the row literal (first, step) of format_rows into *lit, for the
-   count holes from start, where its value is first + step * hole: 1 if it
-   is an exact tuple of two exact ints with step -1, 0 or 1 and first and
-   each of those values lie within int64, 0 if not, -1 with an exception
-   set. */
+/* Read the exact int v into *out: 1 if it lies within int64, 0 if it does
+   not or is not an exact int, -1 with an exception set. */
+static int read_int64(PyObject *v, long long *out)
+{
+    int overflow;
+    if (!PyLong_CheckExact(v))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    return !overflow;
+}
+
+/* Read the row literal spec of format_rows into *lit, for the count holes
+   from start, where its value is first + step * hole: 1 if it is an exact
+   int within int64 (a constant: step 0) or an exact tuple (first, step) of
+   two exact ints with step -1 or 1 and first and each of those values
+   within int64, 0 if not, -1 with an exception set. */
 static int read_row_literal(PyObject *spec, Py_ssize_t start, Py_ssize_t count,
                             RowLit *lit)
 {
     Py_ssize_t last = start + count - 1;
-    PyObject *first, *step;
-    long long f, s;
-    int overflow;
-    if (!PyTuple_CheckExact(spec) || PyTuple_GET_SIZE(spec) != 2)
-        return 0;
-    first = PyTuple_GET_ITEM(spec, 0);
-    step = PyTuple_GET_ITEM(spec, 1);
-    if (!PyLong_CheckExact(first) || !PyLong_CheckExact(step))
-        return 0;
-    f = PyLong_AsLongLongAndOverflow(first, &overflow);
-    if (f == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow)
-        return 0;
-    s = PyLong_AsLongLongAndOverflow(step, &overflow);
-    if (s == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || s < -1 || s > 1)
-        return 0;
+    long long f, s = 0;
+    int ok;
+    if (PyTuple_CheckExact(spec) && PyTuple_GET_SIZE(spec) == 2) {
+        if ((ok = read_int64(PyTuple_GET_ITEM(spec, 0), &f)) < 1)
+            return ok;
+        if ((ok = read_int64(PyTuple_GET_ITEM(spec, 1), &s)) < 1)
+            return ok;
+        if (s != -1 && s != 1)
+            return 0;
+    } else if ((ok = read_int64(spec, &f)) < 1) {
+        return ok;
+    }
     if (count == 0)
         return 1; /* no value is formatted */
     /* The values run monotonically from hole start to hole last, so both
@@ -1229,23 +1173,19 @@ done:
 }
 
 static PyMethodDef module_methods[] = {
-    {"format_clauses", format_clauses, METH_VARARGS,
-     "format_clauses(chunk, delete) -> str | None\n\n"
-     "The DRAT or DIMACS text lines of the clauses in the list chunk, each\n"
-     "prefixed with \"d \" if delete is True: the text formats._format_python\n"
-     "gives.  None, with nothing formatted, unless delete is a bool, every\n"
-     "clause an exact tuple and every literal an exact int within int64."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(rows, start, count, delete) -> str | None\n\n"
      "The text lines of the clause rows of a model.HoleRows part at holes\n"
      "start + 1 to start + count, hole by hole and in row order within a hole:\n"
      "the text formats._format_python gives for model.row_clauses(rows, start,\n"
-     "start + count).  Each row is a tuple of (first, step) literals, whose\n"
-     "value at hole h is first + step * (h - 1).  ValueError if start or count\n"
-     "is negative, MemoryError if the holes or the text could not be indexed.\n"
-     "None, with nothing formatted, unless delete is a bool, rows and every row\n"
-     "an exact tuple, every literal an exact tuple of two exact ints with step\n"
-     "-1, 0 or 1, and first and every value formatted within int64."},
+     "start + count).  Each row is a tuple of literals: an int, the same at\n"
+     "every hole, or (first, step), whose value at hole h is\n"
+     "first + step * (h - 1).  A tuple of clauses is a part of one hole.\n"
+     "ValueError if start or count is negative, MemoryError if the holes or the\n"
+     "text could not be indexed.  None, with nothing formatted, unless delete\n"
+     "is a bool, rows and every row an exact tuple, every literal an exact int\n"
+     "or an exact tuple of two exact ints with step -1 or 1, and every int and\n"
+     "every value formatted within int64."},
     {NULL, NULL, 0, NULL},
 };
 

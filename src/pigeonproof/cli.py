@@ -86,7 +86,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from . import checker, formats
 
     try:
-        with open(args.cnf, "r", encoding="utf-8") as handle:
+        with open(args.cnf, encoding="utf-8", errors="surrogateescape") as handle:
             formula = formats.parse_dimacs(handle)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read CNF {args.cnf}: {exc}")

@@ -204,7 +204,7 @@ def php_standard_clause_count(n: int) -> int:
 def _alo_rows(layout: LayerLayout) -> tuple[Row, ...]:
     """The at-least-one clause of every pigeon, each a row of constants."""
     return tuple(
-        tuple((layout.x_var(p, h), 0) for h in range(1, layout.layer + 1))
+        tuple(range(layout.x_var(p, 1), layout.x_var(p, layout.layer) + 1))
         for p in range(layout.layer + 1)
     )
 

@@ -4,14 +4,14 @@ Emission is canonical and byte-stable: one clause per line, space-separated
 literals, a ``0`` terminator, LF line endings.  Deletion lines in DRAT carry
 a ``d `` prefix.  Binary DRAT is not supported.
 
-Every writer formats clauses in chunks of about ``_CHUNK`` lines.  When the
-compiled core is built, one ``_fastcheck.format_clauses`` call formats a
-chunk of plain int tuples, and a :class:`~pigeonproof.model.HoleRows` block
-is formatted a range of holes at a time by ``_fastcheck.format_rows``,
-straight from its rows, with no clause tuple built.  Either call declines
-input it does not take; the ``%``-template join of :func:`_format_python`
-then formats the clauses instead (a block's clauses expanded to tuples).
-Both give the same bytes.
+Every writer formats clauses in chunks of about ``_CHUNK`` lines.  A
+:class:`~pigeonproof.model.HoleRows` block is formatted a range of holes at
+a time, straight from its rows, and any other clause iterable in parts of
+one hole and ``_CHUNK`` rows, since a clause is a row of constants.  When
+the compiled core is built, one ``_fastcheck.format_rows`` call formats such
+a range with no clause tuple built.  It declines input it does not take;
+the ``%``-template join of :func:`_format_python` then formats the
+expansion of the rows instead.  Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .model import (
     HoleRows,
     Proof,
     ProofLine,
+    Row,
     row_clauses,
     validate_clause,
 )
@@ -53,13 +54,9 @@ class _Templates(dict):
 _TEMPLATES = (_Templates(""), _Templates("d "))
 _CHUNK = 4096  # clauses formatted into one string per write
 
-try:  # the compiled core formats clause tuples, or rows over holes, in one call
-    from ._fastcheck import format_clauses as _format_native
+try:  # the compiled core formats rows over a range of holes in one call
     from ._fastcheck import format_rows as _format_rows
 except ImportError:  # pragma: no cover - depends on the build environment
-
-    def _format_native(chunk: list[Clause], delete: bool) -> None:
-        return None
 
     def _format_rows(rows: object, start: int, count: int, delete: bool) -> None:
         return None
@@ -69,13 +66,18 @@ def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
     """Lines of ``data``, broken only at ``\\n``, ``\\r\\n`` and ``\\r`` as a
     file reader breaks them; an iterable of lines is passed through."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8", "surrogateescape")
     return io.StringIO(data, newline=None) if isinstance(data, str) else data
 
 
 # A token is ASCII ``-?[0-9]+``: int() alone would also take "+5", "1_0" and "٣".
 _is_token = re.compile(r"-?[0-9]+").fullmatch
 _SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"  # ASCII whitespace, as str.split() sees it
+
+
+def _split(line: str) -> list[str]:
+    """The tokens of a stripped ``line``, split at ASCII whitespace only."""
+    return line.split() if line.isascii() else re.split(f"[{_SPACE}]+", line)
 
 
 def _bad_token(text: str, tokens: list[str]) -> str | None:
@@ -91,21 +93,23 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
     """Parse DIMACS CNF text, or its lines (an open file), into a formula.
 
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``.
-    A mismatch between the declared and actual clause count is a warning,
-    everything else malformed is an error.
+    Tokens are split at ASCII whitespace, as in :func:`parse_drat_line`, so
+    a character beyond ASCII outside a comment is a bad token.  Bytes are
+    decoded with ``surrogateescape``.  A mismatch between the declared and
+    actual clause count is a warning, everything else malformed is an error.
     """
     num_vars: int | None = None
     declared = 0
     clauses: list[Clause] = []
     current: list[int] = []
     for lineno, raw in enumerate(_text_lines(data), start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
-            fields = line.split()
+            fields = _split(line)
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {line!r}")
             try:
@@ -119,7 +123,7 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause data before header")
-        tokens = line.split()
+        tokens = _split(line)
         bad = _bad_token(line, tokens)
         if bad is not None:
             raise ValueError(f"line {lineno}: bad token {bad!r}")
@@ -154,26 +158,26 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _format_python(chunk: list[Clause], delete: bool) -> str:
+def _format_python(chunk: Iterable[Clause], delete: bool) -> str:
     templates = _TEMPLATES[delete]
     return "".join([templates[len(c)] % c for c in chunk])
 
 
 def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
     if isinstance(clauses, HoleRows):
-        for holes, rows in clauses.parts:
-            # Whole holes of at most _CHUNK lines, or one hole if it has more.
-            width = max(1, _CHUNK // max(1, len(rows)))
-            for start in range(0, holes, width):
-                stop = min(start + width, holes)
-                out.write(
-                    _format_rows(rows, start, stop - start, delete)
-                    or _format_python(list(row_clauses(rows, start, stop)), delete)
-                )
-        return
-    clauses = iter(clauses)
-    while chunk := list(islice(clauses, _CHUNK)):
-        out.write(_format_native(chunk, delete) or _format_python(chunk, delete))
+        parts: Iterable[tuple[int, tuple[Row, ...]]] = clauses.parts
+    else:  # plain clauses: parts of one hole and at most _CHUNK rows
+        clauses = iter(clauses)
+        parts = ((1, chunk) for chunk in iter(lambda: tuple(islice(clauses, _CHUNK)), ()))
+    for holes, rows in parts:
+        # Whole holes of at most _CHUNK lines, or one hole if it has more.
+        width = max(1, _CHUNK // max(1, len(rows)))
+        for start in range(0, holes, width):
+            stop = min(start + width, holes)
+            text = _format_rows(rows, start, stop - start, delete)
+            if text is None:
+                text = _format_python(row_clauses(rows, start, stop), delete)
+            out.write(text)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
@@ -240,8 +244,6 @@ def iter_drat_lines(source: IO[str] | Iterable[str]) -> Iterator[ProofLine]:
 def parse_drat(data: str | bytes) -> Proof:
     """Parse text DRAT into a proof; literal order (pivot position) is kept.
     Bytes are decoded as ``verify`` reads a file, with ``surrogateescape``."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", "surrogateescape")
     return Proof(tuple(iter_drat_lines(_text_lines(data))))
 
 

@@ -67,9 +67,10 @@ class ProofLine(NamedTuple):
     lits: Clause
 
 
-#: A literal of a clause row: ``(first, step)`` with step -1, 0 or +1.
-RowLiteral = tuple[int, int]
-#: A clause row of a :class:`HoleRows` block.
+#: A literal of a clause row: an int, the same at every hole, or
+#: ``(first, step)`` with step -1 or +1.
+RowLiteral = int | tuple[int, int]
+#: A clause row of a :class:`HoleRows` block; a clause is a row of ints.
 Row = tuple[RowLiteral, ...]
 
 
@@ -77,11 +78,12 @@ class HoleRows:
     """Clauses written as rows of literals swept over the holes of a layer.
 
     ``parts`` is a sequence of ``(holes, rows)``.  A row is a tuple of
-    ``(first, step)`` literals: at hole h (from 1) the literal is
-    ``first + step * (h - 1)``, so step 0 holds a constant.  A part's
-    clauses are its rows taken hole by hole, in row order within each hole,
-    and the parts follow one another.  Iterating yields the clauses as int
-    tuples; ``formats`` writes their text from the rows, tuple-free.
+    literals: an int is the same at every hole, and ``(first, step)`` is
+    ``first + step * (h - 1)`` at hole h (from 1).  A part's clauses are its
+    rows taken hole by hole, in row order within each hole, and the parts
+    follow one another; so a list of clauses is a part of one hole.
+    Iterating yields the clauses as int tuples; ``formats`` writes their
+    text from the rows, tuple-free.
     """
 
     __slots__ = ("parts",)
@@ -100,25 +102,29 @@ class HoleRows:
         )
 
 
+def _column(lit: RowLiteral, start: int, stop: int) -> Iterable[int]:
+    """The values of the row literal ``lit`` at holes ``start + 1`` to ``stop``."""
+    if type(lit) is not tuple:
+        return repeat(lit, stop - start)
+    first, step = lit
+    return range(first + step * start, first + step * stop, step)
+
+
 def row_clauses(rows: Sequence[Row], start: int, stop: int) -> Iterator[Clause]:
     """The clauses of ``rows`` at holes ``start + 1`` to ``stop``, hole by hole."""
     count = stop - start
+    if count == 1 and tuple not in set(map(type, chain.from_iterable(rows))):
+        # At one hole, rows of constants (plain clauses) are their own clauses.
+        return iter(rows)
     columns = [
-        zip(*[
-            range(first + step * start, first + step * stop, step)
-            if step
-            else repeat(first, count)
-            for first, step in row
-        ])
-        if row
-        else repeat((), count)
+        zip(*[_column(lit, start, stop) for lit in row]) if row else repeat((), count)
         for row in rows
     ]
     return chain.from_iterable(zip(*columns))
 
 
 #: A proof block ``(tag, k, clauses)``: clauses of one kind from iteration k.
-Block = tuple[str, int, Iterable[Clause]]
+Block = tuple[str, int, HoleRows]
 #: Tag of a block whose clauses are all deletions.
 DELETE = "delete"
 

@@ -43,7 +43,7 @@ def cook_pair_clauses(plan: IterationPlan) -> HoleRows:
     rows = []
     for p, q in combinations(range(k + 1), 2):
         pair = (negated[p], negated[q])
-        rows += [(*pair, (-prev.x_var(p, k + 1), 0)), pair]
+        rows += [(*pair, -prev.x_var(p, k + 1)), pair]
     return HoleRows([(k, tuple(rows))])
 
 

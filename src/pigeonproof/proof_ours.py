@@ -17,12 +17,12 @@ After iteration 1 the two unit clauses contradict the single pairwise
 constraint, so the empty clause closes the proof.  Every clause is written
 pivot first; at-least-one clauses and the empty clause need no pivot.
 
-Every literal the builders write, but those of the at-least-one clauses, is
-±(base + h) in the hole h or a constant.  So the builders return
-:class:`~pigeonproof.model.HoleRows` blocks: clause rows of ``(first, step)``
-literals swept hole by hole.  ``formats`` writes their text from the rows
-in C, and iterating a block yields the same clause tuples to every other
-consumer.
+Every literal the builders write is ±(base + h) in the hole h or a
+constant.  So every block is a :class:`~pigeonproof.model.HoleRows`: clause
+rows of ``(first, step)`` and int literals swept hole by hole; the
+at-least-one clauses and the empty clause are rows of constants over one
+hole.  ``formats`` writes their text from the rows in C, and iterating a
+block yields the same clause tuples to every other consumer.
 
 Both proof families share this module's driver, :func:`iter_blocks`: a
 family is a table ``(chained, ((tag, builder), ...))`` naming the layout
@@ -33,11 +33,12 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .encodings import (
     GroupLayout,
     LayerLayout,
+    _alo_rows,
     _check_n,
     _layouts_down_to,
     aux_definition_rows,
@@ -45,7 +46,7 @@ from .encodings import (
     iter_php_standard_clauses,
     member_literal,
 )
-from .model import DELETE, Block, Clause, HoleRows, Proof, ProofLine, Row
+from .model import DELETE, Block, HoleRows, Proof, ProofLine, Row
 
 # Tags used by iter_tagged_lines (DELETE, from the model, marks deletions).
 DEFINITION = "definition"
@@ -109,10 +110,10 @@ def definition_clauses(plan: IterationPlan) -> HoleRows:
     for p in range(k + 1):
         xk, xp = nxt.x_var(p, 1), prev.x_var(p, 1)
         x_moved = prev.x_var(p, k + 1)  # the same in every hole
-        rows: tuple[Row, ...] = (((xk, 1), (-xp, -1)), ((xk, 1), (-x_moved, 0), not_top))
+        rows: tuple[Row, ...] = (((xk, 1), (-xp, -1)), ((xk, 1), -x_moved, not_top))
         if p < k or keep_top:
             not_xk = (-xk, -1)
-            rows = ((not_xk, (xp, 1), (x_moved, 0)), (not_xk, (xp, 1), x_top)) + rows
+            rows = ((not_xk, (xp, 1), x_moved), (not_xk, (xp, 1), x_top)) + rows
         parts.append((k, rows))
     return HoleRows(parts)
 
@@ -149,16 +150,13 @@ def derived_group_clauses(plan: IterationPlan) -> HoleRows:
     return HoleRows([(plan.k, tuple(rows))])
 
 
-def alo_clauses(plan: IterationPlan) -> list[Clause]:
-    """At-least-one clause per remaining pigeon; RUP once the rest is in."""
-    k = plan.k
-    nxt = plan.next
-    return [
-        tuple(range(nxt.x_var(p, 1), nxt.x_var(p, k) + 1)) for p in range(k + 1)
-    ]
+def alo_clauses(plan: IterationPlan) -> HoleRows:
+    """At-least-one clause per remaining pigeon; RUP once the rest is in.
+    Each is a row of constants over one hole, as in the input formula."""
+    return HoleRows([(1, _alo_rows(plan.next))])
 
 
-Builder = Callable[[IterationPlan], Iterable[Clause]]
+Builder = Callable[[IterationPlan], HoleRows]
 Family = tuple[bool, tuple[tuple[str, Builder], ...]]
 
 OURS: Family = (
@@ -197,7 +195,7 @@ def iter_blocks(
             else:
                 for _, build in builders:
                     yield DELETE, k, build(plans[k + 1])
-    yield EMPTY, 0, [()]
+    yield EMPTY, 0, HoleRows([(1, ((),))])
 
 
 # tuple.__new__ builds each ProofLine in C, skipping the NamedTuple's Python __new__.

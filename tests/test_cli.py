@@ -150,6 +150,21 @@ def test_check_reads_a_piped_proof_from_dash(tmp_path):
     assert result.stderr == "error: cannot read proof -: line 1: bad token in '1 x 0\\n'\n"
 
 
+def test_check_reads_the_cnf_with_the_proof_grammar(tmp_path, capsys):
+    # A comment that is not UTF-8 is read, as in the proof; a character
+    # beyond ASCII outside a comment is a bad token on its line.
+    cnf, drat = tmp_path / "php3.cnf", tmp_path / "php3.drat"
+    assert main(["gen-cnf", "3", "--out", str(cnf)]) == 0
+    assert main(["gen-proof", "3", "--out", str(drat)]) == 0
+    text = cnf.read_bytes()
+    cnf.write_bytes(b"c \xff\n" + text)
+    assert run_cli("check", str(cnf), str(drat), capsys=capsys) == (0, "ACCEPTED\n", "")
+    cnf.write_bytes(text.replace(b"-1 -4 0", b"-1\xc2\xa0-4 0"))
+    code, out, err = run_cli("check", str(cnf), str(drat), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read CNF {cnf}: line 6: bad token '-1\\xa0-4'\n"
+
+
 @pytest.mark.parametrize("command", [["gen-cnf", "2"], ["gen-proof", "2"]])
 def test_unwritable_out_path_exits_2_without_traceback(command, tmp_path):
     out = tmp_path / "no-such-dir" / "out.txt"

@@ -103,10 +103,12 @@ def test_parse_malformed_header():
 
 
 @pytest.mark.parametrize(
-    "token", ["+1", "1_0", "\u0663", "-\uff15", "+0", "0x1", "--1", "1.0"]
+    "token",
+    ["+1", "1_0", "\u0663", "-\uff15", "+0", "0x1", "--1", "1.0", "1\xa02", "-3\u20032"],
 )
 def test_parse_dimacs_rejects_tokens_beyond_ascii_digits(token):
-    # int() would take the first five; the proof grammar takes none of them.
+    # int() would take the first five, and str.split() would split the next
+    # two at their Unicode spaces; the proof grammar takes none of them.
     with pytest.raises(ValueError, match=re.escape(f"line 2: bad token {token!r}")):
         parse_dimacs(f"p cnf 12 1\n2 {token} 0\n")
 
@@ -236,8 +238,7 @@ def test_emit_dimacs_is_unchanged(encode):
 
 @pytest.fixture
 def pure_format(monkeypatch):
-    """Make ``formats`` format every chunk and row with the template join."""
-    monkeypatch.setattr(formats, "_format_native", lambda chunk, delete: None)
+    """Make ``formats`` format every row with the template join."""
     monkeypatch.setattr(formats, "_format_rows", lambda rows, start, count, delete: None)
 
 
@@ -339,6 +340,39 @@ def test_parse_drat_of_bytes_reads_as_a_file_does(data, expected, tmp_path):
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         from_file = outcome(lambda: iter_drat_lines(handle))
     assert outcome(lambda: parse_drat(data).lines) == from_file == expected
+
+
+_UNIT = CnfFormula(2, ((1,),))
+
+
+# The DIMACS grammar beyond ASCII is the DRAT grammar: a comment may hold any
+# bytes, and any other byte beyond ASCII, UTF-8 or not, is a bad token.
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"p cnf 2 1\nc caf\xc3\xa9\n1 0\n", _UNIT),
+        (b"p cnf 2 1\n1 0\nc \xff\n", _UNIT),
+        (b"c \xff\np cnf 2 1\n \tc \xed\xa0\x80\r1 0\r\n", _UNIT),
+        (b"p cnf 2 1\n\xc2\xa01 0\n", "line 2: bad token '\\xa01'"),
+        (b"p cnf 2 1\n1\xc2\xa02 0\n", "line 2: bad token '1\\xa02'"),
+        (b"p cnf 2 1\n1 0\n1 \xff 0\n", "line 3: bad token '\\udcff'"),
+        (b"p cnf 2 1\n\xe3\x80\x80c x\n", "line 2: bad token '\\u3000c'"),
+        (b"p cnf\xc2\xa02 1\n1 0\n", "line 1: malformed header 'p cnf\\xa02 1'"),
+    ],
+)
+def test_parse_dimacs_of_bytes_reads_as_a_file_does(data, expected, tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_bytes(data)
+
+    def outcome(source):
+        try:
+            return parse_dimacs(source)
+        except ValueError as exc:
+            return str(exc)
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        from_file = outcome(handle)
+    assert outcome(data) == from_file == expected
 
 
 def test_emit_drat_empty_clause_only():

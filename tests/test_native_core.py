@@ -141,17 +141,43 @@ def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
     assert modules & (CHECK_NEVER_LOADS | {"pigeonproof.propagation"}) == set()
 
 
+#: Run in a child: wrap the core's row formatter to keep what it returns,
+#: forbid the template join, run the CLI, and print the formatter's module
+#: and whether the output file is exactly the texts the core returned.
+_FORMATS_IN_THE_CORE = """\
+from pigeonproof import cli, formats
+core, texts = formats._format_rows, []
+def format_rows(*args):
+    texts.append(core(*args))
+    return texts[-1]
+def format_python(*args):
+    raise AssertionError("_format_python called")
+formats._format_rows, formats._format_python = format_rows, format_python
+assert cli.main({argv!r}) == 0
+with open({out!r}) as handle:
+    if {argv!r}[0] == "gen-cnf":
+        handle.readline()  # the header
+    print(core.__module__, None not in texts and handle.read() == "".join(texts))
+"""
+
+
 def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
-    out = tmp_path / "p.drat"
-    code = (
-        "from pigeonproof import cli, formats\n"
-        f"assert cli.main(['gen-proof', '4', '--out', {str(out)!r}]) == 0\n"
-        "print(formats._format_native.__module__, formats._format_rows.__module__)"
-    )
-    hooks, modules = loaded_by(code, _package_with_core(fastcheck, tmp_path))
-    assert hooks == "pigeonproof._fastcheck pigeonproof._fastcheck"
-    assert modules & GEN_NEVER_LOADS == set()
-    assert out.read_bytes() == (GOLDEN / "proof-ours-4.drat").read_bytes()
+    """Every line ``gen-proof`` and ``gen-cnf`` write, at-least-one clauses,
+    empty clause and deletions included, is text returned by the core."""
+    src = _package_with_core(fastcheck, tmp_path)
+    for argv, golden in (
+        (["gen-proof", "4"], "proof-ours-4.drat"),
+        (["gen-proof", "5", "--deletions"], None),
+        (["gen-cnf", "5"], None),
+        (["gen-cnf", "4", "--encoding", "amo"], "php-amo-4.cnf"),
+    ):
+        out = tmp_path / "out.txt"
+        code = _FORMATS_IN_THE_CORE.format(argv=argv + ["--out", str(out)], out=str(out))
+        hooks, modules = loaded_by(code, src)
+        assert hooks == "pigeonproof._fastcheck True", argv
+        assert modules & GEN_NEVER_LOADS == set()
+        if golden:
+            assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -630,13 +656,12 @@ def test_file_check_counters_equal_per_line_counts(n, native, tmp_path):
         assert file_counts == native_counts == python_counts
 
 
-# -- formatting emitted text: the native chunk call against the template join --
+# -- formatting clause chunks: the native row call against the template join --
 
 
 @pytest.fixture
 def native_format(fastcheck, monkeypatch):
-    """Make ``formats`` format chunks and rows with the freshly compiled core."""
-    monkeypatch.setattr(formats, "_format_native", fastcheck.format_clauses)
+    """Make ``formats`` format rows with the freshly compiled core."""
     monkeypatch.setattr(formats, "_format_rows", fastcheck.format_rows)
 
 
@@ -648,10 +673,9 @@ class _Writes(list):
 
 def _writes(clauses, delete, native):
     """The strings ``formats._write_clauses`` writes for ``clauses`` with the
-    formatters of the module ``native``, or with neither."""
+    row formatter of the module ``native``, or with none."""
     out = _Writes()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_format_native", native.format_clauses if native else _declined)
         patch.setattr(formats, "_format_rows", native.format_rows if native else _declined)
         formats._write_clauses(out, delete, clauses)
     return out
@@ -688,7 +712,8 @@ _LITERALS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_LITERALS, max_size=6).map(tuple), max_size=20), st.booleans())
 def test_format_fuzz_agrees_with_template_join(fastcheck, chunk, delete):
-    native = fastcheck.format_clauses(chunk, delete)
+    # A chunk of clauses is a part of one hole.
+    native = fastcheck.format_rows(tuple(chunk), 0, 1, delete)
     fits = all(INT64[0] <= lit <= INT64[1] for clause in chunk for lit in clause)
     assert (native is not None) == fits
     if fits:
@@ -721,6 +746,8 @@ FALLBACK_CHUNKS = {
     "float": [(1.5, 2)],
     "none": [(None,)],
     "beyond-int64": [(1,), (2**64,)],
+    # A clause is a row; this one holds a pair literal of step 0.
+    "pair-step-0": [(1,), (3, (7, 0))],
 }
 
 
@@ -728,17 +755,21 @@ FALLBACK_CHUNKS = {
 @pytest.mark.parametrize("delete", [False, True])
 def test_format_fallback_chunks_match_template_join(fastcheck, case, delete):
     chunk = FALLBACK_CHUNKS[case]
-    assert fastcheck.format_clauses(chunk, delete) is None
+    assert fastcheck.format_rows(tuple(chunk), 0, 1, delete) is None
     _same_text(fastcheck, chunk, delete)
 
 
 def test_format_declines_a_delete_flag_that_is_not_a_bool(fastcheck):
-    assert fastcheck.format_clauses([(1, 2)], 1) is None
-    assert fastcheck.format_clauses([(1, 2)], False) == "1 2 0\n"
-    assert fastcheck.format_clauses([(1, 2)], True) == "d 1 2 0\n"
-    assert fastcheck.format_clauses([], True) == ""
+    assert fastcheck.format_rows(((1, 2),), 0, 1, 1) is None
+    assert fastcheck.format_rows(((1, 2),), 0, 1, False) == "1 2 0\n"
+    assert fastcheck.format_rows(((1, 2),), 0, 1, True) == "d 1 2 0\n"
+    assert fastcheck.format_rows((), 0, 1, True) == ""
+    assert fastcheck.format_rows([(1, 2)], 0, 1, False) is None  # rows not a tuple
     with pytest.raises(TypeError):
-        fastcheck.format_clauses(((1, 2),), False)
+        fastcheck.format_rows(((1, 2),), False)
+    # A clause holding a pair literal is a row: the pair's value at the hole.
+    assert fastcheck.format_rows(((5, (2, -1)),), 1, 1, False) == "5 1 0\n"
+    assert _same_text(fastcheck, [(5, (2, -1))], False) == "5 2 0\n"
 
 
 def test_format_spans_several_chunks(fastcheck):
@@ -763,15 +794,17 @@ _FIRSTS = st.one_of(
     ),
 )
 _ROWS = st.lists(
-    st.lists(st.tuples(_FIRSTS, st.sampled_from([-1, 0, 1])), max_size=4).map(tuple),
+    st.lists(
+        st.one_of(_FIRSTS, st.tuples(_FIRSTS, st.sampled_from([-1, 1]))), max_size=4
+    ).map(tuple),
     max_size=5,
 ).map(tuple)
 
 
 def _fits(rows, start, count):
-    """Whether every first and every value formatted lies within int64."""
+    """Whether every int, every first and every value formatted lies within int64."""
     values = [lit for clause in row_clauses(rows, start, start + count) for lit in clause]
-    firsts = [first for row in rows for first, _ in row]
+    firsts = [lit[0] if type(lit) is tuple else lit for row in rows for lit in row]
     return all(INT64[0] <= value <= INT64[1] for value in values + firsts)
 
 
@@ -790,19 +823,20 @@ def test_format_rows_fuzz_agrees_with_expansion(fastcheck, rows, start, count, d
 #: Rows over four holes that the native row formatter declines: their
 #: expansion is formatted, or raises, on both paths alike.
 FALLBACK_ROWS = {
-    "bool-first": (((True, 1), (2, 0)),),
+    "bool-first": (((True, 1), 2),),
     "bool-step": (((1, True),),),
     "int-enum": (((_Lit.ONE, 1),),),
-    "int-subclass": (((_Int(7), 0),),),
+    "int-subclass": ((_Int(7),),),
     "tuple-subclass-row": (_Clause(((1, 1),)),),
     "list-row": ([(1, 1), (2, -1)],),
     "list-literal": (([1, 1],),),
     "list-of-rows": [((1, 1),)],
+    "step-0": (((7, 0), (1, 1)),),
     "step-2": (((1, 2),),),
     "short-literal": (((1,),),),
-    "str": ((("2", 0),),),
-    "float": (((1.5, 0),),),
-    "beyond-int64": (((2**63, 0),),),
+    "str": (("2",),),
+    "float": ((1.5,),),
+    "beyond-int64": ((2**63,),),
     # The first three holes fit in int64; the fourth leaves it.
     "last-hole-above-int64": (((2**63 - 3, 1),),),
     "last-hole-below-int64": (((-(2**63) + 2, -1),),),
@@ -840,7 +874,7 @@ def test_format_rows_rejects_bad_hole_ranges(fastcheck):
 def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, width):
     """A block of more than 3 * _CHUNK lines is written in strings of at
     most _CHUNK lines, or one hole each when a hole has more lines."""
-    rows = tuple(((-(10 * r + 1), -1), (5 * r + 2, 1), (7, 0)) for r in range(width))
+    rows = tuple(((-(10 * r + 1), -1), (5 * r + 2, 1), 7) for r in range(width))
     holes = 3 * formats._CHUNK // width + 2
     block = HoleRows([(holes, rows), (2, rows[:1])])
     assert len(block) > 3 * formats._CHUNK

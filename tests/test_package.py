@@ -114,6 +114,13 @@ def test_internals_import_from_their_module_only(module):
         assert not hasattr(pigeonproof, name), name
 
 
+def test_compiled_core_exports_only_what_is_used(fastcheck):
+    # checker builds a FastDatabase and formats writes text with format_rows;
+    # a native entry point that no caller uses fails here.
+    public = {name for name in dir(fastcheck) if not name.startswith("_")}
+    assert public == {"FastDatabase", "format_rows"}
+
+
 def test_removed_wrappers_are_gone():
     from pigeonproof import checker, model
 
