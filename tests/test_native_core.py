@@ -94,9 +94,11 @@ def test_rat_screen_agrees_with_rescan_reference(case, engine):
 
 _LITERAL = st.integers(1, 5).flatmap(lambda var: st.sampled_from([var, -var]))
 _CLAUSE = st.lists(_LITERAL, min_size=1, max_size=4, unique=True)
+_ANY_CLAUSE = st.lists(_LITERAL, max_size=4, unique=True)  # the empty one too
 _STEP = st.one_of(
-    st.tuples(st.just("add"), _CLAUSE),
+    st.tuples(st.just("add"), _ANY_CLAUSE),
     st.tuples(st.just("delete"), st.integers(0, 20)),
+    st.tuples(st.just("rup"), _ANY_CLAUSE),
     st.tuples(st.just("rat"), _CLAUSE),
 )
 
@@ -104,8 +106,9 @@ _STEP = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_CLAUSE, max_size=10), st.lists(_STEP, max_size=12))
 def test_rat_is_rup_or_rat_of_the_reference(fastcheck, formula, steps):
-    """rat on both engines, with deletions interleaved, answers what the
-    rescan oracle's RUP-or-RAT answers, and leaves no assignment behind."""
+    """rup and rat on both engines, with additions (the empty clause
+    included) and deletions interleaved, answer what the rescan oracle
+    answers, count the active clauses, and leave no assignment behind."""
     dbs = (fastcheck.FastDatabase(), ClauseDatabase())
     active = {}
     for step in [("add", clause) for clause in formula] + steps:
@@ -117,13 +120,16 @@ def test_rat_is_rup_or_rat_of_the_reference(fastcheck, formula, steps):
             for db in dbs:
                 db.delete_clause(cid)
             del active[cid]
-        elif step[0] == "rat":
+        elif step[0] != "delete":
             working = list(active.values())
             lits = step[1]
-            expected = naive_checker.rup(working, lits) or naive_checker.rat(working, lits)
+            expected = naive_checker.rup(working, lits)
+            if step[0] == "rat":
+                expected = expected or naive_checker.rat(working, lits)
             for db in dbs:
-                assert db.rat(lits) == expected
+                assert getattr(db, step[0])(lits) == expected
                 assert db.snapshot() == ()
+        assert [len(db) for db in dbs] == [len(active)] * 2
 
 
 def _package_with_core(fastcheck, root: Path) -> Path:

@@ -121,6 +121,17 @@ def test_compiled_core_exports_only_what_is_used(fastcheck):
     assert public == {"FastDatabase", "format_rows"}
 
 
+def test_python_engine_has_the_public_names_of_the_core(fastcheck):
+    # The pure-Python engine is the twin of FastDatabase; only the one-call
+    # file check is native alone.
+    from pigeonproof.propagation import ClauseDatabase
+
+    def public(db):
+        return {name for name in dir(db) if not name.startswith("_")}
+
+    assert public(ClauseDatabase()) == public(fastcheck.FastDatabase()) - {"check_drat"}
+
+
 def test_removed_wrappers_are_gone():
     from pigeonproof import checker, model
 
