@@ -8,7 +8,12 @@
    checks a whole text DRAT file in one call: it reads and parses the file,
    runs rat on every non-empty addition and rup on the empty clause, and
    finds each deleted clause through the occurrence lists, deciding every
-   byte with the grammar of formats.parse_drat_line.  Literals are int32 in one flat
+   byte with the grammar of formats.parse_drat_line.  FastDatabase(fd) reads
+   a DIMACS CNF with the same chunked reader and token rules and the grammar
+   of formats.parse_dimacs, and stores each clause as soon as its 0 is read,
+   so checker.verify builds no clause tuple for a CNF file; at a line
+   parse_dimacs rejects it stops and hands back what checker needs to raise
+   parse_dimacs's error (see read_dimacs).  Literals are int32 in one flat
    buffer; watch and occurrence lists are growable vectors of clause ids
    indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
    trail and the RAT scratch marks are indexed by variable and grow with the
@@ -785,66 +790,100 @@ static inline int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
+/* Tokens are runs of bytes other than ASCII whitespace. */
+enum { LINE_END, NUMBER, NOT_NUMBER };
+
+/* Read the next token of [*s, end): NUMBER if it is -?[0-9]+ (as
+   formats._is_token), with its value in *value, a magnitude beyond
+   MAX_LITERAL kept only as beyond it; NOT_NUMBER if it is not; LINE_END if
+   no token is left. */
+static inline int next_number(const char **s, const char *end, long long *value)
+{
+    const char *p = *s;
+    long long v = 0;
+    int negative;
+    while (p < end && is_space(*p))
+        p++;
+    if (p == end)
+        return LINE_END;
+    negative = *p == '-';
+    p += negative;
+    if (p == end || !is_digit(*p))
+        return NOT_NUMBER;
+    for (; p < end && is_digit(*p); p++)
+        if (v <= MAX_LITERAL)
+            v = 10 * v + (*p - '0');
+    if (p < end && !is_space(*p))
+        return NOT_NUMBER;
+    *s = p;
+    *value = negative ? -v : v;
+    return NUMBER;
+}
+
+/* Does l[0..n) repeat a literal?  Seen on a sorted copy, left in *key: 1
+   or 0, or -1 with MemoryError set.  The copy is sorted, not marked in
+   cmark, as this runs before cover() grows the per-variable arrays, which a
+   malformed line or a deletion matching no clause must not do. */
+static int has_duplicate(const lit_t *l, Py_ssize_t n, lit_t **key,
+                         Py_ssize_t *cap_key)
+{
+    Py_ssize_t i;
+    if (reserve(key, cap_key, n) < 0)
+        return -1;
+    if (n > 0)
+        memcpy(*key, l, (size_t)n * sizeof **key);
+    sort_lits(*key, n);
+    for (i = 1; i < n; i++)
+        if ((*key)[i] == (*key)[i - 1])
+            return 1;
+    return 0;
+}
+
+/* Strip ASCII whitespace from both ends of [*s, *end). */
+static inline void strip(const char **s, const char **end)
+{
+    while (*s < *end && is_space(**s))
+        (*s)++;
+    while (*end > *s && is_space((*end)[-1]))
+        (*end)--;
+}
+
 enum { BLANK, ADD, DELETE, BAD };
 
 /* Parse one DRAT line with formats.parse_drat_line's grammar: BLANK for a
    blank or comment line, ADD or DELETE with the literals in self->buf and
    their sorted copy in *key, or BAD if parse_drat_line would raise.  -1 with
-   MemoryError set.  The copy is sorted, not marked in cmark, as this runs
-   before cover() grows the per-variable arrays, which a malformed line or a
-   deletion matching no clause must not do. */
+   MemoryError set. */
 static int parse_line(FastDatabase *self, const char *s, const char *end,
                       Py_ssize_t *count, lit_t **key, Py_ssize_t *cap_key)
 {
-    Py_ssize_t n = 0, i;
-    int kind = ADD, terminated = 0;
-    while (s < end && is_space(*s))
-        s++;
-    while (end > s && is_space(end[-1]))
-        end--;
+    Py_ssize_t n = 0;
+    int kind = ADD, terminated = 0, token, dup;
+    long long value;
+    strip(&s, &end);
     if (s == end || *s == 'c')
         return BLANK;
     if (*s == 'd' && (s + 1 == end || s[1] == ' ')) {
         kind = DELETE;
         s++;
     }
-    for (;;) {
-        long long value = 0;
-        int negative;
-        while (s < end && is_space(*s))
-            s++;
-        if (s == end)
-            break;
+    while ((token = next_number(&s, end, &value)) == NUMBER) {
         if (terminated) /* a token after the 0 */
-            return BAD;
-        negative = *s == '-';
-        s += negative;
-        if (s == end || !is_digit(*s))
-            return BAD;
-        for (; s < end && is_digit(*s); s++)
-            if (value <= MAX_LITERAL)
-                value = 10 * value + (*s - '0');
-        if (s < end && !is_space(*s))
             return BAD;
         if (value == 0) {
             terminated = 1;
             continue;
         }
-        if (value > MAX_LITERAL)
+        if (value > MAX_LITERAL || value < -MAX_LITERAL)
             return BAD;
         if (reserve(&self->buf, &self->cap_buf, n + 1) < 0)
             return -1;
-        self->buf[n++] = (lit_t)(negative ? -value : value);
+        self->buf[n++] = (lit_t)value;
     }
-    if (!terminated || (kind == DELETE && n == 0))
+    if (token == NOT_NUMBER || !terminated || (kind == DELETE && n == 0))
         return BAD;
-    if (reserve(key, cap_key, n) < 0)
-        return -1;
-    memcpy(*key, self->buf, (size_t)n * sizeof **key);
-    sort_lits(*key, n);
-    for (i = 1; i < n; i++)
-        if ((*key)[i] == (*key)[i - 1]) /* a duplicate literal */
-            return BAD;
+    if ((dup = has_duplicate(self->buf, n, key, cap_key)) != 0)
+        return dup < 0 ? -1 : BAD;
     *count = n;
     return kind;
 }
@@ -941,6 +980,140 @@ done:
     return result;
 }
 
+/* -- reading a DIMACS CNF ------------------------------------------------ */
+
+/* Is [s, end), stripped and starting with 'p', a header parse_dimacs takes:
+   "p cnf <variables> <clauses>", neither count negative?  The counts go to
+   *num_vars and *declared, kept as next_number keeps them. */
+static int parse_header(const char *s, const char *end, long long *num_vars,
+                        long long *declared)
+{
+    long long extra;
+    if (++s < end && !is_space(*s)) /* the first token is "p" */
+        return 0;
+    while (s < end && is_space(*s))
+        s++;
+    if (end - s < 3 || memcmp(s, "cnf", 3) != 0 || (end - s > 3 && !is_space(s[3])))
+        return 0;
+    s += 3;
+    return next_number(&s, end, num_vars) == NUMBER && *num_vars >= 0 &&
+           next_number(&s, end, declared) == NUMBER && *declared >= 0 &&
+           next_number(&s, end, &extra) == LINE_END;
+}
+
+/* Read the DIMACS CNF open as fd into the empty database self, in chunks,
+   with the grammar of formats.parse_dimacs, and store each clause as soon as
+   its 0 is read.  A clause may span lines, and a line may hold several.  The
+   per-variable arrays grow with the literals stored, never with the
+   header's variable count.  0, or -1 with an exception set.
+   At the first line parse_dimacs would raise on, the read stops with
+   ValueError(line, raw, header, clause): the file line, the bytes read from
+   its start on, the stripped header line before it (or None), and the
+   literals of the clause in progress at its start.  A literal beyond
+   MAX_LITERAL also stops it: parse_dimacs raises on that line or a later
+   one, as such a clause cannot be stored.  At the end of the file, a
+   missing header or 0 stops it with the next line number and no bytes.
+   A clause count other than the header's is a UserWarning, as in
+   parse_dimacs. */
+static int read_dimacs(FastDatabase *self, int fd)
+{
+    Reader r = {0};
+    lit_t *key = NULL;
+    Py_ssize_t cap_key = 0, fileline = 0, start = 0, end, carried = 0, n, first, i;
+    long long limit = 0, declared = 0, value;
+    PyObject *header = NULL, *clause = NULL, *raw, *stop;
+    int ended, got, token, dup, result = -1;
+    r.fd = fd;
+    while ((got = next_line(&r, &start, &end, &ended)) > 0) {
+        const char *s = r.buf + start, *e = r.buf + end;
+        fileline++;
+        strip(&s, &e);
+        if (s == e || *s == 'c')
+            continue;
+        if (*s == 'p') {
+            if (header != NULL || !parse_header(s, e, &limit, &declared))
+                goto reject;
+            if ((header = PyBytes_FromStringAndSize(s, e - s)) == NULL)
+                goto done;
+            if (limit > MAX_LITERAL)
+                limit = MAX_LITERAL;
+            continue;
+        }
+        if (header == NULL)
+            goto reject;
+        /* The clause in progress is buf[first..n).  The literals carried
+           into this line stay in buf[0..carried) until it has been read. */
+        first = 0;
+        n = carried;
+        while ((token = next_number(&s, e, &value)) == NUMBER) {
+            if (value == 0) {
+                lit_t *l = self->buf + first;
+                if ((dup = has_duplicate(l, n - first, &key, &cap_key)) != 0) {
+                    if (dup < 0)
+                        goto done;
+                    goto reject;
+                }
+                if (cover(self, l, n - first) < 0 || store(self, l, n - first) < 0)
+                    goto done;
+                first = n;
+            } else if (value > limit || value < -limit) {
+                goto reject;
+            } else {
+                if (reserve(&self->buf, &self->cap_buf, n + 1) < 0)
+                    goto done;
+                self->buf[n++] = (lit_t)value;
+            }
+        }
+        if (token == NOT_NUMBER)
+            goto reject;
+        carried = n - first;
+        memmove(self->buf, self->buf + first, (size_t)carried * sizeof *self->buf);
+    }
+    if (got < 0)
+        goto done;
+    if (header == NULL || carried > 0) {
+        fileline++;
+        start = r.hi;
+        goto reject;
+    }
+    if (declared != self->ncl) { /* the header's count, as int() prints it */
+        const char *digits = PyBytes_AS_STRING(header) + PyBytes_GET_SIZE(header);
+        while (is_digit(digits[-1]))
+            digits--;
+        while (digits[0] == '0' && digits[1] != '\0')
+            digits++;
+        if (PyErr_WarnFormat(PyExc_UserWarning, 1,
+                             "header declares %s clauses but file contains %zd",
+                             digits, self->ncl) < 0)
+            goto done;
+    }
+    result = 0;
+    goto done;
+reject:
+    if ((clause = PyTuple_New(carried)) == NULL)
+        goto done;
+    for (i = 0; i < carried; i++) {
+        PyObject *lit = PyLong_FromLong(self->buf[i]);
+        if (lit == NULL)
+            goto done;
+        PyTuple_SET_ITEM(clause, i, lit);
+    }
+    if ((raw = PyBytes_FromStringAndSize(r.buf + start, r.hi - start)) == NULL)
+        goto done;
+    stop = Py_BuildValue("(nOOO)", fileline, raw, header ? header : Py_None, clause);
+    Py_DECREF(raw);
+    if (stop != NULL) {
+        PyErr_SetObject(PyExc_ValueError, stop);
+        Py_DECREF(stop);
+    }
+done:
+    Py_XDECREF(header);
+    Py_XDECREF(clause);
+    PyMem_Free(key);
+    PyMem_Free(r.buf);
+    return result;
+}
+
 /* -- type and module ----------------------------------------------------- */
 
 static void db_dealloc(FastDatabase *self)
@@ -966,14 +1139,18 @@ static void db_dealloc(FastDatabase *self)
 static PyObject *db_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     FastDatabase *self;
-    if (PyTuple_GET_SIZE(args) || (kwds != NULL && PyDict_GET_SIZE(kwds))) {
-        PyErr_SetString(PyExc_TypeError, "FastDatabase() takes no arguments");
+    int fd;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError, "FastDatabase() takes no keyword arguments");
         return NULL;
     }
+    if (!PyArg_ParseTuple(args, "|i:FastDatabase", &fd))
+        return NULL;
     if ((self = (FastDatabase *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
     self->max_var = -1; /* no arrays yet; grow_vars clears from max_var + 1 */
-    if (grow_vars(self, 64) < 0) {
+    if (grow_vars(self, 64) < 0 ||
+        (PyTuple_GET_SIZE(args) && read_dimacs(self, fd) < 0)) {
         Py_DECREF(self);
         return NULL;
     }
@@ -1233,7 +1410,16 @@ static PyTypeObject FastDatabaseType = {
     .tp_dealloc = (destructor)db_dealloc,
     .tp_as_sequence = &db_as_sequence,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Clause database with watched-literal propagation and RUP/RAT checks.",
+    .tp_doc = "FastDatabase([cnf_fd])\n\n"
+              "Clause database with watched-literal propagation and RUP/RAT checks.\n\n"
+              "Given cnf_fd, it holds the clauses of the DIMACS CNF file open as\n"
+              "that fd, read in chunks with the grammar of formats.parse_dimacs; a\n"
+              "clause count other than the header's is a UserWarning, as there.  At\n"
+              "the first line parse_dimacs would raise on it raises\n"
+              "ValueError(line, raw, header, clause): the file line, the bytes read\n"
+              "from its start on, the header line before it (or None) and the\n"
+              "literals of the clause in progress at its start, from which\n"
+              "checker raises the error of parse_dimacs.",
     .tp_methods = db_methods,
     .tp_new = db_new,
 };

@@ -24,11 +24,17 @@ is imported only when it is used; both produce identical verdicts and raise
 the same exceptions on bad input.  A verification session owns its database,
 so separate proofs may be checked in parallel threads or processes.
 
-:func:`verify` takes a proof as lines or as the path of a text DRAT file.
-On the compiled core a file is checked in one pass, which reads it in
-chunks, parses every byte and finds deleted clauses through its occurrence
-lists; otherwise, and for lines, ``verify`` feeds the database one line at a
-time.  A byte beyond ASCII is comment text or a bad token on both.
+:func:`verify` takes a proof as lines or as the path of a text DRAT file,
+and the formula as a ``CnfFormula`` or as the path of a DIMACS CNF file.
+On the compiled core a CNF file is read in chunks by the core, which stores
+each clause as it is read, so no clause tuple is built; a proof file is
+checked in one pass, which reads it in chunks, parses every byte and finds
+deleted clauses through its occurrence lists.  Otherwise, and for lines,
+``parse_dimacs`` reads the CNF and ``verify`` feeds the database one line at
+a time.  A byte beyond ASCII is comment text or a bad token on both, and
+both raise the same errors.  The text formats and the data model are
+imported only on the paths that use them, so an accepted check on the
+compiled core loads neither.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
-from . import formats
-from .model import CnfFormula, Proof, ProofLine
+if TYPE_CHECKING:
+    from .model import CnfFormula, Proof, ProofLine
 
 try:  # compiled core is optional; the pure engine is always present
     from . import _fastcheck
@@ -93,9 +99,32 @@ def select_backend(backend: str | None = None) -> str:
     return backend
 
 
-def new_database(formula: CnfFormula | None = None, backend: str | None = None):
-    """Fresh clause database, optionally preloaded with a formula."""
-    if select_backend(backend) == "native":
+def new_database(
+    formula: CnfFormula | str | os.PathLike | None = None, backend: str | None = None
+):
+    """Fresh clause database, optionally holding a formula: a
+    :class:`~pigeonproof.model.CnfFormula`, or the path of a DIMACS CNF file.
+
+    A path is read once, from start to end, so a pipe will do.  On the
+    compiled core the core reads it in chunks and stores each clause as it
+    is read, so no clause tuple is built; otherwise
+    :func:`~pigeonproof.formats.parse_dimacs` reads it.  Both raise the same
+    ``ValueError`` on a malformed file and give the same warning for a
+    clause count other than the header's.
+    """
+    native = select_backend(backend) == "native"
+    if isinstance(formula, (str, os.PathLike)):
+        with open(formula, "rb") as handle:
+            if native:
+                try:
+                    return _fastcheck.FastDatabase(handle.fileno())
+                except ValueError as stop:
+                    _raise_dimacs_error(handle, *stop.args)
+            from .formats import parse_dimacs
+
+            text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
+            formula = parse_dimacs(text)
+    if native:
         db = _fastcheck.FastDatabase()
     else:
         from .propagation import ClauseDatabase
@@ -105,6 +134,28 @@ def new_database(formula: CnfFormula | None = None, backend: str | None = None):
         for clause in formula.clauses:
             db.add_clause(clause)
     return db
+
+
+def _raise_dimacs_error(
+    handle: BinaryIO, line: int, raw: bytes, header: bytes | None, clause: tuple
+) -> None:
+    """Raise the ``ValueError`` of ``parse_dimacs`` for a CNF the core stopped
+    reading at file line ``line``.  ``parse_dimacs`` reads the state at that
+    line's start, the ``header`` and the ``clause`` in progress, padded to
+    ``line - 1`` lines, and then the file from that line on: ``raw``, the
+    bytes the core read from it, and the rest of ``handle``."""
+    from itertools import chain, repeat
+
+    from .formats import parse_dimacs
+
+    state = [header.decode()] if header is not None else []
+    if clause:
+        state.append(" ".join(map(str, clause)))
+    rest = (raw + handle.read()).decode("utf-8", "surrogateescape")
+    parse_dimacs(
+        chain(state, repeat("", line - 1 - len(state)), io.StringIO(rest, newline=None))
+    )
+    raise RuntimeError(f"CNF line {line}: the native reader rejects what parse_dimacs takes")
 
 
 def _multiset_key(lits: Sequence[int]) -> tuple[int, ...]:
@@ -119,14 +170,18 @@ def _warn_not_present(lineno: int) -> None:
 
 
 def verify(
-    formula: CnfFormula,
+    formula: CnfFormula | str | os.PathLike,
     proof: Proof | Iterable[ProofLine] | str | os.PathLike,
     strict_deletions: bool = False,
     backend: str | None = None,
 ) -> Verdict:
-    """Check a proof, given as lines or as the path of a text DRAT file.
+    """Check a proof, given as lines or as the path of a text DRAT file,
+    against a formula, given as a ``CnfFormula`` or as the path of a DIMACS
+    CNF file (or as a database :func:`new_database` returned, which the
+    check then changes).
 
-    Deleting a clause that is not present is a warning unless
+    A CNF path is read in full, by :func:`new_database`, before the proof is
+    opened.  Deleting a clause that is not present is a warning unless
     ``strict_deletions`` is set; among identical copies the most recently
     added one is removed.  Lines after an accepted empty clause are neither
     checked nor parsed.  A malformed file line raises the ``ValueError`` of
@@ -135,48 +190,58 @@ def verify(
     from start to end, so a pipe such as ``/dev/stdin`` will do; on the
     compiled core it is checked in one native call.
     """
+    if isinstance(formula, (str, os.PathLike)):
+        formula = new_database(formula, backend)
     if not isinstance(proof, (str, os.PathLike)):
+        from .model import Proof
+
         lines = proof.lines if isinstance(proof, Proof) else proof
         return _verify_lines(formula, iter(lines), strict_deletions, backend)
+    if not hasattr(formula, "rup"):
+        formula = new_database(formula, backend)
     with open(proof, "rb") as handle:
-        if select_backend(backend) == "native":
+        if hasattr(formula, "check_drat"):
             return _check_file(formula, handle, strict_deletions)
+        from .formats import iter_drat_lines
+
         text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
-        return _verify_lines(
-            formula, formats.iter_drat_lines(text), strict_deletions, backend
-        )
+        return _verify_lines(formula, iter_drat_lines(text), strict_deletions, backend)
 
 
-def _check_file(
-    formula: CnfFormula, handle: BinaryIO, strict_deletions: bool
-) -> Verdict:
-    """Check a DRAT file on the compiled core.
+def _check_file(db, handle: BinaryIO, strict_deletions: bool) -> Verdict:
+    """Check a DRAT file on a compiled database.
 
     A malformed line is decoded as the text reader decodes it, so that
     :func:`~pigeonproof.formats.parse_drat_line` raises the same error.
     """
-    db = new_database(formula, "native")
     outcome, line, raw, unmatched, _ = db.check_drat(handle.fileno(), strict_deletions)
     for lineno in unmatched:
         _warn_not_present(lineno)
     if outcome == _MALFORMED:
-        formats.parse_drat_line(raw.decode("utf-8", "surrogateescape"), line)
+        from .formats import parse_drat_line
+
+        parse_drat_line(raw.decode("utf-8", "surrogateescape"), line)
         raise RuntimeError(f"line {line}: the native parser rejects {raw!r}")
     status, reason = _OUTCOMES[outcome]
     return Verdict(status, line if status == REJECTED else None, reason)
 
 
 def _verify_lines(
-    formula: CnfFormula,
+    formula,
     lines: Iterator[ProofLine],
     strict_deletions: bool,
     backend: str | None,
 ) -> Verdict:
-    db = new_database(backend=backend)
     by_key: dict[tuple[int, ...], list[int]] = {}
-    for clause in formula.clauses:
-        cid = db.add_clause(clause)
-        by_key.setdefault(_multiset_key(clause), []).append(cid)
+    if hasattr(formula, "rup"):  # a database that holds the formula
+        db = formula
+        for cid in range(len(db)):
+            by_key.setdefault(_multiset_key(db.clause(cid)), []).append(cid)
+    else:
+        db = new_database(backend=backend)
+        for clause in formula.clauses:
+            cid = db.add_clause(clause)
+            by_key.setdefault(_multiset_key(clause), []).append(cid)
 
     for lineno, line in enumerate(lines, start=1):
         lits = line.lits

@@ -83,17 +83,16 @@ def cmd_gen_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from . import checker, formats
+    from . import checker
 
     try:
-        with open(args.cnf, encoding="utf-8", errors="surrogateescape") as handle:
-            formula = formats.parse_dimacs(handle)
+        db = checker.new_database(args.cnf)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read CNF {args.cnf}: {exc}")
     # verify reads a file once, from start to end, so a pipe will do.
     proof = "/dev/stdin" if args.proof == "-" else args.proof
     try:
-        verdict = checker.verify(formula, proof, strict_deletions=args.strict_deletions)
+        verdict = checker.verify(db, proof, strict_deletions=args.strict_deletions)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read proof {args.proof}: {exc}")
     if verdict.status == checker.ACCEPTED:

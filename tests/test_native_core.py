@@ -12,6 +12,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -37,10 +38,11 @@ from pigeonproof import (
     proof_ours,
     verify,
 )
+from pigeonproof.cli import main
 from pigeonproof.model import HoleRows, row_clauses
 from pigeonproof.propagation import ClauseDatabase
 from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
-from test_package import CHECK_NEVER_LOADS, GEN_NEVER_LOADS, SRC, loaded_by, loaded_by_check
+from test_package import GEN_NEVER_LOADS, NATIVE_CHECK_NEVER_LOADS, SRC, loaded_by, loaded_by_check
 from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
 EMPTY = ProofLine(False, ())
@@ -144,7 +146,7 @@ def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
     have_native, modules = loaded_by_check(tmp_path, _package_with_core(fastcheck, tmp_path))
     assert have_native
     assert "pigeonproof._fastcheck" in modules
-    assert modules & (CHECK_NEVER_LOADS | {"pigeonproof.propagation"}) == set()
+    assert modules & NATIVE_CHECK_NEVER_LOADS == set()
 
 
 #: Run in a child: wrap the core's row formatter to keep what it returns,
@@ -660,6 +662,258 @@ def test_file_check_counters_equal_per_line_counts(n, native, tmp_path):
             formula, mutated, _proof_file(tmp_path, mutated)
         )
         assert file_counts == native_counts == python_counts
+
+
+# -- reading a DIMACS CNF: the native reader against parse_dimacs --------------
+
+
+def _cnf_outcome(cnf, proof, backend):
+    """_outcome() of verify(cnf, proof) with the CNF as a path, and the
+    number of clauses new_database(cnf) holds, or None if it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            size = len(checker.new_database(cnf, backend))
+        except (ValueError, OSError):
+            size = None
+    return _outcome(cnf, proof, backend, False), size
+
+
+def _same_cnf_on_both(cnf, proof):
+    native = _cnf_outcome(cnf, proof, "native")
+    assert native == _cnf_outcome(cnf, proof, "python")
+    return native
+
+
+def _empty_clause_proof(directory):
+    path = Path(directory) / "empty.drat"
+    path.write_bytes(b"0\n")
+    return path
+
+
+_BIG = "2147483648"  # beyond MAX_LITERAL
+#: CNF texts and what both backends make of them against the proof "0":
+#: the verdict, or parse_dimacs's ValueError, and the warnings.
+_CNF_CASES = {
+    "p cnf 2 3\n1 2 0 -1 0\n-2\n0\n": (("ACCEPTED", None, None), []),
+    "c x\r\np cnf 2 2\r1 0\r\n-1 0": (("ACCEPTED", None, None), []),
+    "p cnf 3 3\n1 2 0\n": (
+        ("REJECTED", 1, "empty clause is not RUP (and has no pivot for RAT)"),
+        ["header declares 3 clauses but file contains 1"],
+    ),
+    "p cnf 3 007\n-0\n": (
+        ("ACCEPTED", None, None),
+        ["header declares 7 clauses but file contains 1"],
+    ),
+    "p cnf 2 1\n1\n-2\n1 0\n": ((ValueError, "duplicate literal 1 in clause (1, -2, 1)"), []),
+    "p cnf 2 1\n1 2\n": ((ValueError, "last clause is missing its terminating 0"), []),
+    "c only\n\n": ((ValueError, "missing DIMACS header"), []),
+    "1 0\np cnf 1 1\n": ((ValueError, "line 1: clause data before header"), []),
+    "p cnf 1 1\np cnf 1 1\n": ((ValueError, "line 2: duplicate header"), []),
+    "p cnf 1 -1\n": ((ValueError, "line 1: malformed header 'p cnf 1 -1'"), []),
+    "p cnf 1 +1\n": ((ValueError, "line 1: malformed header 'p cnf 1 +1'"), []),
+    "p cnf 2 1\n1 -3 0\n": ((ValueError, "line 2: literal -3 out of range 1..2"), []),
+    "p cnf 2 1\n\n1 2 0 x\n": ((ValueError, "line 3: bad token 'x'"), []),
+    "p cnf 2 1\n1 1 0 x\n": ((ValueError, "duplicate literal 1 in clause (1, 1)"), []),
+    "p cnf 2 1\n1 1 0 +x\n": ((ValueError, "line 2: bad token '+x'"), []),
+    "p cnf 12 1\n1 1_0 0\n": ((ValueError, "line 2: bad token '1_0'"), []),
+    "p cnf 12 1\n1 ٣ 0\n": ((ValueError, "line 2: bad token '٣'"), []),
+    # A literal beyond MAX_LITERAL but within num_vars: parse_dimacs raises
+    # where its clause ends, or at the end of the file.
+    f"p cnf 99999999999 1\n{_BIG}\n\n0\n": (
+        (ValueError, f"literal {_BIG} out of range: |literal| > 2147483647"),
+        [],
+    ),
+    f"p cnf 99999999999 1\n5 5\n{_BIG} 0\n": (
+        (ValueError, f"duplicate literal 5 in clause (5, 5, {_BIG})"),
+        [],
+    ),
+    f"p cnf 99999999999 1\n-{_BIG}\r\nc\r\n1 x\n": ((ValueError, "line 4: bad token 'x'"), []),
+    f"p cnf 99999999999 1\n{_BIG}": (
+        (ValueError, "last clause is missing its terminating 0"),
+        [],
+    ),
+    f"p cnf 2147483647 1\n1 {_BIG} 0\n": (
+        (ValueError, f"line 2: literal {_BIG} out of range 1..2147483647"),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_CNF_CASES))
+def test_cnf_reader_agrees_with_parse_dimacs(native, tmp_path, text):
+    cnf = tmp_path / "case.cnf"
+    cnf.write_bytes(text.encode())
+    outcome, size = _same_cnf_on_both(cnf, _empty_clause_proof(tmp_path))
+    assert outcome == _CNF_CASES[text]
+    assert (size is None) == (outcome[0][0] is ValueError)
+
+
+_CNF_LITERALS = st.integers(1, 4).flatmap(lambda var: st.sampled_from([var, -var])).map(str)
+_CNF_TOKENS = st.one_of(
+    _CNF_LITERALS,
+    _CNF_LITERALS,
+    st.just("0"),
+    st.sampled_from(
+        ["-0", "007", "-03", "+5", "1_0", "٣", "x", "-", "5-", _BIG, "-" + _BIG, str(10**20)]
+    ),
+)
+_COUNTS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5", "-0", "007", "2147483647", _BIG, str(10**20),
+     "-1", "+3", "1_0", "٣", "x"]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \x1f ", "\xa0"])
+
+
+@st.composite
+def _cnf_line(draw) -> bytes:
+    kind = draw(st.sampled_from(["clause"] * 5 + ["header", "comment", "blank", "bytes"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t\x0b\x0c", "\x1c\x1d\x1e\x1f "])).encode()
+    if kind == "comment":
+        text = draw(st.text(alphabet=" \t0123456789-cpx", max_size=8))
+        return (draw(st.sampled_from(["c", " c", "\tc"])) + text).encode() + draw(_NOT_UTF8)
+    if kind == "bytes":
+        return draw(st.binary(max_size=3)) + draw(_NOT_UTF8) + draw(st.binary(max_size=3))
+    if kind == "header":
+        fields = draw(
+            st.sampled_from([["p", "cnf"], ["p", "cnf"], ["p", "dnf"], ["pcnf"], ["p"]])
+        ) + draw(st.lists(_COUNTS, min_size=1, max_size=3))
+    else:
+        fields = draw(st.lists(_CNF_TOKENS, max_size=4))
+        if draw(st.booleans()):
+            fields.append("0")
+    return (draw(_SEPARATORS).join(fields) + draw(st.sampled_from(["", " ", "\t"]))).encode()
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["2", "3", "4"]), st.sampled_from(["0", "1", "2", "3"])),
+        st.tuples(st.sampled_from(["0", "2147483647", _BIG, str(10**11)]), st.just("2")),
+    ),
+    st.lists(_cnf_line(), max_size=8),
+    st.lists(st.sampled_from(_BREAKS), min_size=9, max_size=9),
+    st.booleans(),
+)
+def test_cnf_reader_fuzz_agrees_with_parse_dimacs(
+    native, tmp_path, header, lines, breaks, last_break
+):
+    """DIMACS-like bytes, read by verify(cnf_path, proof) on both backends:
+    the same verdict and clause count, or the same ValueError, and the same
+    warnings."""
+    if header is not None:
+        lines = ["p cnf {} {}".format(*header).encode()] + lines
+    data = b"".join(map(bytes.__add__, lines, breaks))
+    if lines and not last_break:
+        data = data[: -len(breaks[len(lines) - 1])]
+    cnf = tmp_path / "fuzz.cnf"
+    cnf.write_bytes(data)
+    _same_cnf_on_both(cnf, _empty_clause_proof(tmp_path))
+
+
+def test_cnf_reader_reads_a_fifo_that_a_thread_writes(native, tmp_path):
+    # The CNF may be a pipe: the error is raised from what was read, and the
+    # file is never opened again.
+    assert main(["gen-cnf", "3", "--out", str(tmp_path / "php3.cnf")]) == 0
+    good = (tmp_path / "php3.cnf").read_bytes()
+    bad = good.replace(b"-1 -4 0", b"-1\xc2\xa0-4 0")
+    proof = _proof_file(tmp_path, proof_ours.iter_proof_lines(3))
+    regular, fifo = tmp_path / "regular.cnf", tmp_path / "cnf.fifo"
+    os.mkfifo(fifo)
+
+    def write(data):
+        try:
+            with open(fifo, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    for data in (good, bad):
+        regular.write_bytes(data)
+        for backend in ("native", "python"):
+            writer = threading.Thread(target=write, args=(data,))
+            writer.start()
+            try:
+                piped = _outcome(fifo, proof, backend, False)
+            finally:
+                writer.join()
+            assert piped == _outcome(regular, proof, backend, False)
+        expected = ("ACCEPTED", None, None) if data == good else (
+            ValueError, "line 6: bad token '-1\\xa0-4'")
+        assert piped == (expected, [])
+
+
+def test_native_cli_reports_cnf_errors_as_the_python_backend(
+    fastcheck, tmp_path, capsys, monkeypatch
+):
+    # A child on the compiled core against the CLI in this process on the
+    # Python engine: the same exit code, output and error, byte for byte.
+    src = _package_with_core(fastcheck, tmp_path)
+    cnf, proof = tmp_path / "php3.cnf", tmp_path / "php3.drat"
+    assert main(["gen-cnf", "3", "--out", str(cnf)]) == 0
+    assert main(["gen-proof", "3", "--out", str(proof)]) == 0
+    good = cnf.read_bytes()
+    monkeypatch.setattr(checker, "DEFAULT_BACKEND", "python")
+    for data in (
+        good.replace(b"-1 -4 0", b"-1\xc2\xa0-4 0"),
+        b"c no header\n",
+        b"p cnf 2 1\n1 2\n",
+        good.replace(b"p cnf 12 22", b"p cnf 12 22\np cnf 12 22"),
+        None,  # no such file
+    ):
+        if data is None:
+            cnf.unlink()
+        else:
+            cnf.write_bytes(data)
+        child = subprocess.run(
+            [sys.executable, "-m", "pigeonproof.cli", "check", str(cnf), str(proof)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        code = main(["check", str(cnf), str(proof)])
+        assert (child.returncode, child.stdout, child.stderr) == (code, *capsys.readouterr())
+        assert code == 2 and child.stderr.startswith(f"error: cannot read CNF {cnf}: ")
+
+
+# Checks a CNF whose header declares 2**31 - 1 variables in a child whose
+# address space is capped at 1 GiB: arrays sized by the header would need
+# about 100 GiB.
+_CAPPED_CHECK = """
+import importlib.util, resource, sys
+from pigeonproof import checker, verify
+spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
+checker._fastcheck = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(checker._fastcheck)
+checker.HAVE_NATIVE = True
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    bytearray(1 << 31)
+except MemoryError:
+    print("capped")
+print(verify(sys.argv[2], sys.argv[3], backend="native").status)
+"""
+
+
+def test_cnf_header_never_sizes_arrays(fastcheck, tmp_path):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_bytes(b"p cnf 2147483647 2\n1 0\n-1 0\n")
+    proof = _empty_clause_proof(tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHECK, fastcheck.__file__, str(cnf), str(proof)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["capped", "ACCEPTED"]
 
 
 # -- formatting clause chunks: the native row call against the template join --
