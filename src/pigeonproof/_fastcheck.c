@@ -16,9 +16,9 @@
    parse_dimacs's error (see read_dimacs).  Literals are int32 in one flat
    buffer; watch and occurrence lists are growable vectors of clause ids
    indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
-   trail and the RAT scratch marks are indexed by variable and grow with the
-   largest variable seen, so the trail has room for every variable and never
-   grows during a check.
+   trail and the scratch marks (a bit per sign, see sign_bit) are indexed
+   by variable and grow with the largest variable seen, so the trail has
+   room for every variable and never grows during a check.
 
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
@@ -68,7 +68,7 @@ typedef struct {
     Vec units;                  /* ids of unit clauses, pruned lazily */
     Py_ssize_t max_var;
     signed char *val;           /* by variable: +1 true, -1 false, 0 unset */
-    signed char *cmark, *dmark; /* RAT tautology scratch, by variable */
+    unsigned char *mark;        /* by variable: scratch sign bits */
     lit_t *trail;               /* max_var + 1 entries */
     Py_ssize_t ntrail, head;
     lit_t *buf; /* literals of the current call's argument */
@@ -120,6 +120,15 @@ static inline signed char sign_of(lit_t lit)
     return lit > 0 ? 1 : -1;
 }
 
+/* The bit of lit in self->mark, 1 if positive and 2 if negative: the checked
+   clause and a deletion key set bits 0-1, and a RAT partner sets them shifted
+   up by PARTNER, to bits 2-3, so x and -x in one clause mark both signs. */
+#define PARTNER 2
+static inline unsigned char sign_bit(lit_t lit)
+{
+    return lit > 0 ? 1 : 2;
+}
+
 static inline int value(const FastDatabase *self, lit_t lit)
 {
     return lit > 0 ? self->val[lit] : -self->val[var_of(lit)];
@@ -147,7 +156,8 @@ static int grow_vars(FastDatabase *self, Py_ssize_t var)
     Py_ssize_t old = self->max_var, nv = old > 32 ? old : 32;
     Py_ssize_t old_codes = 2 * old + 2, codes;
     Vec *watch, *occ;
-    signed char *val, *cmark, *dmark;
+    signed char *val;
+    unsigned char *mark;
     lit_t *trail;
     while (nv < var)
         nv *= 2;
@@ -163,20 +173,16 @@ static int grow_vars(FastDatabase *self, Py_ssize_t var)
     if ((val = resized(self->val, nv + 1, 1)) == NULL)
         return -1;
     self->val = val;
-    if ((cmark = resized(self->cmark, nv + 1, 1)) == NULL)
+    if ((mark = resized(self->mark, nv + 1, 1)) == NULL)
         return -1;
-    self->cmark = cmark;
-    if ((dmark = resized(self->dmark, nv + 1, 1)) == NULL)
-        return -1;
-    self->dmark = dmark;
+    self->mark = mark;
     if ((trail = resized(self->trail, nv + 1, sizeof *trail)) == NULL)
         return -1;
     self->trail = trail;
     memset(watch + old_codes, 0, (size_t)(codes - old_codes) * sizeof *watch);
     memset(occ + old_codes, 0, (size_t)(codes - old_codes) * sizeof *occ);
     memset(val + old + 1, 0, (size_t)(nv - old));
-    memset(cmark + old + 1, 0, (size_t)(nv - old));
-    memset(dmark + old + 1, 0, (size_t)(nv - old));
+    memset(mark + old + 1, 0, (size_t)(nv - old));
     self->max_var = nv;
     return 0;
 }
@@ -459,24 +465,23 @@ static int assume_complements(FastDatabase *self, const lit_t *l,
 }
 
 /* Is the resolvent on the pivot of the checked clause (its other literals
-   marked in cmark) and the clause ``l`` a tautology? */
+   marked) and the clause ``l`` a tautology? */
 static int tautology(FastDatabase *self, const lit_t *l, Py_ssize_t n,
                      lit_t neg_pivot)
 {
     Py_ssize_t i;
     int taut = 0;
     for (i = 0; i < n && !taut; i++) {
-        Py_ssize_t var = var_of(l[i]);
-        signed char s = sign_of(l[i]);
+        unsigned char *mark = &self->mark[var_of(l[i])], neg = sign_bit(-l[i]);
         if (l[i] == neg_pivot)
             continue;
-        if (self->cmark[var] == -s || self->dmark[var] == -s)
+        if (*mark & (neg | neg << PARTNER))
             taut = 1;
         else
-            self->dmark[var] = s;
+            *mark |= (unsigned char)(sign_bit(l[i]) << PARTNER);
     }
-    for (i = 0; i < n; i++)
-        self->dmark[var_of(l[i])] = 0;
+    while (i-- > 0) /* the literals visited, the only ones marked */
+        self->mark[var_of(l[i])] &= (1 << PARTNER) - 1;
     return taut;
 }
 
@@ -485,14 +490,20 @@ static int tautology(FastDatabase *self, const lit_t *l, Py_ssize_t n,
 /* Never a literal: |INT32_MIN| exceeds MAX_LITERAL. */
 #define NO_SKIP INT32_MIN
 
+/* Do the unit clauses and the complement of every literal of l propagate to
+   a conflict?  1 or 0, or -1 with MemoryError set; the caller undoes. */
+static inline int refutes(FastDatabase *self, const lit_t *l, Py_ssize_t n)
+{
+    int conflict = seed_units(self) || assume_complements(self, l, n, NO_SKIP);
+    return conflict ? 1 : propagate(self);
+}
+
 /* Is the clause l RUP?  1 or 0, or -1 with MemoryError set. */
 static int rup_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
-    int conflict = seed_units(self) || assume_complements(self, l, n, NO_SKIP);
-    if (!conflict)
-        conflict = propagate(self);
+    int result = refutes(self, l, n);
     undo_to(self, 0);
-    return conflict;
+    return result;
 }
 
 /* Index in ov, from i on, of the next active clause whose resolvent with
@@ -551,17 +562,15 @@ static int rat_check(FastDatabase *self, const lit_t *l, Py_ssize_t n)
     Py_ssize_t i;
     int result = 1;
     for (i = 1; i < n; i++)
-        self->cmark[var_of(l[i])] = sign_of(l[i]);
+        self->mark[var_of(l[i])] |= sign_bit(l[i]);
     i = next_resolvent(self, ov, 0, neg_pivot);
     if (i < ov->size) { /* not blocked */
-        result = seed_units(self) || assume_complements(self, l, n, NO_SKIP);
-        if (!result)
-            result = propagate(self);
+        result = refutes(self, l, n);
         if (!result) /* not RUP */
             result = resolvents_rup(self, ov, i, neg_pivot);
     }
     for (i = 1; i < n; i++)
-        self->cmark[var_of(l[i])] = 0;
+        self->mark[var_of(l[i])] = 0;
     undo_to(self, 0);
     return result;
 }
@@ -647,27 +656,20 @@ static void sort_lits(lit_t *l, Py_ssize_t n)
     }
 }
 
-/* The key literal's bit in cmark while find_clause runs: each sign has its
-   own, so a tautological key marks both. */
-static inline signed char key_bit(lit_t l)
-{
-    return l > 0 ? 1 : 2;
-}
-
 /* The id of the newest active clause with exactly the literals key[0..n)
    (n >= 1, no literal repeated); -1 if there is none.  It walks the shortest
    occurrence list of the key's literals and drops inactive entries as
    next_resolvent does.  Swap-removal leaves a list out of id order, so every
-   entry of size n is compared: the key is marked in cmark, and a candidate
-   matches when each of its literals takes a mark (a repeated literal finds
-   its mark taken).  Taken marks go back after each candidate, and cmark is
-   clear again on return.  A deletion thus costs the length of that list,
+   entry of size n is compared: the key is marked, and a candidate matches
+   when each of its literals takes its sign's mark (a repeated literal finds
+   its mark taken).  Taken marks go back after each candidate, and the marks
+   are clear again on return.  A deletion thus costs the length of that list,
    where a hash index would cost O(1) expected time; that is the price of
    keeping no second index of every clause. */
 static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
                               Py_ssize_t n)
 {
-    signed char *mark = self->cmark;
+    unsigned char *mark = self->mark;
     Vec *ov = NULL;
     Py_ssize_t i, j, found = -1;
     for (i = 0; i < n; i++) {
@@ -679,7 +681,7 @@ static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
             ov = o;
     }
     for (i = 0; i < n; i++)
-        mark[var_of(key[i])] |= key_bit(key[i]);
+        mark[var_of(key[i])] |= sign_bit(key[i]);
     i = 0;
     while (i < ov->size) {
         int32_t cid = ov->data[i];
@@ -692,12 +694,12 @@ static Py_ssize_t find_clause(FastDatabase *self, const lit_t *key,
         i++;
         if (c->size != n || cid <= found)
             continue;
-        for (j = 0; j < n && (mark[var_of(l[j])] & key_bit(l[j])); j++)
-            mark[var_of(l[j])] &= (signed char)~key_bit(l[j]);
+        for (j = 0; j < n && (mark[var_of(l[j])] & sign_bit(l[j])); j++)
+            mark[var_of(l[j])] &= (unsigned char)~sign_bit(l[j]);
         if (j == n)
             found = cid;
         while (j-- > 0)
-            mark[var_of(l[j])] |= key_bit(l[j]);
+            mark[var_of(l[j])] |= sign_bit(l[j]);
     }
     for (i = 0; i < n; i++)
         mark[var_of(key[i])] = 0;
@@ -822,8 +824,8 @@ static inline int next_number(const char **s, const char *end, long long *value)
 
 /* Does l[0..n) repeat a literal?  Seen on a sorted copy, left in *key: 1
    or 0, or -1 with MemoryError set.  The copy is sorted, not marked in
-   cmark, as this runs before cover() grows the per-variable arrays, which a
-   malformed line or a deletion matching no clause must not do. */
+   self->mark, as this runs before cover() grows the per-variable arrays,
+   which a malformed line or a deletion matching no clause must not do. */
 static int has_duplicate(const lit_t *l, Py_ssize_t n, lit_t **key,
                          Py_ssize_t *cap_key)
 {
@@ -1067,7 +1069,8 @@ static int read_dimacs(FastDatabase *self, int fd)
         if (token == NOT_NUMBER)
             goto reject;
         carried = n - first;
-        memmove(self->buf, self->buf + first, (size_t)carried * sizeof *self->buf);
+        if (first > 0) /* buf is NULL until a literal is stored */
+            memmove(self->buf, self->buf + first, (size_t)carried * sizeof *self->buf);
     }
     if (got < 0)
         goto done;
@@ -1129,8 +1132,7 @@ static void db_dealloc(FastDatabase *self)
     PyMem_Free(self->lits);
     PyMem_Free(self->cls);
     PyMem_Free(self->val);
-    PyMem_Free(self->cmark);
-    PyMem_Free(self->dmark);
+    PyMem_Free(self->mark);
     PyMem_Free(self->trail);
     PyMem_Free(self->buf);
     Py_TYPE(self)->tp_free((PyObject *)self);

@@ -178,7 +178,9 @@ def verify(
     """Check a proof, given as lines or as the path of a text DRAT file,
     against a formula, given as a ``CnfFormula`` or as the path of a DIMACS
     CNF file (or as a database :func:`new_database` returned, which the
-    check then changes).
+    check then changes).  A database that holds a deleted clause is a
+    ``ValueError``: clause ids count deleted clauses, so the line path
+    could not tell which ids are active.
 
     A CNF path is read in full, by :func:`new_database`, before the proof is
     opened.  Deleting a clause that is not present is a warning unless
@@ -192,6 +194,8 @@ def verify(
     """
     if isinstance(formula, (str, os.PathLike)):
         formula = new_database(formula, backend)
+    elif hasattr(formula, "rup") and _holds_deleted(formula):
+        raise ValueError("the database holds deleted clauses; verify needs one without")
     if not isinstance(proof, (str, os.PathLike)):
         from .model import Proof
 
@@ -206,6 +210,16 @@ def verify(
 
         text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
         return _verify_lines(formula, iter_drat_lines(text), strict_deletions, backend)
+
+
+def _holds_deleted(db) -> bool:
+    """Was a clause of ``db`` deleted?  Ids run over every clause added, so
+    id ``len(db)`` exists exactly then."""
+    try:
+        db.clause(len(db))
+    except IndexError:
+        return False
+    return True
 
 
 def _check_file(db, handle: BinaryIO, strict_deletions: bool) -> Verdict:

@@ -1,10 +1,11 @@
 """Session fixtures: the compiled core built from source, and the backends.
 
 The suite runs from ``src/`` without a build step, so ``_fastcheck.c`` is
-compiled into a temporary directory once per session, with warnings as
-errors under gcc and clang.  Every ``backend="native"`` test runs on that
-build, never on a prebuilt extension that may be stale, and is skipped when
-no C compiler is found.
+compiled into a temporary directory once per session.  Under gcc and clang
+warnings are errors, and the undefined-behaviour sanitizer aborts the test
+process at the first fault it finds.  Every ``backend="native"`` test runs
+on that build, never on a prebuilt extension that may be stale, and is
+skipped when no C compiler is found.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ from pigeonproof import checker
 
 SOURCE = Path(checker.__file__).with_name("_fastcheck.c")
 STRICT_WARNINGS = ["-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+SANITIZE = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
 BACKENDS = ("python", "native")
 
 
@@ -42,10 +44,13 @@ def compiled(tmp_path_factory):
     from setuptools.command.build_ext import build_ext
 
     out = tmp_path_factory.mktemp("fastcheck")
-    flags = ["-O2"]
+    flags, link = ["-O2"], []
     if re.search("gcc|clang", Path(compiler).name):
-        flags += STRICT_WARNINGS
-    ext = Extension("_fastcheck", [str(SOURCE)], extra_compile_args=flags)
+        flags += STRICT_WARNINGS + SANITIZE
+        link += SANITIZE
+    ext = Extension(
+        "_fastcheck", [str(SOURCE)], extra_compile_args=flags, extra_link_args=link
+    )
     cmd = build_ext(Distribution({"ext_modules": [ext]}))
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "tmp")

@@ -123,6 +123,25 @@ def test_deletion_removes_one_copy(backend):
     assert verdict.accepted  # one copy of (1) remains
 
 
+def test_verify_refuses_a_database_that_holds_deleted_clauses(backend, tmp_path):
+    # Deleting the present (1 3) and the absent (1 2) once clause 0 is gone:
+    # ids count deleted clauses, so indexing ids 0..len(db)-1 gets both
+    # wrong.  Every backend and proof kind refuses such a database alike.
+    formula = CnfFormula(3, ((1, 2), (2, 3), (1, 3)))
+    path = tmp_path / "proof.drat"
+    for lits in ((1, 3), (1, 2)):
+        lines = [ProofLine(True, lits)]
+        path.write_text(emit_drat(lines))
+        for proof in (lines, path):
+            db = new_database(formula, backend)
+            assert verify(db, proof, strict_deletions=True).status == "INCOMPLETE"
+            db = new_database(formula, backend)
+            db.delete_clause(0)
+            with pytest.raises(ValueError, match="holds deleted clauses"):
+                verify(db, proof, strict_deletions=True)
+            assert len(db) == 2  # and leaves it as it was
+
+
 def test_verdicts_are_deterministic(backend):
     formula = php_standard(4)
     proof = generate_ours(4, emit_deletions=True)

@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import naive_checker
@@ -107,16 +107,28 @@ _STEP = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_CLAUSE, max_size=10), st.lists(_STEP, max_size=12))
+# rat((-1, 2, -2)) is blocked: its one resolvent, with (1, -2), holds 2 and
+# -2.  An engine that missed that would prune the deleted unit (-1) from its
+# units list, seed the next rat from a list in another order, and store
+# clause 0 with its literals in another order.
+@example(
+    [],
+    [("add", [1, -2]), ("add", [-1]), ("delete", 1), ("add", [2, -3]),
+     ("rat", [-1, 2, -2]), ("add", [-1]), ("add", [3]), ("rat", [2])],
+)
 def test_rat_is_rup_or_rat_of_the_reference(fastcheck, formula, steps):
     """rup and rat on both engines, with additions (the empty clause
     included) and deletions interleaved, answer what the rescan oracle
-    answers, count the active clauses, and leave no assignment behind."""
+    answers, count the active clauses, leave no assignment behind, and
+    leave every clause with its literals in the same order."""
     dbs = (fastcheck.FastDatabase(), ClauseDatabase())
     active = {}
+    added = 0
     for step in [("add", clause) for clause in formula] + steps:
         if step[0] == "add":
             (cid,) = {db.add_clause(step[1]) for db in dbs}
             active[cid] = step[1]
+            added = cid + 1
         elif step[0] == "delete" and active:
             cid = sorted(active)[step[1] % len(active)]
             for db in dbs:
@@ -132,6 +144,8 @@ def test_rat_is_rup_or_rat_of_the_reference(fastcheck, formula, steps):
                 assert getattr(db, step[0])(lits) == expected
                 assert db.snapshot() == ()
         assert [len(db) for db in dbs] == [len(active)] * 2
+        native, python = ([db.clause(cid) for cid in range(added)] for db in dbs)
+        assert native == python
 
 
 def _package_with_core(fastcheck, root: Path) -> Path:
@@ -379,8 +393,10 @@ def test_file_check_finds_tautological_deletions_as_the_python_backend(native, t
     # A tautological clause holds both signs of one variable; deleting it
     # (in any literal order) must match it exactly, and leave no trace on
     # the deletions and checks that follow.
-    formula = CnfFormula(2, ((1, -1, 2), (2, -2, 1), (1, 2), (-1,), (-2,)))
-    deleted = [(2, 1, -1), (-2, 1, 2), (1, -1, 2), (1, -1)]
+    # A key of 17 literals or more is sorted by qsort, a shorter one in place.
+    wide = (*range(3, 18), -1, 1)
+    formula = CnfFormula(17, ((1, -1, 2), (2, -2, 1), (1, 2), (-1,), (-2,), wide))
+    deleted = [(2, 1, -1), (-2, 1, 2), (1, -1, 2), (1, -1), wide[::-1]]
     proof = [ProofLine(True, lits) for lits in deleted] + [EMPTY]
     warned_lines = ["proof line 3: deleted clause not in the formula",
                     "proof line 4: deleted clause not in the formula"]
@@ -389,10 +405,10 @@ def test_file_check_finds_tautological_deletions_as_the_python_backend(native, t
     proof.insert(4, ProofLine(True, (2, 1)))
     path = _proof_file(tmp_path, proof)
     assert _same_on_both(formula, path) == (
-        ("REJECTED", 6, "empty clause is not RUP (and has no pivot for RAT)"),
+        ("REJECTED", 7, "empty clause is not RUP (and has no pivot for RAT)"),
         warned_lines,
     )
-    assert _counters(formula, proof, path) == ((1, 0, 0, 0, 0, 3),) * 3
+    assert _counters(formula, proof, path) == ((1, 0, 0, 0, 0, 4),) * 3
 
 
 def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
@@ -498,10 +514,14 @@ def test_file_check_finds_repeated_literals_at_the_cap_without_growth(native, tm
     formula = php_standard(2)
     proof = emit_drat(proof_ours.iter_proof_lines(2)).encode()
     path = tmp_path / "p.drat"
+    wide = (*range(1, 17), 2147483647)  # 17 literals or more are sorted by qsort
+    text = " ".join(map(str, wide))
     lines = {
         b"d 2147483647 2147483647 0": "2147483647 in clause (2147483647, 2147483647)",
         b"2147483647 2147483647 0": "2147483647 in clause (2147483647, 2147483647)",
         b"d 5 -2147483647 5 0": "5 in clause (5, -2147483647, 5)",
+        f"d {text} 2147483647 0".encode(): f"2147483647 in clause {(*wide, 2147483647)}",
+        f"{text} 9 0".encode(): f"9 in clause {(*wide, 9)}",
     }
     for line, message in lines.items():
         path.write_bytes(line + b"\n" + proof)
@@ -706,6 +726,10 @@ _CNF_CASES = {
         ["header declares 7 clauses but file contains 1"],
     ),
     "p cnf 2 1\n1\n-2\n1 0\n": ((ValueError, "duplicate literal 1 in clause (1, -2, 1)"), []),
+    f"p cnf 20 1\n{' '.join(map(str, range(1, 18)))}\n-20 5 0\n": (
+        (ValueError, f"duplicate literal 5 in clause {(*range(1, 18), -20, 5)}"),
+        [],
+    ),
     "p cnf 2 1\n1 2\n": ((ValueError, "last clause is missing its terminating 0"), []),
     "c only\n\n": ((ValueError, "missing DIMACS header"), []),
     "1 0\np cnf 1 1\n": ((ValueError, "line 1: clause data before header"), []),
