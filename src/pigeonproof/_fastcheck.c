@@ -23,14 +23,18 @@
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
 
-   One module function, format_rows, formats all emitted text, written
-   straight into one str as DIMACS or DRAT lines: a range of holes of a
-   model.HoleRows part, from its row literals, so no clause tuple is ever
-   built.  A plain clause is a row of constants, so a chunk of clauses is a
-   part of one hole.  It takes only exact tuples, exact ints and values
-   within int64, and returns None for anything else, which
-   formats._format_python then formats, so the bytes and the errors are
-   those of the pure-Python path. */
+   One module function, format_rows, writes all emitted text, as DIMACS
+   or DRAT lines: the parts of a model.HoleRows block, from their row
+   literals, so no clause tuple is ever built.  A plain clause is a row of
+   constants, so a chunk of clauses is a part of one hole, written straight.
+   A part of more holes is formatted once, at its first hole, and each
+   literal of step -1 or 1 is then stepped in place from hole to hole (see
+   write_part).  The text goes through one buffer, 64 KiB or the length of
+   a shorter text, reused for the whole call, to a file descriptor with
+   write(2) without the GIL, or as str chunks to a callable.  format_rows takes only exact tuples, exact ints
+   and values within int64, and otherwise returns None having written
+   nothing, and formats._format_python then formats the clauses, so the
+   bytes and the errors are those of the pure-Python path. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -628,7 +632,7 @@ static PyObject *db_snapshot(FastDatabase *self, PyObject *unused)
 
 /* -- checking a DRAT file ------------------------------------------------ */
 
-/* Bytes per read. */
+/* Bytes per read, and of text staged per write. */
 #define CHUNK 65536
 
 /* Outcomes of check_drat, in the order checker.py maps them to verdicts. */
@@ -1200,11 +1204,8 @@ static inline uint64_t magnitude(int64_t v)
     return v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
 }
 
-/* Characters of v followed by a space. */
-static inline Py_ssize_t literal_width(int64_t v)
-{
-    return (v < 0) + digit_count(magnitude(v)) + 1;
-}
+/* Most characters of a literal's text: a sign, 19 digits and a space. */
+#define LIT_WIDTH 21
 
 /* Write v and a space at out; return the end of what was written. */
 static inline char *write_literal(char *out, int64_t v)
@@ -1218,19 +1219,10 @@ static inline char *write_literal(char *out, int64_t v)
     return out;
 }
 
-/* New str of length characters at *out, or NULL with an exception set. */
-static PyObject *new_text(Py_ssize_t length, char **out)
-{
-    PyObject *text = PyUnicode_New(length, 127);
-    if (text != NULL)
-        *out = (char *)PyUnicode_1BYTE_DATA(text);
-    return text;
-}
-
-/* A row literal of format_rows: its value at the first hole formatted, and
+/* A row literal of format_rows: its value at the hole being formatted, and
    its step. */
 typedef struct {
-    int64_t first, step;
+    int64_t value, step;
 } RowLit;
 
 /* Read the exact int v into *out: 1 if it lies within int64, 0 if it does
@@ -1246,15 +1238,13 @@ static int read_int64(PyObject *v, long long *out)
     return !overflow;
 }
 
-/* Read the row literal spec of format_rows into *lit, for the count holes
-   from start, where its value is first + step * hole: 1 if it is an exact
-   int within int64 (a constant: step 0) or an exact tuple (first, step) of
-   two exact ints with step -1 or 1 and first and each of those values
-   within int64, 0 if not, -1 with an exception set. */
-static int read_row_literal(PyObject *spec, Py_ssize_t start, Py_ssize_t count,
-                            RowLit *lit)
+/* Read the row literal spec of format_rows into *lit, for a part of holes
+   holes, where its value at hole h is first + step * (h - 1): 1 if it is
+   an exact int within int64 (a constant: step 0) or an exact tuple
+   (first, step) of two exact ints with step -1 or 1 and first and its
+   value at the last hole within int64, 0 if not, -1 with an exception set. */
+static int read_row_literal(PyObject *spec, Py_ssize_t holes, RowLit *lit)
 {
-    Py_ssize_t last = start + count - 1;
     long long f, s = 0;
     int ok;
     if (PyTuple_CheckExact(spec) && PyTuple_GET_SIZE(spec) == 2) {
@@ -1267,104 +1257,335 @@ static int read_row_literal(PyObject *spec, Py_ssize_t start, Py_ssize_t count,
     } else if ((ok = read_int64(spec, &f)) < 1) {
         return ok;
     }
-    if (count == 0)
-        return 1; /* no value is formatted */
-    /* The values run monotonically from hole start to hole last, so both
-       ends within int64 is enough; the bounds themselves cannot overflow,
-       as 0 <= start <= last. */
-    if ((s > 0 && f > INT64_MAX - last) || (s < 0 && f < INT64_MIN + last))
+    /* The values run monotonically, so both ends within int64 is enough. */
+    if (holes > 0 && ((s > 0 && f > INT64_MAX - (holes - 1)) ||
+                      (s < 0 && f < INT64_MIN + (holes - 1))))
         return 0;
-    lit->first = (int64_t)f + (int64_t)s * start;
+    lit->value = (int64_t)f;
     lit->step = (int64_t)s;
     return 1;
 }
 
+/* Where format_rows writes text: the file descriptor fd or, when fd is -1,
+   the callable write, with a str.  The text is staged in buf, len of its
+   cap bytes in use, and written out whenever the next bytes do not fit. */
+typedef struct {
+    int fd;
+    PyObject *write;
+    char *buf;
+    Py_ssize_t len, cap, total; /* total: bytes written out so far */
+} Sink;
+
+/* Write out the staged text: with write(2), all of it, resuming after a
+   partial write or a signal whose handler raised nothing, or as one str
+   passed to the write callable.  0, or -1 with an exception set. */
+static int sink_flush(Sink *s)
+{
+    Py_ssize_t done = 0;
+    if (s->fd < 0 && s->len > 0) {
+        PyObject *text = PyUnicode_New(s->len, 127), *res;
+        if (text == NULL)
+            return -1;
+        memcpy(PyUnicode_1BYTE_DATA(text), s->buf, (size_t)s->len);
+        res = PyObject_CallOneArg(s->write, text);
+        Py_DECREF(text);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        done = s->len;
+    }
+    while (done < s->len) {
+        Py_ssize_t got;
+        int err;
+        if (PyErr_CheckSignals() < 0)
+            return -1;
+        /* Another thread may be the one that reads a pipe being written. */
+        Py_BEGIN_ALLOW_THREADS
+        got = write(s->fd, s->buf + done, (size_t)(s->len - done));
+        err = errno;
+        Py_END_ALLOW_THREADS
+        if (got < 0 && err != EINTR) {
+            errno = err;
+            PyErr_SetFromErrno(PyExc_OSError); /* BrokenPipeError for EPIPE */
+            return -1;
+        }
+        if (got > 0)
+            done += got;
+    }
+    s->total += s->len;
+    s->len = 0;
+    return 0;
+}
+
+/* Stage the n bytes at data, writing out each buffer it fills.  0, or -1
+   with an exception set. */
+static int sink_put(Sink *s, const char *data, Py_ssize_t n)
+{
+    Py_ssize_t part;
+    while (n > (part = s->cap - s->len)) {
+        memcpy(s->buf + s->len, data, (size_t)part);
+        s->len = s->cap;
+        if (sink_flush(s) < 0)
+            return -1;
+        data += part;
+        n -= part;
+    }
+    memcpy(s->buf + s->len, data, (size_t)n);
+    s->len += n;
+    return 0;
+}
+
+/* Where the next n bytes of text go: after the staged text, which is
+   written out first if they would not fit, in a buffer grown if even an
+   empty one is too small (for a row longer than CHUNK).  NULL with an
+   exception set on failure. */
+static inline char *sink_room(Sink *s, Py_ssize_t n)
+{
+    char *buf;
+    if (s->cap - s->len >= n)
+        return s->buf + s->len;
+    if (sink_flush(s) < 0)
+        return NULL;
+    if (s->cap < n) {
+        if ((buf = resized(s->buf, n, 1)) == NULL)
+            return NULL;
+        s->buf = buf;
+        s->cap = n;
+    }
+    return s->buf;
+}
+
+/* Write the text of a row of n literals at out: "d " if delete, each
+   literal's value and a space, and "0\n".  Unless last is NULL, last[j] is
+   set to the offset from origin of the last digit of literal j.  Returns
+   the end of what was written. */
+static char *format_row(char *out, const RowLit *lits, Py_ssize_t n, int delete,
+                        Py_ssize_t *last, const char *origin)
+{
+    Py_ssize_t j;
+    if (delete) {
+        *out++ = 'd';
+        *out++ = ' ';
+    }
+    for (j = 0; j < n; j++) {
+        out = write_literal(out, lits[j].value);
+        if (last != NULL)
+            last[j] = out - 2 - origin;
+    }
+    *out++ = '0';
+    *out++ = '\n';
+    return out;
+}
+
+/* Scratch of write_part, sized for the largest part of a call: text holds
+   the text of one hole, after a byte that is no digit; last[k] is the
+   offset in text of the last digit of literal k; steppers lists the
+   literals of step -1 or 1. */
+typedef struct {
+    char *text;
+    Py_ssize_t *last, *steppers;
+} Stage;
+
+/* Format the rows of a part at the current values of lits into st->text;
+   return its length. */
+static Py_ssize_t format_hole(Stage *st, PyObject *rows, const RowLit *lits,
+                              int delete)
+{
+    Py_ssize_t r, k, n;
+    char *out = st->text;
+    for (r = k = 0; r < PyTuple_GET_SIZE(rows); r++, k += n) {
+        n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
+        out = format_row(out, lits + k, n, delete, st->last + k, st->text);
+    }
+    return out - st->text;
+}
+
+/* Write the text of a part, its rows at holes 1 to holes, hole by hole,
+   with lits its literals, row by row.  A part of one hole is written
+   straight.  Otherwise the text of the first hole is formatted once and
+   copied at each hole.  Between holes each literal of step -1 or 1 is
+   stepped in place: its last digit moves by one, carrying or borrowing
+   into the digits before it, and the hole is formatted again only when a
+   literal's width or sign changes.  lits ends at the values of the last
+   hole; no value is stepped past it.  0, or -1 with an exception set. */
+static int write_part(Sink *s, PyObject *rows, Py_ssize_t holes, RowLit *lits,
+                      int delete, Stage *st)
+{
+    Py_ssize_t nrows = PyTuple_GET_SIZE(rows), nstep = 0, length, h, r, i, k, n;
+    char *out, *digit;
+    int again;
+    if (holes == 1) {
+        for (r = k = 0; r < nrows; r++, k += n) {
+            n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
+            if ((out = sink_room(s, 4 + LIT_WIDTH * n)) == NULL)
+                return -1;
+            s->len = format_row(out, lits + k, n, delete, NULL, NULL) - s->buf;
+        }
+        return 0;
+    }
+    if (holes == 0 || nrows == 0)
+        return 0;
+    for (r = k = 0; r < nrows; r++)
+        for (n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r)); n > 0; n--, k++)
+            if (lits[k].step != 0)
+                st->steppers[nstep++] = k;
+    length = format_hole(st, rows, lits, delete);
+    for (h = 1;; h++) {
+        if (sink_put(s, st->text, length) < 0)
+            return -1;
+        if (h == holes)
+            return 0;
+        again = 0;
+        for (i = 0; i < nstep; i++) {
+            int64_t v, w;
+            k = st->steppers[i];
+            v = lits[k].value;
+            w = lits[k].value = v + lits[k].step;
+            digit = st->text + st->last[k];
+            if ((v < 0) != (w < 0)) {
+                again = 1;
+            } else if ((w > v) == (w >= 0)) { /* one more in magnitude */
+                while (*digit == '9')
+                    *digit-- = '0';
+                if (is_digit(*digit))
+                    ++*digit;
+                else
+                    again = 1; /* 9...9 became 10...0 */
+            } else { /* one less: the magnitude was at least 1 */
+                char *end = digit;
+                while (*digit == '0')
+                    *digit-- = '9';
+                if (--*digit == '0' && digit != end && !is_digit(digit[-1]))
+                    again = 1; /* 10...0 became 9...9 */
+            }
+        }
+        if (again)
+            length = format_hole(st, rows, lits, delete);
+    }
+}
+
 static PyObject *format_rows(PyObject *module, PyObject *args)
 {
-    PyObject *rows, *flag, *result = NULL;
+    PyObject *parts, *flag, *target, *result = NULL;
+    Sink sink = {-1, NULL, NULL, 0, 0, 0};
+    Stage st = {NULL, NULL, NULL};
+    char *text = NULL;
+    RowLit *lits = NULL;
+    Py_ssize_t nparts, p, r, j, k, holes, nlits = 0, most_rows = 0, most_lits = 0;
+    Py_ssize_t bound = 0;
     int delete, ok;
-    Py_ssize_t start, count, nrows, nlits = 0, length, per_hole, i, r, j, k;
-    RowLit *lits;
-    char *out;
-    if (!PyArg_ParseTuple(args, "OnnO:format_rows", &rows, &start, &count, &flag))
+    if (!PyArg_ParseTuple(args, "OOO:format_rows", &parts, &flag, &target))
         return NULL;
-    if (start < 0 || count < 0) {
-        PyErr_SetString(PyExc_ValueError, "negative hole count");
-        return NULL;
+    if (PyLong_CheckExact(target)) {
+        long fd = PyLong_AsLong(target);
+        if (fd == -1 && PyErr_Occurred())
+            return NULL;
+        if (fd < 0 || fd > INT_MAX) {
+            PyErr_SetString(PyExc_ValueError, "bad file descriptor");
+            return NULL;
+        }
+        sink.fd = (int)fd;
+    } else {
+        sink.write = target;
     }
-    if (!PyBool_Check(flag) || !PyTuple_CheckExact(rows))
+    if (!PyBool_Check(flag) || !PyTuple_CheckExact(parts))
         Py_RETURN_NONE;
     delete = flag == Py_True;
-    /* Pass 1: only exact tuples as rows; count their literals. */
-    nrows = PyTuple_GET_SIZE(rows);
-    for (r = 0; r < nrows; r++) {
-        PyObject *row = PyTuple_GET_ITEM(rows, r);
-        if (!PyTuple_CheckExact(row))
+    /* Pass 1: only exact tuples (holes, rows) with holes an exact int and
+       every row an exact tuple; count their literals, and bound the length
+       of their text by CHUNK, the most the buffer holds. */
+    nparts = PyTuple_GET_SIZE(parts);
+    for (p = 0; p < nparts; p++) {
+        PyObject *part = PyTuple_GET_ITEM(parts, p), *rows;
+        Py_ssize_t nrows, part_lits = 0;
+        if (!PyTuple_CheckExact(part) || PyTuple_GET_SIZE(part) != 2 ||
+            !PyLong_CheckExact(PyTuple_GET_ITEM(part, 0)) ||
+            !PyTuple_CheckExact(rows = PyTuple_GET_ITEM(part, 1)))
             Py_RETURN_NONE;
-        nlits += PyTuple_GET_SIZE(row);
+        if ((holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(part, 0))) < 0) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "negative hole count");
+            return NULL;
+        }
+        nrows = PyTuple_GET_SIZE(rows);
+        for (r = 0; r < nrows; r++) {
+            PyObject *row = PyTuple_GET_ITEM(rows, r);
+            if (!PyTuple_CheckExact(row))
+                Py_RETURN_NONE;
+            part_lits += PyTuple_GET_SIZE(row);
+        }
+        nlits += part_lits;
+        most_rows = nrows > most_rows ? nrows : most_rows;
+        most_lits = part_lits > most_lits ? part_lits : most_lits;
+        if (bound < CHUNK)
+            bound += (4 * nrows + LIT_WIDTH * part_lits) * (holes < CHUNK ? holes : CHUNK);
     }
-    if (nrows == 0)
-        return PyUnicode_New(0, 127);
-    /* Every hole's text is at most per_hole characters: "d " and "0\n" a
-       row, and a sign, 19 digits and a space a literal.  A range of holes
-       past PY_SSIZE_T_MAX, or of more text, could never be formatted. */
-    per_hole = nrows * 4 + nlits * 21;
-    if (count > PY_SSIZE_T_MAX - start || count > PY_SSIZE_T_MAX / per_hole)
-        return PyErr_NoMemory();
-    if ((lits = resized(NULL, nlits ? nlits : 1, sizeof *lits)) == NULL)
+    /* Pass 2: only literals read_row_literal takes, so that nothing is
+       written unless every part is. */
+    if ((lits = resized(NULL, nlits + 1, sizeof *lits)) == NULL)
         return NULL;
-    /* Pass 2: only literals read_row_literal takes; the length of the text. */
-    length = count * (nrows * (delete ? 4 : 2));
-    for (r = k = 0; r < nrows; r++) {
-        PyObject *row = PyTuple_GET_ITEM(rows, r);
-        for (j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
-            ok = read_row_literal(PyTuple_GET_ITEM(row, j), start, count, &lits[k]);
-            if (ok < 0)
-                goto done;
-            if (ok == 0)
-                goto fallback;
-            for (i = 0; i < count; i++)
-                length += literal_width(lits[k].first + lits[k].step * i);
-        }
-    }
-    /* Pass 3: write the text into the str itself, hole by hole. */
-    if ((result = new_text(length, &out)) == NULL)
-        goto done;
-    for (i = 0; i < count; i++) {
-        for (r = k = 0; r < nrows; r++) {
-            Py_ssize_t size = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
-            if (delete) {
-                *out++ = 'd';
-                *out++ = ' ';
+    for (p = k = 0; p < nparts; p++) {
+        PyObject *rows = PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 1);
+        holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 0));
+        for (r = 0; r < PyTuple_GET_SIZE(rows); r++) {
+            PyObject *row = PyTuple_GET_ITEM(rows, r);
+            for (j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
+                if ((ok = read_row_literal(PyTuple_GET_ITEM(row, j), holes, &lits[k])) < 0)
+                    goto done;
+                if (ok == 0) {
+                    result = Py_NewRef(Py_None);
+                    goto done;
+                }
             }
-            for (j = 0; j < size; j++, k++)
-                out = write_literal(out, lits[k].first + lits[k].step * i);
-            *out++ = '0';
-            *out++ = '\n';
         }
     }
-    goto done;
-fallback:
-    result = Py_NewRef(Py_None);
+    /* Pass 3: the text, part by part, through one buffer, no larger than
+       the text needs. */
+    sink.cap = bound < CHUNK ? bound + 1 : CHUNK;
+    if ((sink.buf = resized(NULL, sink.cap, 1)) == NULL ||
+        (text = resized(NULL, 4 * most_rows + LIT_WIDTH * most_lits + 1, 1)) == NULL ||
+        (st.last = resized(NULL, most_lits + 1, sizeof *st.last)) == NULL ||
+        (st.steppers = resized(NULL, most_lits + 1, sizeof *st.steppers)) == NULL)
+        goto done;
+    *text = '\n'; /* stops a carry before the first literal */
+    st.text = text + 1;
+    for (p = k = 0; p < nparts; p++) {
+        PyObject *part = PyTuple_GET_ITEM(parts, p), *rows = PyTuple_GET_ITEM(part, 1);
+        holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(part, 0));
+        if (write_part(&sink, rows, holes, lits + k, delete, &st) < 0)
+            goto done;
+        for (r = 0; r < PyTuple_GET_SIZE(rows); r++)
+            k += PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
+    }
+    if (sink_flush(&sink) == 0)
+        result = PyLong_FromSsize_t(sink.total);
 done:
     PyMem_Free(lits);
+    PyMem_Free(sink.buf);
+    PyMem_Free(text);
+    PyMem_Free(st.last);
+    PyMem_Free(st.steppers);
     return result;
 }
 
 static PyMethodDef module_methods[] = {
     {"format_rows", format_rows, METH_VARARGS,
-     "format_rows(rows, start, count, delete) -> str | None\n\n"
-     "The text lines of the clause rows of a model.HoleRows part at holes\n"
-     "start + 1 to start + count, hole by hole and in row order within a hole:\n"
-     "the text formats._format_python gives for model.row_clauses(rows, start,\n"
-     "start + count).  Each row is a tuple of literals: an int, the same at\n"
-     "every hole, or (first, step), whose value at hole h is\n"
-     "first + step * (h - 1).  A tuple of clauses is a part of one hole.\n"
-     "ValueError if start or count is negative, MemoryError if the holes or the\n"
-     "text could not be indexed.  None, with nothing formatted, unless delete\n"
-     "is a bool, rows and every row an exact tuple, every literal an exact int\n"
-     "or an exact tuple of two exact ints with step -1 or 1, and every int and\n"
-     "every value formatted within int64."},
+     "format_rows(parts, delete, sink) -> int | None\n\n"
+     "Write the text lines of the clauses of a model.HoleRows block with these\n"
+     "parts, as deletions if delete is True: the text formats._format_python\n"
+     "gives for those clauses.  A part is (holes, rows), its clauses the rows\n"
+     "at holes 1 to holes, hole by hole and in row order within a hole.  A row\n"
+     "is a tuple of literals: an int, the same at every hole, or (first, step),\n"
+     "whose value at hole h is first + step * (h - 1).  A tuple of clauses is\n"
+     "a part of one hole.  sink is a file descriptor, written with write(2)\n"
+     "without the GIL, or a callable, passed the text as str chunks.  Either\n"
+     "gets at most 64 KiB at a time, unless a row of a part of one hole is\n"
+     "longer.  Returns the number of characters written.  ValueError for a\n"
+     "negative hole count.  None, with nothing written, unless delete is a\n"
+     "bool, parts, every part and every row an exact tuple, every hole count\n"
+     "an exact int, every literal an exact int or an exact tuple of two exact\n"
+     "ints with step -1 or 1, and every int and every value formatted within\n"
+     "int64."},
     {NULL, NULL, 0, NULL},
 };
 

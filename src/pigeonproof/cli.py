@@ -38,8 +38,10 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
     if path is None or path == "-":
         yield sys.stdout
         return
+    from .formats import OutputFile
+
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with OutputFile(path) as handle:
             yield handle
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None

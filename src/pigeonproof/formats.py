@@ -4,24 +4,28 @@ Emission is canonical and byte-stable: one clause per line, space-separated
 literals, a ``0`` terminator, LF line endings.  Deletion lines in DRAT carry
 a ``d `` prefix.  Binary DRAT is not supported.
 
-Every writer formats clauses in chunks of about ``_CHUNK`` lines.  A
-:class:`~pigeonproof.model.HoleRows` block is formatted a range of holes at
-a time, straight from its rows, and any other clause iterable in parts of
-one hole and ``_CHUNK`` rows, since a clause is a row of constants.  When
-the compiled core is built, one ``_fastcheck.format_rows`` call formats such
-a range with no clause tuple built.  It declines input it does not take;
-the ``%``-template join of :func:`_format_python` then formats the
-expansion of the rows instead.  Both give the same bytes.
+Every writer hands a :class:`~pigeonproof.model.HoleRows` block to the
+compiled core whole, straight from its rows, and any other clause iterable
+in parts of one hole and ``_CHUNK`` rows, since a clause is a row of
+constants.  One ``_fastcheck.format_rows`` call formats such parts with no
+clause tuple built, through one buffer of at most 64 KiB: to the file
+descriptor of an :class:`OutputFile` (the CLI's ``--out``), its buffer
+flushed first, and as ``str`` chunks to ``out.write`` for any other handle
+and for a run of fewer than ``_CHUNK`` plain clauses.  It declines input it
+does not take, and without the compiled core everything is declined; the
+``%``-template join of :func:`_format_python` then formats the clauses
+instead.  Both give the same bytes.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 import warnings
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .model import (
     DELETE,
@@ -32,7 +36,6 @@ from .model import (
     HoleRows,
     Proof,
     ProofLine,
-    Row,
     row_clauses,
     validate_clause,
 )
@@ -52,13 +55,13 @@ class _Templates(dict):
 
 # _TEMPLATES[delete][len(clause)] % clause is the clause's text line.
 _TEMPLATES = (_Templates(""), _Templates("d "))
-_CHUNK = 4096  # clauses formatted into one string per write
+_CHUNK = 4096  # plain clauses handed to the formatter at a time
 
-try:  # the compiled core formats rows over a range of holes in one call
+try:  # the compiled core formats and writes the parts of a block in one call
     from ._fastcheck import format_rows as _format_rows
 except ImportError:  # pragma: no cover - depends on the build environment
 
-    def _format_rows(rows: object, start: int, count: int, delete: bool) -> None:
+    def _format_rows(parts: object, delete: bool, sink: object) -> None:
         return None
 
 
@@ -163,21 +166,37 @@ def _format_python(chunk: Iterable[Clause], delete: bool) -> str:
     return "".join([templates[len(c)] % c for c in chunk])
 
 
+class OutputFile(io.TextIOWrapper):
+    """The UTF-8 text file at ``path``, created or truncated, that writes
+    ``"\n"`` as itself, with no layer between its buffer and the file.  The
+    writers hand the compiled core its file descriptor, its buffer flushed;
+    any other handle gets the text through its ``write``, which may
+    translate newlines or compress."""
+
+    def __init__(self, path: str | os.PathLike[str]) -> None:
+        super().__init__(open(path, "wb"), encoding="utf-8", newline="")
+
+
+def _sink(out: IO[str]) -> int | Callable[[str], object]:
+    """Where ``format_rows`` writes the text for ``out``."""
+    if type(out) is OutputFile:
+        out.flush()
+        return out.fileno()
+    return out.write
+
+
 def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
-    if isinstance(clauses, HoleRows):
-        parts: Iterable[tuple[int, tuple[Row, ...]]] = clauses.parts
-    else:  # plain clauses: parts of one hole and at most _CHUNK rows
-        clauses = iter(clauses)
-        parts = ((1, chunk) for chunk in iter(lambda: tuple(islice(clauses, _CHUNK)), ()))
-    for holes, rows in parts:
-        # Whole holes of at most _CHUNK lines, or one hole if it has more.
-        width = max(1, _CHUNK // max(1, len(rows)))
-        for start in range(0, holes, width):
-            stop = min(start + width, holes)
-            text = _format_rows(rows, start, stop - start, delete)
-            if text is None:
-                text = _format_python(row_clauses(rows, start, stop), delete)
-            out.write(text)
+    block = isinstance(clauses, HoleRows)
+    if block and _format_rows(clauses.parts, delete, _sink(out)) is not None:
+        return
+    clauses = iter(clauses)  # plain, or a declined block's: parts of one hole
+    while chunk := tuple(islice(clauses, _CHUNK)):
+        # A short run, such as one of write_drat's, is not worth a write(2) of
+        # its own: it goes into the buffer of out.
+        sink = _sink(out) if len(chunk) == _CHUNK else out.write
+        if _format_rows(((1, chunk),), delete, sink) is None:
+            # A block's clauses are int tuples; a plain clause is a row.
+            out.write(_format_python(chunk if block else row_clauses(chunk, 0, 1), delete))
 
 
 def emit_dimacs(formula: CnfFormula) -> str:

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import os
 import re
+import tempfile
 import warnings
 
 import pytest
@@ -236,10 +238,25 @@ def test_emit_dimacs_is_unchanged(encode):
     assert sha256(text) == DIMACS_DIGESTS[encode]
 
 
+def written_both_ways(write):
+    """The text ``write(out)`` writes to a ``StringIO``, after checking that
+    it writes the same to a ``formats.OutputFile``, whose file descriptor the
+    compiled core writes."""
+    out = io.StringIO()
+    write(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.txt")
+        with formats.OutputFile(path) as handle:
+            write(handle)
+        with open(path, "rb") as handle:
+            assert handle.read() == out.getvalue().encode()
+    return out.getvalue()
+
+
 @pytest.fixture
 def pure_format(monkeypatch):
     """Make ``formats`` format every row with the template join."""
-    monkeypatch.setattr(formats, "_format_rows", lambda rows, start, count, delete: None)
+    monkeypatch.setattr(formats, "_format_rows", lambda parts, delete, sink: None)
 
 
 @pytest.mark.parametrize("encode", sorted(DIMACS_DIGESTS, key=lambda f: f.__name__))
@@ -249,9 +266,9 @@ def test_row_dimacs_emission_is_unchanged(pure_format, encode):
     for n in range(1, 7):
         formula = encode(n)
         assert tuple(rows_of(n)) == formula.clauses
-        out = io.StringIO()
-        write_dimacs(out, formula.num_vars, rows_of(n), len(formula.clauses))
-        texts.append(out.getvalue())
+        texts.append(written_both_ways(
+            lambda out: write_dimacs(out, formula.num_vars, rows_of(n), len(formula.clauses))
+        ))
     assert sha256("".join(texts)) == DIMACS_DIGESTS[encode]
 
 
@@ -264,19 +281,21 @@ def test_block_emission_matches_line_emission(pure_format, style, deletions):
     }[style]
     texts = []
     for n in range(2, 9):
-        out = io.StringIO()
-        write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
-        assert out.getvalue() == emit_drat(module.iter_proof_lines(n, deletions)), n
-        texts.append(out.getvalue())
+        text = written_both_ways(
+            lambda out: write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+        )
+        assert text == emit_drat(module.iter_proof_lines(n, deletions)), n
+        texts.append(text)
     assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
 
 
 @pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
 def test_block_emission_beyond_golden_sizes_is_unchanged(pure_format, style, n, deletions):
     family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
-    out = io.StringIO()
-    write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
-    assert sha256(out.getvalue()) == BUILDER_DIGESTS[style, n, deletions]
+    text = written_both_ways(
+        lambda out: write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+    )
+    assert sha256(text) == BUILDER_DIGESTS[style, n, deletions]
 
 
 def test_parse_drat_trivial():

@@ -5,6 +5,7 @@ The core is compiled once per session by the ``fastcheck`` fixture in
 """
 
 import enum
+import importlib
 import io
 import itertools
 import os
@@ -12,6 +13,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -39,9 +41,9 @@ from pigeonproof import (
     verify,
 )
 from pigeonproof.cli import main
-from pigeonproof.model import HoleRows, row_clauses
+from pigeonproof.model import DELETE, HoleRows, row_clauses
 from pigeonproof.propagation import ClauseDatabase
-from test_formats import DIMACS_DIGESTS, DRAT_DIGESTS, sha256
+from test_formats import BUILDER_DIGESTS, DIMACS_DIGESTS, DRAT_DIGESTS, sha256, written_both_ways
 from test_package import GEN_NEVER_LOADS, NATIVE_CHECK_NEVER_LOADS, SRC, loaded_by, loaded_by_check
 from test_propagation import RAT_SCREEN_CASES, rat_screen_case
 
@@ -163,29 +165,32 @@ def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
     assert modules & NATIVE_CHECK_NEVER_LOADS == set()
 
 
-#: Run in a child: wrap the core's row formatter to keep what it returns,
-#: forbid the template join, run the CLI, and print the formatter's module
-#: and whether the output file is exactly the texts the core returned.
+#: Run in a child: wrap the core's row formatter to keep the sinks it is
+#: given and the counts it returns, forbid the template join, run the CLI, and
+#: print the formatter's module, whether every sink was a file descriptor,
+#: and whether the core wrote every byte of the output file after the header.
 _FORMATS_IN_THE_CORE = """\
 from pigeonproof import cli, formats
-core, texts = formats._format_rows, []
-def format_rows(*args):
-    texts.append(core(*args))
-    return texts[-1]
+core, sinks, written = formats._format_rows, set(), []
+def format_rows(parts, delete, sink):
+    sinks.add("fd" if type(sink) is int else "write")
+    written.append(core(parts, delete, sink))
+    return written[-1]
 def format_python(*args):
     raise AssertionError("_format_python called")
 formats._format_rows, formats._format_python = format_rows, format_python
 assert cli.main({argv!r}) == 0
-with open({out!r}) as handle:
+with open({out!r}, "rb") as handle:
     if {argv!r}[0] == "gen-cnf":
         handle.readline()  # the header
-    print(core.__module__, None not in texts and handle.read() == "".join(texts))
+    print(core.__module__, sinks == {{"fd"}}, None not in written and len(handle.read()) == sum(written))
 """
 
 
 def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
     """Every line ``gen-proof`` and ``gen-cnf`` write, at-least-one clauses,
-    empty clause and deletions included, is text returned by the core."""
+    empty clause and deletions included, is written by the core, straight
+    to the descriptor of the ``OutputFile`` that ``--out`` opens."""
     src = _package_with_core(fastcheck, tmp_path)
     for argv, golden in (
         (["gen-proof", "4"], "proof-ours-4.drat"),
@@ -196,10 +201,178 @@ def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
         out = tmp_path / "out.txt"
         code = _FORMATS_IN_THE_CORE.format(argv=argv + ["--out", str(out)], out=str(out))
         hooks, modules = loaded_by(code, src)
-        assert hooks == "pigeonproof._fastcheck True", argv
+        assert hooks == "pigeonproof._fastcheck True True", argv
         assert modules & GEN_NEVER_LOADS == set()
         if golden:
             assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_descriptor_writes_follow_buffered_text(native_format, tmp_path, monkeypatch):
+    """Text written to a file before the core writes to its descriptor comes
+    first: a comment, the DIMACS header, the template join's text of a
+    declined chunk or block between two that the core writes, and a last
+    run of fewer than ``_CHUNK`` clauses, which goes through ``write``."""
+    monkeypatch.setattr(formats, "_CHUNK", 2)
+    clauses = [(1, 2), (-3,), (True, 4), (5,), (6, -7), (8,), (-9,)]  # chunk 2 is declined
+    blocks = [
+        ("a", 1, HoleRows([(3, (((1, 1), -9),))])),
+        ("b", 1, HoleRows([(2, (((True, 1),),))])),  # declined
+        (DELETE, 1, HoleRows([(2, ((4, (7, -1)),))])),
+    ]
+
+    def write(out):
+        out.write("c first\n")
+        formats.write_dimacs(out, 9, clauses, len(clauses))
+        formats.write_drat_blocks(out, blocks)
+        out.write("c last\n")
+
+    expected = (
+        "c first\np cnf 9 7\n1 2 0\n-3 0\n1 4 0\n5 0\n6 -7 0\n8 0\n-9 0\n"
+        "1 -9 0\n2 -9 0\n3 -9 0\n1 0\n2 0\nd 4 7 0\nd 4 6 0\nc last\n"
+    )
+    path = tmp_path / "mixed.txt"
+    with formats.OutputFile(path) as handle:
+        write(handle)
+    assert path.read_bytes() == expected.encode()
+    assert written_both_ways(write) == expected
+
+
+@pytest.mark.parametrize("opener", ["gzip", "bz2", "lzma", "crlf", "utf-16"])
+def test_writers_leave_other_handles_to_their_write(native_format, tmp_path, opener):
+    """A handle other than an ``OutputFile`` gets all its text through its
+    ``write``, even where it has a file descriptor: a compressed file holds
+    a stream that decompresses to the text, and a handle that translates
+    newlines, or encodes ASCII as other bytes, does so on every line."""
+    blocks = list(proof_ours.iter_blocks(7, proof_ours.OURS, True))
+    formula = php_standard(7)
+    path = tmp_path / "out"
+
+    def write(out):
+        formats.write_dimacs(out, formula.num_vars, formula.clauses, len(formula.clauses))
+        formats.write_drat_blocks(out, blocks)
+
+    expected = written_both_ways(write)
+    if opener == "crlf":
+        with open(path, "w", encoding="utf-8", newline="\r\n") as handle:
+            write(handle)
+        assert path.read_bytes() == expected.replace("\n", "\r\n").encode()
+    elif opener == "utf-16":
+        with open(path, "w", encoding="utf-16", newline="") as handle:
+            write(handle)
+        assert path.read_text(encoding="utf-16") == expected
+    else:
+        module = importlib.import_module(opener)
+        with module.open(path, "wt", encoding="utf-8", newline="") as handle:
+            assert handle.fileno() >= 0  # the descriptor of the compressed file
+            write(handle)
+        assert module.decompress(path.read_bytes()) == expected.encode()
+
+
+#: Run in a child with the core's path: print to stdout, which is a pipe and
+#: so block-buffered, then write a proof there with the core, which passes
+#: its text to stdout's write, and print again.
+_AFTER_PRINT = """
+import importlib.util, sys
+from pigeonproof import formats, proof_ours
+spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
+core = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(core)
+formats._format_rows = core.format_rows
+print("c first")
+formats.write_drat_blocks(sys.stdout, proof_ours.iter_blocks(4, proof_ours.OURS))
+print("c last")
+"""
+
+
+def test_block_writes_to_stdout_follow_earlier_prints(fastcheck):
+    result = subprocess.run(
+        [sys.executable, "-c", _AFTER_PRINT, fastcheck.__file__],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    golden = (GOLDEN / "proof-ours-4.drat").read_bytes()
+    assert result.stdout == b"c first\n" + golden + b"c last\n"
+
+
+# Writes a proof to a FIFO that a thread of the same process reads; the core
+# must let that thread run while it waits in write().  A timer interrupts the
+# writes, which the core resumes after running the handler.
+_FIFO_WRITE = """
+import hashlib, importlib.util, signal, sys, threading, time
+from pigeonproof import formats, proof_ours
+spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
+core = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(core)
+formats._format_rows = core.format_rows
+fifo = sys.argv[2]
+pieces, ticks = [], []
+
+def read():  # a piece at a time, taking the GIL between pieces
+    with open(fifo, "rb", buffering=0) as source:
+        while piece := source.read(4096):
+            pieces.append(piece)
+            time.sleep(0.0002)
+
+reader = threading.Thread(target=read)
+reader.start()
+signal.signal(signal.SIGALRM, lambda *args: ticks.append(1))
+signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
+with formats.OutputFile(fifo) as out:
+    formats.write_drat_blocks(out, proof_ours.iter_blocks(40, proof_ours.OURS))
+signal.setitimer(signal.ITIMER_REAL, 0)
+reader.join()
+data = b"".join(pieces)
+assert len(data) > 1 << 21  # more than a pipe holds, even one grown to its cap
+print(hashlib.sha256(data).hexdigest(), len(ticks) > 0)
+"""
+
+
+def test_block_writer_fills_a_fifo_that_a_thread_reads(fastcheck, tmp_path):
+    fifo = tmp_path / "proof.fifo"
+    os.mkfifo(fifo)
+    result = subprocess.run(
+        [sys.executable, "-c", _FIFO_WRITE, fastcheck.__file__, str(fifo)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    out = io.StringIO()
+    formats.write_drat_blocks(out, proof_ours.iter_blocks(40, proof_ours.OURS))
+    assert result.stdout.split() == [sha256(out.getvalue()), "True"]
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "/dev/stdout"]], ids=["stdout", "out"])
+@pytest.mark.parametrize("core", [False, True], ids=["python", "native"])
+def test_gen_proof_into_a_closed_pipe_exits_2_quietly(compiled, tmp_path, core, out):
+    """A reader that closes the pipe after one byte ends ``gen-proof`` with
+    exit code 2, whether or not the core writes: on stdout, where the core
+    passes the text to its write, with nothing on stderr; and given
+    ``--out``, where the core writes to the pipe's descriptor, with the one
+    line of an output file that cannot be written."""
+    if core and compiled is None:
+        pytest.skip("no C compiler found")
+    src = _package_with_core(compiled, tmp_path) if core else SRC
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pigeonproof.cli", "gen-proof", "60", *out],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.read(1) == b"-"  # of the first definition clause
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
+        assert child.stderr.read() == (
+            b"error: cannot write /dev/stdout: [Errno 32] Broken pipe\n" if out else b""
+        )
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -949,6 +1122,29 @@ def native_format(fastcheck, monkeypatch):
     monkeypatch.setattr(formats, "_format_rows", fastcheck.format_rows)
 
 
+#: Characters the core stages before each write.
+STAGED = 1 << 16
+
+
+def _formats(fastcheck, parts, delete):
+    """The text ``format_rows`` writes for ``parts`` to a callable, the same
+    as it writes to a file descriptor; None, with nothing written to either,
+    if it declines."""
+    texts = []
+    with tempfile.TemporaryFile() as file:
+        written = [fastcheck.format_rows(parts, delete, sink) for sink in (texts.append, file.fileno())]
+        file.seek(0)
+        data = file.read()
+    text = "".join(texts)
+    assert data == text.encode()
+    assert all(len(chunk) <= STAGED for chunk in texts)
+    if written == [None, None]:
+        assert text == ""
+        return None
+    assert written == [len(text)] * 2
+    return text
+
+
 class _Writes(list):
     """An output that keeps each string written to it."""
 
@@ -997,7 +1193,7 @@ _LITERALS = st.one_of(
 @given(st.lists(st.lists(_LITERALS, max_size=6).map(tuple), max_size=20), st.booleans())
 def test_format_fuzz_agrees_with_template_join(fastcheck, chunk, delete):
     # A chunk of clauses is a part of one hole.
-    native = fastcheck.format_rows(tuple(chunk), 0, 1, delete)
+    native = _formats(fastcheck, ((1, tuple(chunk)),), delete)
     fits = all(INT64[0] <= lit <= INT64[1] for clause in chunk for lit in clause)
     assert (native is not None) == fits
     if fits:
@@ -1039,20 +1235,25 @@ FALLBACK_CHUNKS = {
 @pytest.mark.parametrize("delete", [False, True])
 def test_format_fallback_chunks_match_template_join(fastcheck, case, delete):
     chunk = FALLBACK_CHUNKS[case]
-    assert fastcheck.format_rows(tuple(chunk), 0, 1, delete) is None
+    assert _formats(fastcheck, ((1, tuple(chunk)),), delete) is None
     _same_text(fastcheck, chunk, delete)
 
 
 def test_format_declines_a_delete_flag_that_is_not_a_bool(fastcheck):
-    assert fastcheck.format_rows(((1, 2),), 0, 1, 1) is None
-    assert fastcheck.format_rows(((1, 2),), 0, 1, False) == "1 2 0\n"
-    assert fastcheck.format_rows(((1, 2),), 0, 1, True) == "d 1 2 0\n"
-    assert fastcheck.format_rows((), 0, 1, True) == ""
-    assert fastcheck.format_rows([(1, 2)], 0, 1, False) is None  # rows not a tuple
+    clause = ((1, ((1, 2),)),)
+    assert _formats(fastcheck, clause, 1) is None
+    assert _formats(fastcheck, clause, False) == "1 2 0\n"
+    assert _formats(fastcheck, clause, True) == "d 1 2 0\n"
+    assert _formats(fastcheck, ((1, ()),), True) == ""
+    assert _formats(fastcheck, (), True) == ""
+    assert _formats(fastcheck, ((1, [(1, 2)]),), False) is None  # rows not a tuple
+    assert _formats(fastcheck, [(1, ((1, 2),))], False) is None  # parts not a tuple
+    assert _formats(fastcheck, ((1, ((1, 2),), 0),), False) is None  # not a pair
+    assert _formats(fastcheck, ((True, ((1, 2),)),), False) is None  # holes a bool
     with pytest.raises(TypeError):
-        fastcheck.format_rows(((1, 2),), False)
-    # A clause holding a pair literal is a row: the pair's value at the hole.
-    assert fastcheck.format_rows(((5, (2, -1)),), 1, 1, False) == "5 1 0\n"
+        fastcheck.format_rows(clause, False)
+    # A clause holding a pair literal is a row: the pair's value at each hole.
+    assert _formats(fastcheck, ((2, ((5, (2, -1)),)),), False) == "5 2 0\n5 1 0\n"
     assert _same_text(fastcheck, [(5, (2, -1))], False) == "5 2 0\n"
 
 
@@ -1070,37 +1271,51 @@ def test_format_spans_several_chunks(fastcheck):
 
 # -- formatting rows over holes: the native row call against the expansion --
 
-_FIRSTS = st.one_of(
-    st.integers(-(10**6), 10**6),
-    st.sampled_from(
-        [0, 1, -1, 2**31 - 1, -(2**31 - 1), 2**63 - 1, 2**63 - 5, -(2**63), -(2**63) + 5,
-         2**63, -(2**63) - 1, 10**30]
-    ),
+#: Values a row literal reaches: decade boundaries (each digit wraps, and the
+#: width changes), zero, and the ends of int64 and beyond.
+_MILESTONES = sorted(
+    {sign * (10**k + d) for k in range(19) for d in (-1, 0, 1) for sign in (1, -1)}
+    | {2**31 - 1, -(2**31 - 1), 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1, 10**30}
 )
-_ROWS = st.lists(
-    st.lists(
-        st.one_of(_FIRSTS, st.tuples(_FIRSTS, st.sampled_from([-1, 1]))), max_size=4
-    ).map(tuple),
-    max_size=5,
-).map(tuple)
 
 
-def _fits(rows, start, count):
+@st.composite
+def _hole_rows(draw):
+    """A part ``(holes, rows)``: constants, and pairs that reach a milestone
+    or a random value at the first, the middle or the last hole, so that runs
+    cross decades and zero and end at the ends of int64."""
+    holes = draw(st.integers(0, 150))
+    values = st.one_of(st.integers(-(10**6), 10**6), st.sampled_from(_MILESTONES))
+    at = (0, holes // 2, max(holes - 1, 0))
+
+    def literal():
+        value = draw(values)
+        step = draw(st.sampled_from([0, -1, 1]))
+        return value if step == 0 else (value - step * draw(st.sampled_from(at)), step)
+
+    nrows = draw(st.integers(0, 5))
+    return holes, tuple(tuple(literal() for _ in range(draw(st.integers(0, 4)))) for _ in range(nrows))
+
+
+def _fits(rows, holes):
     """Whether every int, every first and every value formatted lies within int64."""
-    values = [lit for clause in row_clauses(rows, start, start + count) for lit in clause]
+    values = [lit for clause in row_clauses(rows, 0, holes) for lit in clause]
     firsts = [lit[0] if type(lit) is tuple else lit for row in rows for lit in row]
     return all(INT64[0] <= value <= INT64[1] for value in values + firsts)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ROWS, st.integers(0, 8), st.integers(0, 8), st.booleans())
-def test_format_rows_fuzz_agrees_with_expansion(fastcheck, rows, start, count, delete):
-    native = fastcheck.format_rows(rows, start, count, delete)
-    expanded = formats._format_python(list(row_clauses(rows, start, start + count)), delete)
-    assert (native is not None) == (not rows or _fits(rows, start, count))
+@given(_hole_rows(), st.booleans())
+@example((150, (((9 - 149, 1), (-10, -1), (2**63 - 150, 1), (-(2**63) + 150, -1)),)), False)
+@example((21, (((-10, 1), (10, -1), (99, 1), (-99, -1), (100, -1)),)), True)
+def test_format_rows_fuzz_agrees_with_expansion(fastcheck, part, delete):
+    holes, rows = part
+    native = _formats(fastcheck, (part,), delete)
+    expanded = formats._format_python(list(row_clauses(rows, 0, holes)), delete)
+    assert (native is not None) == (not rows or _fits(rows, holes))
     if native is not None:
         assert native == expanded
-    block = HoleRows([(start + count, rows)])
+    block = HoleRows([part])
     assert _same_text(fastcheck, block, delete) == formats._format_python(list(block), delete)
 
 
@@ -1131,43 +1346,63 @@ FALLBACK_ROWS = {
 @pytest.mark.parametrize("delete", [False, True])
 def test_format_fallback_rows_match_expansion(fastcheck, case, delete):
     rows = FALLBACK_ROWS[case]
-    assert fastcheck.format_rows(rows, 0, 4, delete) is None
+    # A declined part declines the whole call: nothing of the first is written.
+    assert _formats(fastcheck, ((2, (((1, 1),),)), (4, rows)), delete) is None
     _same_text(fastcheck, HoleRows([(4, rows)]), delete)
 
 
 def test_format_rows_rejects_bad_hole_ranges(fastcheck):
     rows = (((1, 1),),)
-    for start, count in ((0, -1), (-1, 2), (-(2**62), 0)):
+    for holes in (-1, -(2**62)):
         with pytest.raises(ValueError, match="negative hole count"):
-            fastcheck.format_rows(rows, start, count, False)
+            fastcheck.format_rows(((holes, rows),), False, [].append)
     with pytest.raises(ValueError, match="negative hole count"):
         HoleRows([(2, rows), (-1, rows)])
-    # A range of holes past the index space, or of more text, raises at once.
-    for start, count in ((0, 2**62), (2**62, 2**62)):
-        with pytest.raises(MemoryError):
-            fastcheck.format_rows(rows, start, count, False)
     with pytest.raises(OverflowError):
-        fastcheck.format_rows(rows, 0, 2**64, False)
-    assert fastcheck.format_rows((), 2**62, 2**62, False) == ""
-    assert fastcheck.format_rows(rows, 5, 0, True) == ""
-    assert fastcheck.format_rows(rows, 1, 2, 1) is None  # delete is not a bool
-    assert fastcheck.format_rows(rows, 1, 2, True) == "d 2 0\nd 3 0\n"
+        fastcheck.format_rows(((2**64, rows),), False, [].append)
+    for fd in (-1, -(2**40)):
+        with pytest.raises(ValueError, match="bad file descriptor"):
+            fastcheck.format_rows(((1, rows),), False, fd)
+    # Text is written as it is formatted: a sink that fails stops a range of
+    # holes past any buffer at its first chunk.
+    texts = []
+
+    def fail(text):
+        texts.append(text)
+        raise RuntimeError("sink full")
+
+    with pytest.raises(RuntimeError, match="sink full"):
+        fastcheck.format_rows(((2**62, rows),), False, fail)
+    assert [len(text) for text in texts] == [STAGED]
+    assert texts[0].startswith("1 0\n2 0\n")
+    assert _formats(fastcheck, ((2**62, ()),), False) == ""
+    assert _formats(fastcheck, ((0, rows),), True) == ""
+    assert _formats(fastcheck, ((3, rows),), 1) is None  # delete is not a bool
+    assert _formats(fastcheck, ((3, rows),), True) == "d 1 0\nd 2 0\nd 3 0\n"
 
 
 @pytest.mark.parametrize("width", [37, formats._CHUNK + 3])
-def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, width):
-    """A block of more than 3 * _CHUNK lines is written in strings of at
-    most _CHUNK lines, or one hole each when a hole has more lines."""
+def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, width, tmp_path):
+    """A block of more than 8 * _CHUNK lines reaches the output in chunks of
+    the staged 64 KiB, a hole of more text than that included, and the same
+    bytes reach a file through its descriptor."""
     rows = tuple(((-(10 * r + 1), -1), (5 * r + 2, 1), 7) for r in range(width))
-    holes = 3 * formats._CHUNK // width + 2
+    holes = 8 * formats._CHUNK // width + 2
     block = HoleRows([(holes, rows), (2, rows[:1])])
-    assert len(block) > 3 * formats._CHUNK
+    assert len(block) > 8 * formats._CHUNK
     expected = formats._format_python(list(block), True)
+    assert len(expected) > 4 * STAGED
     for native in (fastcheck, None):
         out = _writes(block, True, native)
         assert "".join(out) == expected
         assert len(out) > 3
-        assert max(text.count("\n") for text in out) == max(width, formats._CHUNK // width * width)
+    out = _writes(block, True, fastcheck)
+    assert [len(text) for text in out[:-1]] == [STAGED] * (len(out) - 1)
+    path = tmp_path / "block.drat"
+    with pytest.MonkeyPatch.context() as patch, formats.OutputFile(path) as handle:
+        patch.setattr(formats, "_format_rows", fastcheck.format_rows)
+        formats._write_clauses(handle, True, block)
+    assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("deletions", [False, True])
@@ -1176,13 +1411,23 @@ def test_native_block_emission_matches_digests_and_golden_files(native_format, s
     family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
     texts = []
     for n in range(2, 9):
-        out = io.StringIO()
-        formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
-        texts.append(out.getvalue())
+        text = written_both_ways(
+            lambda out: formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+        )
+        texts.append(text)
         golden = GOLDEN / f"proof-{style}-{n}{'-deletions' if deletions else ''}.drat"
         if golden.exists():
-            assert golden.read_bytes() == out.getvalue().encode(), golden.name
+            assert golden.read_bytes() == text.encode(), golden.name
     assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
+
+
+@pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
+def test_native_block_emission_beyond_golden_sizes_is_unchanged(native_format, style, n, deletions):
+    family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
+    text = written_both_ways(
+        lambda out: formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
+    )
+    assert sha256(text) == BUILDER_DIGESTS[style, n, deletions]
 
 
 @pytest.mark.parametrize("encode", [php_standard, php_amo], ids=["standard", "amo"])
@@ -1191,12 +1436,15 @@ def test_native_dimacs_emission_matches_digests_and_golden_files(native_format, 
     texts = []
     for n in range(1, 7):
         formula = encode(n)
-        out, rows_out = io.StringIO(), io.StringIO()
-        formats.write_dimacs(out, formula.num_vars, formula.clauses, len(formula.clauses))
-        formats.write_dimacs(rows_out, formula.num_vars, rows_of(n), len(formula.clauses))
-        assert rows_out.getvalue() == out.getvalue(), n
-        texts.append(out.getvalue())
+        text, rows_text = (
+            written_both_ways(
+                lambda out: formats.write_dimacs(out, formula.num_vars, clauses, len(formula.clauses))
+            )
+            for clauses in (formula.clauses, rows_of(n))
+        )
+        assert rows_text == text, n
+        texts.append(text)
         golden = GOLDEN / f"php-{encode.__name__[4:]}-{n}.cnf"
         if golden.exists():
-            assert golden.read_bytes() == out.getvalue().encode(), golden.name
+            assert golden.read_bytes() == text.encode(), golden.name
     assert sha256("".join(texts)) == DIMACS_DIGESTS[encode]
