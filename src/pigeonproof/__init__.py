@@ -17,6 +17,19 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+#: Largest n the generators accept, a memory guard.  It lives here because
+#: every path loads this module: the CLI checks n before it opens ``--out``,
+#: also when the compiled core generates the proof and no other module loads.
+MAX_N = 5000
+
+
+def _check_n(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise ValueError(f"n must be >= {minimum}, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n > {MAX_N} is not supported (memory guard)")
+
+
 #: The top-level names of each submodule; the one list of the package's exports.
 _EXPORTS = {
     "checker": ("ACCEPTED", "DEFAULT_BACKEND", "INCOMPLETE", "REJECTED", "Verdict", "verify"),

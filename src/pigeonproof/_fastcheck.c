@@ -23,18 +23,23 @@
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
 
-   One module function, format_rows, writes all emitted text, as DIMACS
-   or DRAT lines: the parts of a model.HoleRows block, from their row
-   literals, so no clause tuple is ever built.  A plain clause is a row of
-   constants, so a chunk of clauses is a part of one hole, written straight.
-   A part of more holes is formatted once, at its first hole, and each
-   literal of step -1 or 1 is then stepped in place from hole to hole (see
-   write_part).  The text goes through one buffer, 64 KiB or the length of
-   a shorter text, reused for the whole call, to a file descriptor with
-   write(2) without the GIL, or as str chunks to a callable.  format_rows takes only exact tuples, exact ints
-   and values within int64, and otherwise returns None having written
-   nothing, and formats._format_python then formats the clauses, so the
-   bytes and the errors are those of the pure-Python path. */
+   All emitted text, DIMACS or DRAT lines, is written by one formatter,
+   write_part, from the rows of a part of a model.HoleRows block: its row
+   literals, back to back, and the length of each row, so no clause tuple
+   is ever built.  A plain clause is a row of constants, so a chunk of
+   clauses is a part of one hole, written straight.  A part of more holes
+   is formatted once, at its first hole, and each literal of step -1 or 1
+   is then stepped in place from hole to hole.  The text goes through one
+   buffer, 64 KiB or the length of a shorter text, reused for the whole
+   call, to a file descriptor with write(2) without the GIL, or as str
+   chunks to a callable.  Two module functions feed it.  format_rows takes
+   the parts of a Python block; it takes only exact tuples, exact ints and
+   values within int64, and otherwise returns None having written nothing,
+   and formats._format_python then formats the clauses, so the bytes and
+   the errors are those of the pure-Python path.  write_proof builds the
+   rows of a whole gen-proof refutation itself, with C twins of the
+   builders of proof_ours and proof_cook, a part at a time; tests hold its
+   bytes to the Python builders, the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1377,59 +1382,94 @@ static char *format_row(char *out, const RowLit *lits, Py_ssize_t n, int delete,
     return out;
 }
 
-/* Scratch of write_part, sized for the largest part of a call: text holds
-   the text of one hole, after a byte that is no digit; last[k] is the
+/* Scratch of write_part, grown to its largest part: text holds the text of
+   one hole, after a byte that is no digit, at room + 1; last[k] is the
    offset in text of the last digit of literal k; steppers lists the
    literals of step -1 or 1. */
 typedef struct {
-    char *text;
+    char *room, *text;
     Py_ssize_t *last, *steppers;
+    Py_ssize_t cap_text, cap_lits;
 } Stage;
 
-/* Format the rows of a part at the current values of lits into st->text;
-   return its length. */
-static Py_ssize_t format_hole(Stage *st, PyObject *rows, const RowLit *lits,
-                              int delete)
+/* Grow st for a hole of nrows rows of nlits literals.  0, or -1 with
+   MemoryError set. */
+static int stage_fit(Stage *st, Py_ssize_t nrows, Py_ssize_t nlits)
 {
-    Py_ssize_t r, k, n;
-    char *out = st->text;
-    for (r = k = 0; r < PyTuple_GET_SIZE(rows); r++, k += n) {
-        n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
-        out = format_row(out, lits + k, n, delete, st->last + k, st->text);
+    Py_ssize_t need = 4 * nrows + LIT_WIDTH * nlits;
+    void *q;
+    if (need > st->cap_text) {
+        if ((q = resized(st->room, need + 1, 1)) == NULL)
+            return -1;
+        st->room = q;
+        *st->room = '\n'; /* stops a carry before the first literal */
+        st->text = st->room + 1;
+        st->cap_text = need;
     }
+    if (nlits > st->cap_lits) {
+        if ((q = resized(st->last, nlits, sizeof *st->last)) == NULL)
+            return -1;
+        st->last = q;
+        if ((q = resized(st->steppers, nlits, sizeof *st->steppers)) == NULL)
+            return -1;
+        st->steppers = q;
+        st->cap_lits = nlits;
+    }
+    return 0;
+}
+
+static void stage_free(Stage *st)
+{
+    PyMem_Free(st->room);
+    PyMem_Free(st->last);
+    PyMem_Free(st->steppers);
+}
+
+/* Format the nrows rows of a part, of lens[r] literals each, at the current
+   values of lits into st->text; return its length. */
+static Py_ssize_t format_hole(Stage *st, const Py_ssize_t *lens, Py_ssize_t nrows,
+                              const RowLit *lits, int delete)
+{
+    Py_ssize_t r, k;
+    char *out = st->text;
+    for (r = k = 0; r < nrows; k += lens[r++])
+        out = format_row(out, lits + k, lens[r], delete, st->last + k, st->text);
     return out - st->text;
 }
 
-/* Write the text of a part, its rows at holes 1 to holes, hole by hole,
-   with lits its literals, row by row.  A part of one hole is written
-   straight.  Otherwise the text of the first hole is formatted once and
-   copied at each hole.  Between holes each literal of step -1 or 1 is
-   stepped in place: its last digit moves by one, carrying or borrowing
-   into the digits before it, and the hole is formatted again only when a
-   literal's width or sign changes.  lits ends at the values of the last
-   hole; no value is stepped past it.  0, or -1 with an exception set. */
-static int write_part(Sink *s, PyObject *rows, Py_ssize_t holes, RowLit *lits,
-                      int delete, Stage *st)
+/* Write the text of a part, its nrows rows at holes 1 to holes, hole by
+   hole, with lens[r] the length of row r and lits the literals, row by
+   row.  A part of one hole is written straight.  Otherwise the text of the
+   first hole is formatted once and copied at each hole.  Between holes
+   each literal of step -1 or 1 is stepped in place: its last digit moves
+   by one, carrying or borrowing into the digits before it, and the hole is
+   formatted again only when a literal's width or sign changes.  lits ends
+   at the values of the last hole; no value is stepped past it.  0, or -1
+   with an exception set. */
+static int write_part(Sink *s, const Py_ssize_t *lens, Py_ssize_t nrows, Py_ssize_t holes,
+                      RowLit *lits, int delete, Stage *st)
 {
-    Py_ssize_t nrows = PyTuple_GET_SIZE(rows), nstep = 0, length, h, r, i, k, n;
+    Py_ssize_t nstep = 0, nlits = 0, length, h, r, i, k;
     char *out, *digit;
     int again;
     if (holes == 1) {
-        for (r = k = 0; r < nrows; r++, k += n) {
-            n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
-            if ((out = sink_room(s, 4 + LIT_WIDTH * n)) == NULL)
+        for (r = k = 0; r < nrows; k += lens[r++]) {
+            if ((out = sink_room(s, 4 + LIT_WIDTH * lens[r])) == NULL)
                 return -1;
-            s->len = format_row(out, lits + k, n, delete, NULL, NULL) - s->buf;
+            s->len = format_row(out, lits + k, lens[r], delete, NULL, NULL) - s->buf;
         }
         return 0;
     }
     if (holes == 0 || nrows == 0)
         return 0;
-    for (r = k = 0; r < nrows; r++)
-        for (n = PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r)); n > 0; n--, k++)
-            if (lits[k].step != 0)
-                st->steppers[nstep++] = k;
-    length = format_hole(st, rows, lits, delete);
+    for (r = 0; r < nrows; r++)
+        nlits += lens[r];
+    if (stage_fit(st, nrows, nlits) < 0)
+        return -1;
+    for (k = 0; k < nlits; k++)
+        if (lits[k].step != 0)
+            st->steppers[nstep++] = k;
+    length = format_hole(st, lens, nrows, lits, delete);
     for (h = 1;; h++) {
         if (sink_put(s, st->text, length) < 0)
             return -1;
@@ -1460,44 +1500,51 @@ static int write_part(Sink *s, PyObject *rows, Py_ssize_t holes, RowLit *lits,
             }
         }
         if (again)
-            length = format_hole(st, rows, lits, delete);
+            length = format_hole(st, lens, nrows, lits, delete);
     }
+}
+
+/* Point s at target: a file descriptor, an exact int, or else a callable.
+   0, or -1 with ValueError set for a negative descriptor. */
+static int sink_target(Sink *s, PyObject *target)
+{
+    if (PyLong_CheckExact(target)) {
+        long fd = PyLong_AsLong(target);
+        if (fd == -1 && PyErr_Occurred())
+            return -1;
+        if (fd < 0 || fd > INT_MAX) {
+            PyErr_SetString(PyExc_ValueError, "bad file descriptor");
+            return -1;
+        }
+        s->fd = (int)fd;
+    } else {
+        s->write = target;
+    }
+    return 0;
 }
 
 static PyObject *format_rows(PyObject *module, PyObject *args)
 {
     PyObject *parts, *flag, *target, *result = NULL;
     Sink sink = {-1, NULL, NULL, 0, 0, 0};
-    Stage st = {NULL, NULL, NULL};
-    char *text = NULL;
+    Stage st = {0};
     RowLit *lits = NULL;
-    Py_ssize_t nparts, p, r, j, k, holes, nlits = 0, most_rows = 0, most_lits = 0;
-    Py_ssize_t bound = 0;
+    Py_ssize_t *lens = NULL;
+    Py_ssize_t nparts, p, r, j, k, holes, nlits = 0, nrows = 0, bound = 0;
     int delete, ok;
-    if (!PyArg_ParseTuple(args, "OOO:format_rows", &parts, &flag, &target))
+    if (!PyArg_ParseTuple(args, "OOO:format_rows", &parts, &flag, &target) ||
+        sink_target(&sink, target) < 0)
         return NULL;
-    if (PyLong_CheckExact(target)) {
-        long fd = PyLong_AsLong(target);
-        if (fd == -1 && PyErr_Occurred())
-            return NULL;
-        if (fd < 0 || fd > INT_MAX) {
-            PyErr_SetString(PyExc_ValueError, "bad file descriptor");
-            return NULL;
-        }
-        sink.fd = (int)fd;
-    } else {
-        sink.write = target;
-    }
     if (!PyBool_Check(flag) || !PyTuple_CheckExact(parts))
         Py_RETURN_NONE;
     delete = flag == Py_True;
     /* Pass 1: only exact tuples (holes, rows) with holes an exact int and
-       every row an exact tuple; count their literals, and bound the length
-       of their text by CHUNK, the most the buffer holds. */
+       every row an exact tuple; count their rows and literals, and bound
+       the length of their text by CHUNK, the most the buffer holds. */
     nparts = PyTuple_GET_SIZE(parts);
     for (p = 0; p < nparts; p++) {
         PyObject *part = PyTuple_GET_ITEM(parts, p), *rows;
-        Py_ssize_t nrows, part_lits = 0;
+        Py_ssize_t part_lits = 0;
         if (!PyTuple_CheckExact(part) || PyTuple_GET_SIZE(part) != 2 ||
             !PyLong_CheckExact(PyTuple_GET_ITEM(part, 0)) ||
             !PyTuple_CheckExact(rows = PyTuple_GET_ITEM(part, 1)))
@@ -1507,28 +1554,29 @@ static PyObject *format_rows(PyObject *module, PyObject *args)
                 PyErr_SetString(PyExc_ValueError, "negative hole count");
             return NULL;
         }
-        nrows = PyTuple_GET_SIZE(rows);
-        for (r = 0; r < nrows; r++) {
+        for (r = 0; r < PyTuple_GET_SIZE(rows); r++) {
             PyObject *row = PyTuple_GET_ITEM(rows, r);
             if (!PyTuple_CheckExact(row))
                 Py_RETURN_NONE;
             part_lits += PyTuple_GET_SIZE(row);
         }
         nlits += part_lits;
-        most_rows = nrows > most_rows ? nrows : most_rows;
-        most_lits = part_lits > most_lits ? part_lits : most_lits;
+        nrows += PyTuple_GET_SIZE(rows);
         if (bound < CHUNK)
-            bound += (4 * nrows + LIT_WIDTH * part_lits) * (holes < CHUNK ? holes : CHUNK);
+            bound += (4 * PyTuple_GET_SIZE(rows) + LIT_WIDTH * part_lits) *
+                     (holes < CHUNK ? holes : CHUNK);
     }
-    /* Pass 2: only literals read_row_literal takes, so that nothing is
-       written unless every part is. */
-    if ((lits = resized(NULL, nlits + 1, sizeof *lits)) == NULL)
-        return NULL;
-    for (p = k = 0; p < nparts; p++) {
+    /* Pass 2: the length of every row, and only literals read_row_literal
+       takes, so that nothing is written unless every part is. */
+    if ((lits = resized(NULL, nlits + 1, sizeof *lits)) == NULL ||
+        (lens = resized(NULL, nrows + 1, sizeof *lens)) == NULL)
+        goto done;
+    for (p = k = nrows = 0; p < nparts; p++) {
         PyObject *rows = PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 1);
         holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 0));
         for (r = 0; r < PyTuple_GET_SIZE(rows); r++) {
             PyObject *row = PyTuple_GET_ITEM(rows, r);
+            lens[nrows++] = PyTuple_GET_SIZE(row);
             for (j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
                 if ((ok = read_row_literal(PyTuple_GET_ITEM(row, j), holes, &lits[k])) < 0)
                     goto done;
@@ -1542,29 +1590,313 @@ static PyObject *format_rows(PyObject *module, PyObject *args)
     /* Pass 3: the text, part by part, through one buffer, no larger than
        the text needs. */
     sink.cap = bound < CHUNK ? bound + 1 : CHUNK;
-    if ((sink.buf = resized(NULL, sink.cap, 1)) == NULL ||
-        (text = resized(NULL, 4 * most_rows + LIT_WIDTH * most_lits + 1, 1)) == NULL ||
-        (st.last = resized(NULL, most_lits + 1, sizeof *st.last)) == NULL ||
-        (st.steppers = resized(NULL, most_lits + 1, sizeof *st.steppers)) == NULL)
+    if ((sink.buf = resized(NULL, sink.cap, 1)) == NULL)
         goto done;
-    *text = '\n'; /* stops a carry before the first literal */
-    st.text = text + 1;
-    for (p = k = 0; p < nparts; p++) {
-        PyObject *part = PyTuple_GET_ITEM(parts, p), *rows = PyTuple_GET_ITEM(part, 1);
+    for (p = k = r = 0; p < nparts; p++) {
+        PyObject *part = PyTuple_GET_ITEM(parts, p);
+        Py_ssize_t part_rows = PyTuple_GET_SIZE(PyTuple_GET_ITEM(part, 1));
         holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(part, 0));
-        if (write_part(&sink, rows, holes, lits + k, delete, &st) < 0)
+        if (write_part(&sink, lens + r, part_rows, holes, lits + k, delete, &st) < 0)
             goto done;
-        for (r = 0; r < PyTuple_GET_SIZE(rows); r++)
-            k += PyTuple_GET_SIZE(PyTuple_GET_ITEM(rows, r));
+        for (; part_rows > 0; part_rows--)
+            k += lens[r++];
     }
     if (sink_flush(&sink) == 0)
         result = PyLong_FromSsize_t(sink.total);
 done:
     PyMem_Free(lits);
+    PyMem_Free(lens);
     PyMem_Free(sink.buf);
-    PyMem_Free(text);
-    PyMem_Free(st.last);
-    PyMem_Free(st.steppers);
+    stage_free(&st);
+    return result;
+}
+
+/* -- proof generation ---------------------------------------------------- */
+
+/* The rows of the part being built, as write_part takes them: the literals
+   of every row, back to back, and the length of each row. */
+typedef struct {
+    RowLit *lits;
+    Py_ssize_t *lens;
+    Py_ssize_t nlits, nrows, cap_lits, cap_rows;
+} Rows;
+
+/* What write_proof writes with: the sink, the scratch of write_part, the
+   rows of the part being built, and whether they are deletions. */
+typedef struct {
+    Sink sink;
+    Stage st;
+    Rows rows;
+    int delete;
+} Gen;
+
+/* Numbering of a layer, as encodings.LayerLayout: x_var(p, h) is
+   x_base + p * layer + h and y_var(g, h) is y_base + g * layer + h. */
+typedef struct {
+    int64_t layer, x_base, y_base;
+} Layout;
+
+/* A group member over the holes, as in encodings.member_literal: its
+   literal at hole h is sign * (base + h). */
+typedef struct {
+    int64_t base, sign;
+} Member;
+
+/* Largest n of write_proof: every variable id, below n^3 / 2, then fits in
+   int64 with room to spare.  cli keeps n within pigeonproof.MAX_N. */
+#define PROOF_MAX_N (1 << 20)
+
+/* sign times a member's literal, as a row literal over the holes. */
+static inline RowLit member_lit(Member m, int64_t sign)
+{
+    return (RowLit){sign * m.sign * (m.base + 1), sign * m.sign};
+}
+
+/* Room for one more row of n literals in the part being built: its first
+   literal, or NULL with MemoryError set. */
+static RowLit *new_row(Rows *r, Py_ssize_t n)
+{
+    void *q;
+    if (r->nlits + n > r->cap_lits) {
+        Py_ssize_t cap = 2 * r->cap_lits > r->nlits + n ? 2 * r->cap_lits : r->nlits + n;
+        if ((q = resized(r->lits, cap, sizeof *r->lits)) == NULL)
+            return NULL;
+        r->lits = q;
+        r->cap_lits = cap;
+    }
+    if (r->nrows == r->cap_rows) {
+        Py_ssize_t cap = r->cap_rows ? 2 * r->cap_rows : 64;
+        if ((q = resized(r->lens, cap, sizeof *r->lens)) == NULL)
+            return NULL;
+        r->lens = q;
+        r->cap_rows = cap;
+    }
+    r->lens[r->nrows++] = n;
+    r->nlits += n;
+    return r->lits + r->nlits - n;
+}
+
+/* Add the row of the n literals at l to the part being built.  0, or -1
+   with MemoryError set. */
+static int add_row(Gen *g, Py_ssize_t n, const RowLit *l)
+{
+    RowLit *row = new_row(&g->rows, n);
+    if (row == NULL)
+        return -1;
+    memcpy(row, l, (size_t)n * sizeof *l);
+    return 0;
+}
+
+/* Write the part built, its rows over holes holes, and start the next. */
+static int put_part(Gen *g, Py_ssize_t holes)
+{
+    Rows *r = &g->rows;
+    int ok = write_part(&g->sink, r->lens, r->nrows, holes, r->lits, g->delete, &g->st);
+    r->nlits = r->nrows = 0;
+    return ok;
+}
+
+/* The at-least-one clause of every pigeon of layer L, a row of constants
+   each, written a row at a time (proof_ours.alo_clauses). */
+static int put_alo(Gen *g, const Layout *L)
+{
+    int64_t p, h;
+    RowLit *row;
+    for (p = 0; p <= L->layer; p++) {
+        if ((row = new_row(&g->rows, (Py_ssize_t)L->layer)) == NULL)
+            return -1;
+        for (h = 1; h <= L->layer; h++)
+            row[h - 1] = (RowLit){L->x_base + p * L->layer + h, 0};
+        if (put_part(g, 1) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The members of group gi of the chain of layer L over its layer + 1
+   pigeons, with count groups, into m (at most 4); return how many
+   (encodings.groups). */
+static int group_members(const Layout *L, int64_t gi, int64_t count, Member *m)
+{
+    int64_t p, first = 2 * gi + 1, stop;
+    int n = 0;
+    if (count == 1) {
+        first = 0;
+        stop = L->layer + 1;
+    } else {
+        if (gi == 0)
+            first = 0;
+        else /* the previous auxiliary, negated */
+            m[n++] = (Member){L->y_base + (gi - 1) * L->layer, -1};
+        stop = gi == count - 1 ? L->layer + 1 : first + (gi == 0 ? 3 : 2);
+    }
+    for (p = first; p < stop; p++)
+        m[n++] = (Member){L->x_base + p * L->layer, 1};
+    return n;
+}
+
+static inline int64_t group_count(int64_t pigeons)
+{
+    return pigeons < 5 ? 1 : (pigeons - 1) / 2;
+}
+
+/* Iteration k's definitions of the fresh x' of layer nxt over layer prev,
+   a part of four rows over the k holes per pigeon, the top pigeon's two
+   with a negated pivot dropped unless keep_top
+   (proof_ours.definition_clauses). */
+static int put_definitions(Gen *g, int64_t k, const Layout *prev, const Layout *nxt,
+                           int keep_top)
+{
+    int64_t p, top = prev->x_base + (k + 1) * (k + 1) + 1;
+    for (p = 0; p <= k; p++) {
+        int64_t xk = nxt->x_base + p * k + 1, xp = prev->x_base + p * (k + 1) + 1;
+        int64_t moved = xp + k; /* prev x_var(p, k + 1), the same in every hole */
+        if ((p < k || keep_top) &&
+            (add_row(g, 3, (RowLit[]){{-xk, -1}, {xp, 1}, {moved, 0}}) < 0 ||
+             add_row(g, 3, (RowLit[]){{-xk, -1}, {xp, 1}, {top, 1}}) < 0))
+            return -1;
+        if (add_row(g, 2, (RowLit[]){{xk, 1}, {-xp, -1}}) < 0 ||
+            add_row(g, 3, (RowLit[]){{xk, 1}, {-moved, 0}, {-top, -1}}) < 0 ||
+            put_part(g, (Py_ssize_t)k) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Iteration k's definitions of the fresh group auxiliaries of layer L, four
+   rows per non-final group (proof_ours.y_definition_clauses). */
+static int put_y_definitions(Gen *g, const Layout *L)
+{
+    int64_t gi, count = group_count(L->layer + 1);
+    Member m[4];
+    int i, n;
+    for (gi = 0; gi < count - 1; gi++) {
+        Member ny = {L->y_base + gi * L->layer, -1};
+        RowLit *row;
+        n = group_members(L, gi, count, m);
+        if ((row = new_row(&g->rows, n + 1)) == NULL)
+            return -1;
+        row[0] = member_lit(ny, -1);
+        for (i = 0; i < n; i++)
+            row[i + 1] = member_lit(m[i], 1);
+        for (i = 0; i < n; i++)
+            if (add_row(g, 2, (RowLit[]){member_lit(ny, 1), member_lit(m[i], -1)}) < 0)
+                return -1;
+    }
+    return put_part(g, (Py_ssize_t)L->layer);
+}
+
+/* Iteration k's pairwise constraints inside every group of layer L, the
+   member of larger index first (proof_ours.derived_group_clauses). */
+static int put_derived(Gen *g, const Layout *L)
+{
+    int64_t gi, count = group_count(L->layer + 1);
+    Member m[4];
+    int i, j, n;
+    for (gi = 0; gi < count; gi++) {
+        n = group_members(L, gi, count, m);
+        for (i = 0; i < n; i++)
+            for (j = i + 1; j < n; j++)
+                if (add_row(g, 2, (RowLit[]){member_lit(m[j], -1), member_lit(m[i], -1)}) < 0)
+                    return -1;
+    }
+    return put_part(g, (Py_ssize_t)L->layer);
+}
+
+/* Iteration k's pairs of fresh variables sharing a hole, a helper and the
+   target each (proof_cook.cook_pair_clauses). */
+static int put_pairs(Gen *g, int64_t k, const Layout *prev, const Layout *nxt)
+{
+    int64_t p, q;
+    for (p = 0; p <= k; p++) {
+        RowLit neg_p = {-(nxt->x_base + p * k + 1), -1};
+        int64_t moved = prev->x_base + p * (k + 1) + k + 1;
+        for (q = p + 1; q <= k; q++) {
+            RowLit neg_q = {-(nxt->x_base + q * k + 1), -1};
+            if (add_row(g, 3, (RowLit[]){neg_p, neg_q, {-moved, 0}}) < 0 ||
+                add_row(g, 2, (RowLit[]){neg_p, neg_q}) < 0)
+                return -1;
+        }
+    }
+    return put_part(g, (Py_ssize_t)k);
+}
+
+/* The clauses of php_standard on layer L: the at-least-one clauses, then
+   every pair of pigeons over the holes
+   (encodings.iter_php_standard_clauses). */
+static int put_php_standard(Gen *g, const Layout *L)
+{
+    int64_t p, q, n = L->layer;
+    if (put_alo(g, L) < 0)
+        return -1;
+    for (p = 0; p <= n; p++)
+        for (q = p + 1; q <= n; q++)
+            if (add_row(g, 2, (RowLit[]){{-(p * n + 1), -1}, {-(q * n + 1), -1}}) < 0)
+                return -1;
+    return put_part(g, (Py_ssize_t)n);
+}
+
+/* The additions of iteration k, the builders of the family in table order
+   (proof_ours.OURS, proof_cook.COOK), on layouts by layer. */
+static int put_iteration(Gen *g, int64_t k, const Layout *layouts, int chained)
+{
+    const Layout *prev = &layouts[k + 1], *nxt = &layouts[k];
+    if (put_definitions(g, k, prev, nxt, !chained) < 0)
+        return -1;
+    if (chained ? put_y_definitions(g, nxt) < 0 || put_derived(g, nxt) < 0
+                : put_pairs(g, k, prev, nxt) < 0)
+        return -1;
+    return put_alo(g, nxt);
+}
+
+static PyObject *write_proof(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n;
+    int chained, deletions;
+    PyObject *target, *result = NULL;
+    Gen g = {{-1, NULL, NULL, 0, CHUNK, 0}, {0}, {0}, 0};
+    Layout *layouts = NULL;
+    int64_t k, base;
+    if (!PyArg_ParseTuple(args, "nppO:write_proof", &n, &chained, &deletions, &target) ||
+        sink_target(&g.sink, target) < 0)
+        return NULL;
+    if (n < 2 || n > PROOF_MAX_N) {
+        PyErr_Format(PyExc_ValueError, "n must be from 2 to %d, got %zd", PROOF_MAX_N, n);
+        return NULL;
+    }
+    /* Layer n is the input formula; each layer below takes the next ids
+       (encodings._layouts_down_to). */
+    if ((layouts = resized(NULL, n + 1, sizeof *layouts)) == NULL ||
+        (g.sink.buf = resized(NULL, g.sink.cap, 1)) == NULL)
+        goto done;
+    base = (int64_t)n * (n + 1);
+    layouts[n] = (Layout){n, 0, base};
+    for (k = n - 1; k >= 1; k--) {
+        int64_t y_rows = chained ? group_count(k + 1) - 1 : 0;
+        layouts[k] = (Layout){k, base, base + (k + 1) * k};
+        base = layouts[k].y_base + y_rows * k;
+    }
+    /* proof_ours.iter_blocks: each iteration's additions, then with
+       deletions layer k + 1's, and the empty clause. */
+    for (k = n - 1; k >= 1; k--) {
+        g.delete = 0;
+        if (put_iteration(&g, k, layouts, chained) < 0)
+            goto done;
+        g.delete = deletions;
+        if (deletions && (k == n - 1 ? put_php_standard(&g, &layouts[n])
+                                     : put_iteration(&g, k + 1, layouts, chained)) < 0)
+            goto done;
+    }
+    g.delete = 0;
+    if (new_row(&g.rows, 0) == NULL || put_part(&g, 1) < 0 || sink_flush(&g.sink) < 0)
+        goto done;
+    result = PyLong_FromSsize_t(g.sink.total);
+done:
+    PyMem_Free(layouts);
+    PyMem_Free(g.sink.buf);
+    PyMem_Free(g.rows.lits);
+    PyMem_Free(g.rows.lens);
+    stage_free(&g.st);
     return result;
 }
 
@@ -1586,6 +1918,14 @@ static PyMethodDef module_methods[] = {
      "an exact int, every literal an exact int or an exact tuple of two exact\n"
      "ints with step -1 or 1, and every int and every value formatted within\n"
      "int64."},
+    {"write_proof", write_proof, METH_VARARGS,
+     "write_proof(n, chained, deletions, sink) -> int\n\n"
+     "Write the DRAT refutation of php_standard(n) that proof_ours.iter_blocks\n"
+     "yields for proof_ours.OURS if chained, else for proof_cook.COOK, with\n"
+     "deletions if deletions, as formats.write_drat_blocks writes it.  Every\n"
+     "builder runs here, and every part goes through the formatter of\n"
+     "format_rows, to the same sinks.  Returns the number of characters\n"
+     "written.  ValueError unless n is from 2 to 2**20."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,7 +5,8 @@ Subcommands: gen-cnf, gen-proof, check, count, bench.  Data goes to stdout
 success (proof accepted, for ``check``), 1 for a rejected or incomplete
 proof, 2 for usage or I/O errors.  No environment variables are consulted.
 Each subcommand imports the modules it needs when it runs, so ``check``
-loads neither the proof generators nor the counting formulas.
+loads neither the proof generators nor the counting formulas, and
+``gen-proof`` on the compiled core loads no other module of the package.
 """
 
 from __future__ import annotations
@@ -17,15 +18,18 @@ import time
 from importlib import import_module
 from typing import IO, Iterator
 
+from . import _check_n
 
-#: Module and builder table of the proof family per ``--style``; the one
-#: table every subcommand takes its styles from (``counts.TOTALS`` and
-#: ``counts.BREAKDOWNS`` share its keys).  A family loads when first used.
-GENERATORS = {"ours": ("proof_ours", "OURS"), "cook": ("proof_cook", "COOK")}
+#: Module and builder table of the proof family per ``--style``, and the
+#: table's layout style (``chained``), which names the family to the compiled
+#: core; the one table every subcommand takes its styles from
+#: (``counts.TOTALS`` and ``counts.BREAKDOWNS`` share its keys).  A family
+#: loads when first used.
+GENERATORS = {"ours": ("proof_ours", "OURS", True), "cook": ("proof_cook", "COOK", False)}
 
 
 def _family(style: str):
-    module, name = GENERATORS[style]
+    module, name, _ = GENERATORS[style]
     return getattr(import_module(f".{module}", __package__), name)
 
 
@@ -34,31 +38,39 @@ class UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None) -> Iterator[IO[str]]:
+def _open_out(path: str | None, raw: bool = False) -> Iterator[IO]:
+    """stdout, or the file at ``path``: a ``formats.OutputFile``, or given
+    ``raw`` an unbuffered binary file for the compiled core to write."""
     if path is None or path == "-":
         yield sys.stdout
         return
-    from .formats import OutputFile
-
     try:
-        with OutputFile(path) as handle:
+        if raw:
+            handle = open(path, "wb", buffering=0)
+        else:
+            from .formats import OutputFile
+
+            handle = OutputFile(path)
+        with handle:
             yield handle
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("n must be a positive integer")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("n must be a positive integer")
 
 
 def cmd_gen_cnf(args: argparse.Namespace) -> int:
     from . import encodings, formats
 
     n = args.n
-    encodings._check_n(n, minimum=1)  # before --out is opened, and truncated
+    _check_n(n, minimum=1)  # before --out is opened, and truncated
     if args.encoding == "standard":
         num_vars = n * (n + 1)
         clause_count = encodings.php_standard_clause_count(n)
@@ -75,12 +87,19 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
 def cmd_gen_proof(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
-    from . import encodings, formats, proof_ours
+    _check_n(args.n, minimum=2)  # before --out is opened, and truncated
+    try:  # the compiled core builds and writes the whole proof
+        from ._fastcheck import write_proof
+    except ImportError:  # no compiled core: the Python builders, the reference
+        from . import formats, proof_ours
 
-    encodings._check_n(args.n, minimum=2)  # before --out is opened, and truncated
-    blocks = proof_ours.iter_blocks(args.n, _family(args.style), args.deletions)
-    with _open_out(args.out) as out:
-        formats.write_drat_blocks(out, blocks)
+        blocks = proof_ours.iter_blocks(args.n, _family(args.style), args.deletions)
+        with _open_out(args.out) as out:
+            formats.write_drat_blocks(out, blocks)
+        return 0
+    with _open_out(args.out, raw=True) as out:
+        sink = out.write if out is sys.stdout else out.fileno()
+        write_proof(args.n, GENERATORS[args.style][2], args.deletions, sink)
     return 0
 
 

@@ -18,23 +18,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
+from . import _check_n
 from .model import CnfFormula, HoleRows, Row, RowLiteral
-
-#: Generators refuse larger instances to bound memory; ids stay well inside
-#: 64-bit range regardless.
-MAX_N = 5000
 
 # Group members are symbolic until bound to a layout (see member_literal):
 # ("x", p) stands for the pigeon-p literals x_var(p, h), ("ny", g) for the
 # negated group-g auxiliaries -y_var(g, h), over the layer's holes h.
 Member = tuple[str, int]
-
-
-def _check_n(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"n > {MAX_N} is not supported (memory guard)")
 
 
 def f_group(k: int) -> int:

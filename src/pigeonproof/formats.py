@@ -9,9 +9,9 @@ compiled core whole, straight from its rows, and any other clause iterable
 in parts of one hole and ``_CHUNK`` rows, since a clause is a row of
 constants.  One ``_fastcheck.format_rows`` call formats such parts with no
 clause tuple built, through one buffer of at most 64 KiB: to the file
-descriptor of an :class:`OutputFile` (the CLI's ``--out``), its buffer
-flushed first, and as ``str`` chunks to ``out.write`` for any other handle
-and for a run of fewer than ``_CHUNK`` plain clauses.  It declines input it
+descriptor of an :class:`OutputFile` (the ``--out`` of ``gen-cnf``), its
+buffer flushed first, and as ``str`` chunks to ``out.write`` for any other
+handle and for a run of fewer than ``_CHUNK`` plain clauses.  It declines input it
 does not take, and without the compiled core everything is declined; the
 ``%``-template join of :func:`_format_python` then formats the clauses
 instead.  Both give the same bytes.

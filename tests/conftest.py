@@ -5,7 +5,9 @@ compiled into a temporary directory once per session.  Under gcc and clang
 warnings are errors, and the undefined-behaviour sanitizer aborts the test
 process at the first fault it finds.  Every ``backend="native"`` test runs
 on that build, never on a prebuilt extension that may be stale, and is
-skipped when no C compiler is found.
+skipped when no C compiler is found.  CLI children run on a copy of the
+package with or without that build (``package_with_core``), so each path of
+the CLI is tested whatever the source tree holds.
 """
 
 import importlib.util
@@ -95,3 +97,26 @@ def backends(request, compiled):
         return ["python"]
     request.getfixturevalue("native")
     return list(BACKENDS)
+
+
+def package_with_core(core, root: Path) -> Path:
+    """A copy of the package under ``root/src`` holding the compiled module
+    ``core``, or no compiled core when ``core`` is None."""
+    package = root / "src" / "pigeonproof"
+    shutil.copytree(SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    if core is not None:
+        shutil.copy2(core.__file__, package)
+    return package.parent
+
+
+@pytest.fixture
+def cli_srcs(compiled, tmp_path):
+    """``(backend, src)`` for every backend this session can run: a copy of
+    the package under ``src`` for CLI children, the native one holding the
+    freshly compiled core."""
+    cores = {"python": None, "native": compiled}
+    return [
+        (name, package_with_core(core, tmp_path / name))
+        for name, core in cores.items()
+        if name == "python" or core is not None
+    ]

@@ -1,17 +1,33 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pigeonproof import parse_dimacs, parse_drat
 from pigeonproof.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(*args, capsys=None):
     code = main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_child(src, *args):
+    """``(exit code, stdout, stderr)`` of the CLI in a child with the package
+    at ``src``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pigeonproof.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 def test_gen_cnf_standard(capsys):
@@ -32,6 +48,18 @@ def test_gen_cnf_rejects_zero():
     with pytest.raises(SystemExit) as exc:
         main(["gen-cnf", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["abc", "1.5", "", "0", "-3"])
+@pytest.mark.parametrize("command", ["gen-cnf", "gen-proof", "count", "bench"])
+def test_n_that_is_not_a_positive_integer_is_a_usage_error(command, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    name = "n_max" if command == "bench" else "n"
+    assert err.endswith(f"{command}: error: argument {name}: n must be a positive integer\n")
+    assert "_positive" not in err
 
 
 def test_gen_proof_ours(capsys):
@@ -166,38 +194,35 @@ def test_check_reads_the_cnf_with_the_proof_grammar(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["gen-cnf", "2"], ["gen-proof", "2"]])
-def test_unwritable_out_path_exits_2_without_traceback(command, tmp_path):
+def test_unwritable_out_path_exits_2_without_traceback(command, cli_srcs, tmp_path):
+    # With and without the compiled core, which opens --out for gen-proof
+    # in its own way: the same exit code and the same one line.
     out = tmp_path / "no-such-dir" / "out.txt"
-    result = subprocess.run(
-        [sys.executable, "-m", "pigeonproof.cli", *command, "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 2
-    assert result.stderr.startswith(f"error: cannot write {out}")
-    assert "Traceback" not in result.stderr
+    expected = (2, "", f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n")
+    for backend, src in cli_srcs:
+        assert run_child(src, *command, "--out", str(out)) == expected, backend
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, error",
     [
-        ["gen-cnf", "5001"],
-        ["gen-cnf", "5001", "--encoding", "amo"],
-        ["gen-proof", "5001"],
-        ["gen-proof", "5001", "--style", "cook", "--deletions"],
-        ["gen-proof", "1"],
+        (["gen-cnf", "5001"], "n > 5000 is not supported (memory guard)"),
+        (["gen-cnf", "5001", "--encoding", "amo"], "n > 5000 is not supported (memory guard)"),
+        (["gen-proof", "5001"], "n > 5000 is not supported (memory guard)"),
+        (["gen-proof", "5001", "--style", "cook", "--deletions"],
+         "n > 5000 is not supported (memory guard)"),
+        (["gen-proof", "1"], "proof generation needs n >= 2"),
     ],
+    ids=[f"command{i}" for i in range(5)],
 )
-def test_failed_run_leaves_an_existing_out_file_untouched(command, tmp_path, capsys):
+def test_failed_run_leaves_an_existing_out_file_untouched(command, error, cli_srcs, tmp_path):
     # n is checked in full, with the memory guard of php_standard, before
-    # the file is opened (and truncated).
+    # the file is opened (and truncated), with and without the compiled core.
     out = tmp_path / "out.txt"
     out.write_bytes(b"earlier output\n")
-    code, stdout, err = run_cli(*command, "--out", str(out), capsys=capsys)
-    assert code == 2
-    assert out.read_bytes() == b"earlier output\n"
-    assert stdout == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for backend, src in cli_srcs:
+        assert run_child(src, *command, "--out", str(out)) == (2, "", f"error: {error}\n"), backend
+        assert out.read_bytes() == b"earlier output\n"
 
 
 def test_check_literal_beyond_the_cap_exits_2_without_traceback(tmp_path):
@@ -291,9 +316,12 @@ def test_bench_styles_subset(capsys):
 
 def test_style_tables_agree():
     from pigeonproof import counts
-    from pigeonproof.cli import GENERATORS
+    from pigeonproof.cli import GENERATORS, _family
 
     assert set(GENERATORS) == set(counts.TOTALS) == set(counts.BREAKDOWNS)
+    # The flag that names a family to the compiled core is its table's own.
+    for style, (_, _, chained) in GENERATORS.items():
+        assert _family(style)[0] is chained
 
 
 def test_bench_unknown_style_exits_2_without_traceback():
@@ -337,20 +365,32 @@ def test_console_script_entry_point():
     assert result.stdout.strip() == "10"
 
 
-def test_gen_proof_60_matches_the_benchmark_pin(tmp_path):
+def test_gen_proof_60_matches_the_benchmark_pin(cli_srcs, tmp_path):
     # The size and SHA-256 of the n=60 proof that perfbench/run.py pins as
-    # OURS_60, so a change to the clause builders fails here as well.
+    # OURS_60, so a change to the clause builders, in Python or in the
+    # compiled core, fails here as well.
     out = tmp_path / "ours-60.drat"
-    result = subprocess.run(
-        [sys.executable, "-m", "pigeonproof.cli", "gen-proof", "60", "--style", "ours",
-         "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    digest = hashlib.sha256()
-    with open(out, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    assert out.stat().st_size == 10_114_414
-    assert digest.hexdigest() == "f9253b6a17b21bbee40bcd04bbb912e46a03aaad04f69c48a74ab1cba5df33d7"
+    for backend, src in cli_srcs:
+        out.unlink(missing_ok=True)
+        assert run_child(src, "gen-proof", "60", "--style", "ours", "--out", str(out)) == (0, "", "")
+        digest = hashlib.sha256()
+        with open(out, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+        assert out.stat().st_size == 10_114_414, backend
+        assert digest.hexdigest() == (
+            "f9253b6a17b21bbee40bcd04bbb912e46a03aaad04f69c48a74ab1cba5df33d7"
+        ), backend
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("proof-*.drat")), ids=lambda path: path.stem)
+def test_gen_proof_writes_the_golden_proofs(golden, cli_srcs, tmp_path):
+    # To --out and to stdout, with and without the compiled core.
+    _, style, n, *deletions = golden.stem.split("-")
+    args = ["gen-proof", n, "--style", style] + (["--deletions"] if deletions else [])
+    expected = golden.read_text()
+    out = tmp_path / "out.drat"
+    for backend, src in cli_srcs:
+        assert run_child(src, *args) == (0, expected, ""), backend
+        assert run_child(src, *args, "--out", str(out)) == (0, "", ""), backend
+        assert out.read_bytes() == golden.read_bytes(), backend

@@ -39,6 +39,11 @@ GEN_NEVER_LOADS = {
     "pigeonproof.propagation",
 }
 
+#: The package modules a ``gen-proof`` run loads on the compiled core, which
+#: builds and writes the whole proof: the builders, their data model and the
+#: text formats stay unloaded.
+NATIVE_GEN_LOADS = {"pigeonproof", "pigeonproof.cli", "pigeonproof._fastcheck"}
+
 #: Modules a ``count`` run must not load: the closed forms are integer
 #: numerators, so neither ``fractions`` (and ``decimal``) nor ``dataclasses``.
 COUNT_NEVER_LOADS = GEN_NEVER_LOADS | {"decimal", "pigeonproof.proof_ours"}
@@ -124,10 +129,11 @@ def test_internals_import_from_their_module_only(module):
 
 
 def test_compiled_core_exports_only_what_is_used(fastcheck):
-    # checker builds a FastDatabase and formats writes text with format_rows;
-    # a native entry point that no caller uses fails here.
+    # checker builds a FastDatabase, formats writes text with format_rows and
+    # cli writes gen-proof's proof with write_proof; a native entry point that
+    # no caller uses fails here.
     public = {name for name in dir(fastcheck) if not name.startswith("_")}
-    assert public == {"FastDatabase", "format_rows"}
+    assert public == {"FastDatabase", "format_rows", "write_proof"}
 
 
 def test_python_engine_has_the_public_names_of_the_core(fastcheck):
@@ -183,14 +189,22 @@ def test_check_loads_only_the_check_path(tmp_path):
         assert modules & NATIVE_CHECK_NEVER_LOADS == set()
 
 
-def test_gen_proof_loads_no_checker_and_no_dataclasses(tmp_path):
-    code = (
-        "from pigeonproof import cli\n"
-        f"assert cli.main(['gen-proof', '4', '--out', {str(tmp_path / 'p.drat')!r}]) == 0"
-    )
-    _, modules = loaded_by(code)
-    assert "pigeonproof.proof_ours" in modules
-    assert modules & GEN_NEVER_LOADS == set()
+def test_gen_proof_loads_no_checker_and_no_dataclasses(cli_srcs, tmp_path):
+    # Without the compiled core the Python builders write the proof; with it
+    # the core does, and no other module of the package loads.
+    for args in ([], ["--style", "cook", "--deletions"]):
+        code = (
+            "from pigeonproof import cli\n"
+            f"assert cli.main(['gen-proof', '4', *{args!r}, '--out', {str(tmp_path / 'p.drat')!r}]) == 0"
+        )
+        for backend, src in cli_srcs:
+            _, modules = loaded_by(code, src)
+            assert modules & GEN_NEVER_LOADS == set()
+            package = {m for m in modules if m.split(".")[0] == "pigeonproof"}
+            if backend == "python":
+                assert "pigeonproof.proof_ours" in package
+            else:
+                assert package == NATIVE_GEN_LOADS, args
 
 
 @pytest.mark.parametrize("extra", [[], ["--breakdown"], ["--style", "cook", "--breakdown"]])
