@@ -1,24 +1,37 @@
 """Command-line interface.
 
-Subcommands: gen-cnf, gen-proof, check, count, bench.  Data goes to stdout
-(or the file given with --out), diagnostics to stderr.  Exit codes: 0 on
-success (proof accepted, for ``check``), 1 for a rejected or incomplete
-proof, 2 for usage or I/O errors.  No environment variables are consulted.
-Each subcommand imports the modules it needs when it runs, so ``check``
-loads neither the proof generators nor the counting formulas, and
-``gen-proof`` on the compiled core loads no other module of the package.
+Subcommands: gen-cnf, gen-proof, check, count, bench, one row each of
+``COMMANDS``.  Data goes to stdout (or the file given with --out),
+diagnostics to stderr.  Exit codes: 0 on success (proof accepted, for
+``check``), 1 for a rejected or incomplete proof, 2 for usage or I/O errors,
+among them a stdout that cannot be written (silently when its reader has
+gone).  No environment variables are consulted.  Each subcommand imports
+the modules it needs when it runs, so ``check`` loads neither the proof
+generators nor the counting formulas, and ``gen-proof`` on the compiled core
+loads no module of the package beyond this one, ``_argv`` and the core.
+
+The arguments are read as argparse reads them, without argparse: options
+go before, between or after the positionals, as ``--opt value`` or
+``--opt=value``, cut to any unique prefix (``--sty``); the last of a repeated
+option wins; ``--`` ends the options; ``-`` and negative numbers are
+positionals.  A usage error exits 2.  ``main(argv)`` returns the exit code;
+``run()``, the entry point of ``python -m pigeonproof.cli`` and of the
+console script, ends the process at it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import errno
+import os
 import sys
 import time
 from importlib import import_module
-from typing import IO, Iterator
+from types import SimpleNamespace
+from typing import IO, Iterator, NoReturn
 
 from . import _check_n
+from ._argv import CommandLine
 
 #: Module and builder table of the proof family per ``--style``, and the
 #: table's layout style (``chained``), which names the family to the compiled
@@ -42,6 +55,8 @@ def _open_out(path: str | None, raw: bool = False) -> Iterator[IO]:
     """stdout, or the file at ``path``: a ``formats.OutputFile``, or given
     ``raw`` an unbuffered binary file for the compiled core to write."""
     if path is None or path == "-":
+        if sys.stdout is None:  # closed by the caller, as with ">&-"
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         yield sys.stdout
         return
     try:
@@ -63,10 +78,17 @@ def _positive(text: str) -> int:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("n must be a positive integer")
+    raise ValueError("n must be a positive integer")
 
 
-def cmd_gen_cnf(args: argparse.Namespace) -> int:
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def cmd_gen_cnf(args: SimpleNamespace) -> int:
     from . import encodings, formats
 
     n = args.n
@@ -84,7 +106,7 @@ def cmd_gen_cnf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_proof(args: argparse.Namespace) -> int:
+def cmd_gen_proof(args: SimpleNamespace) -> int:
     if args.n < 2:
         raise UsageError("proof generation needs n >= 2")
     _check_n(args.n, minimum=2)  # before --out is opened, and truncated
@@ -103,7 +125,7 @@ def cmd_gen_proof(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from . import checker
 
     try:
@@ -126,7 +148,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     from . import counts
 
     if args.breakdown:
@@ -140,7 +162,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     if args.n_max < 2:
         raise UsageError("bench needs n_max >= 2")
     styles = [s.strip() for s in args.styles.split(",") if s.strip()]
@@ -152,16 +174,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import counts
 
     failures = 0
-    try:
-        with _open_out(args.out) as out:
-            out.write("n," + ",".join(styles) + "\n")
-            for n in range(2, args.n_max + 1):
-                row = [str(counts.TOTALS[style](n)) for style in styles]
-                out.write(f"{n}," + ",".join(row) + "\n")
-                if n <= args.verify_up_to:
-                    failures += _bench_verify(n, styles)
-    except OSError as exc:
-        raise UsageError(f"I/O failure: {exc}")
+    with _open_out(args.out) as out:
+        out.write("n," + ",".join(styles) + "\n")
+        for n in range(2, args.n_max + 1):
+            row = [str(counts.TOTALS[style](n)) for style in styles]
+            out.write(f"{n}," + ",".join(row) + "\n")
+            if n <= args.verify_up_to:
+                failures += _bench_verify(n, styles)
     return 1 if failures else 0
 
 
@@ -183,67 +202,83 @@ def _bench_verify(n: int, styles: list[str]) -> int:
     return failures
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pigeonproof",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-cnf", help="write a pigeonhole CNF in DIMACS")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--encoding", choices=("standard", "amo"), default="standard")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_gen_cnf)
-
-    p = sub.add_parser("gen-proof", help="write a DRAT refutation")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--style", choices=tuple(GENERATORS), default="ours")
-    p.add_argument("--deletions", action="store_true", help="emit deletion lines")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen_proof)
-
-    p = sub.add_parser("check", help="verify a DRAT proof against a CNF")
-    p.add_argument("cnf")
-    p.add_argument("proof", help="DRAT proof path, or - for standard input")
-    p.add_argument("--strict-deletions", action="store_true")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("count", help="proof length from the closed forms")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--style", choices=tuple(GENERATORS), default="ours")
-    p.add_argument("--breakdown", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("bench", help="proof-length comparison as CSV")
-    p.add_argument("n_max", type=_positive)
-    p.add_argument("--styles", default="ours,cook")
-    p.add_argument(
-        "--verify-up-to",
-        type=int,
-        default=0,
-        help="also generate and verify both proofs for n up to this bound",
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
-    return parser
+#: The subcommands, in the order of the help: name -> (function, help,
+#: positionals, options), in the table form that ``_argv`` describes.
+COMMANDS = {
+    "gen-cnf": (cmd_gen_cnf, "write a pigeonhole CNF in DIMACS", [("n", _positive, "")], [
+        ("--encoding", ("standard", "amo"), "standard", ""),
+        ("--out", str, None, "output path (default stdout)"),
+    ]),
+    "gen-proof": (cmd_gen_proof, "write a DRAT refutation", [("n", _positive, "")], [
+        ("--style", tuple(GENERATORS), "ours", ""),
+        ("--deletions", None, False, "emit deletion lines"),
+        ("--out", str, None, ""),
+    ]),
+    "check": (cmd_check, "verify a DRAT proof against a CNF", [
+        ("cnf", str, ""),
+        ("proof", str, "DRAT proof path, or - for standard input"),
+    ], [
+        ("--strict-deletions", None, False, ""),
+    ]),
+    "count": (cmd_count, "proof length from the closed forms", [("n", _positive, "")], [
+        ("--style", tuple(GENERATORS), "ours", ""),
+        ("--breakdown", None, False, ""),
+    ]),
+    "bench": (cmd_bench, "proof-length comparison as CSV", [("n_max", _positive, "")], [
+        ("--styles", str, "ours,cook", ""),
+        ("--verify-up-to", _integer, 0,
+         "also generate and verify both proofs for n up to this bound"),
+        ("--out", str, None, ""),
+    ]),
+}
+COMMAND_LINE = CommandLine("pigeonproof", __doc__, COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    func, args = COMMAND_LINE.parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # the reader of stdout has gone
+        return 2
+    except OSError as exc:  # the commands turn every other file's errors into UsageError
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process at its exit code.
+
+    stdout is flushed here, so output that stdout cannot take gives exit
+    code 2 like any other I/O error, silently when its reader has gone; so
+    does a diagnostic that stderr cannot take.
+    ``os._exit`` then skips interpreter teardown, which nothing here needs:
+    every file is closed by its ``with``, and no thread or atexit hook exists.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # a usage error or help
+        code = exc.code
+    except OSError:  # stderr could not take a diagnostic
+        code = 2
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # A run that failed already said why.
+            if code != 2 and not isinstance(exc, BrokenPipeError):
+                print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            code = 2
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

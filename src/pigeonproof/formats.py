@@ -195,8 +195,11 @@ def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> Non
         # its own: it goes into the buffer of out.
         sink = _sink(out) if len(chunk) == _CHUNK else out.write
         if _format_rows(((1, chunk),), delete, sink) is None:
-            # A block's clauses are int tuples; a plain clause is a row.
-            out.write(_format_python(chunk if block else row_clauses(chunk, 0, 1), delete))
+            try:  # int tuples, as a block's clauses are, with no scan for types
+                text = _format_python(chunk, delete)
+            except TypeError:  # a plain clause is a row: a (first, step) in it
+                text = _format_python(row_clauses(chunk, 0, 1), delete)
+            out.write(text)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:

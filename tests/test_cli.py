@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pigeonproof import parse_dimacs, parse_drat
-from pigeonproof.cli import main
+from pigeonproof.cli import COMMAND_LINE, COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -18,12 +22,21 @@ def run_cli(*args, capsys=None):
     return code, out, err
 
 
+def child_env(src):
+    """The environment of a CLI child with the package at ``src`` and stdout
+    buffered, as by default: ``PYTHONUNBUFFERED`` would hide a failure that
+    shows only when the buffer is flushed at exit."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run_child(src, *args):
     """``(exit code, stdout, stderr)`` of the CLI in a child with the package
     at ``src``."""
     result = subprocess.run(
         [sys.executable, "-m", "pigeonproof.cli", *args],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(src),
         capture_output=True,
         text=True,
     )
@@ -355,6 +368,16 @@ def test_gen_proof_100_add_line_count(tmp_path):
     assert added == 2_456_527
 
 
+def test_console_script_is_the_exiting_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    from pigeonproof import cli
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"pigeonproof": "pigeonproof.cli:run"}
+    assert callable(cli.run)
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "pigeonproof.cli", "count", "2"],
@@ -394,3 +417,285 @@ def test_gen_proof_writes_the_golden_proofs(golden, cli_srcs, tmp_path):
         assert run_child(src, *args) == (0, expected, ""), backend
         assert run_child(src, *args, "--out", str(out)) == (0, "", ""), backend
         assert out.read_bytes() == golden.read_bytes(), backend
+
+
+#: Argument vectors and the ``(exit code, stdout, last stderr line)`` the CLI
+#: gave for them when it parsed argv with argparse; stdout given as a path is
+#: that golden file's text.  Options go before, between or after positionals,
+#: as ``--opt value`` or ``--opt=value``, and may be cut to a unique prefix;
+#: ``--`` ends the options; ``-`` and negative numbers are positionals; the
+#: last of a repeated option wins.
+ARGV_MATRIX = [
+    (["gen-proof", "3", "--style=cook"], (0, GOLDEN / "proof-cook-3.drat", "")),
+    (["gen-proof", "3", "--sty", "cook", "--del"], (0, GOLDEN / "proof-cook-3-deletions.drat", "")),
+    (["gen-proof", "--style", "cook", "--deletions", "3"],
+     (0, GOLDEN / "proof-cook-3-deletions.drat", "")),
+    (["gen-proof", "--d", "3", "--s=cook"], (0, GOLDEN / "proof-cook-3-deletions.drat", "")),
+    (["gen-cnf", "--e=amo", "3", "--o", "-"], (0, GOLDEN / "php-amo-3.cnf", "")),
+    (["count", "--style", "cook", "3"], (0, "52\n", "")),
+    (["count", "3", "--style", "ours", "--style", "cook"], (0, "52\n", "")),
+    (["count", "3", "--b", "--breakdown"], (0, "k=2: 29\nk=1: 9\nempty: 1\n39\n", "")),
+    (["count", "--", "3"], (0, "39\n", "")),
+    (["count", "3", "--"], (0, "39\n", "")),
+    (["count", " 3 "], (0, "39\n", "")),
+    (["bench", "3", "--verify-up-to", "-1"], (0, "n,ours,cook\n2,10,13\n3,39,52\n", "")),
+    (["bench", "3", "--v=-1", "--styles=ours"], (0, "n,ours\n2,10\n3,39\n", "")),
+    (["check", "cnf", "-"],
+     (2, "", "error: cannot read CNF cnf: [Errno 2] No such file or directory: 'cnf'")),
+    (["check", "--", "-a", "b"],
+     (2, "", "error: cannot read CNF -a: [Errno 2] No such file or directory: '-a'")),
+    (["check", "--s", "a", "b"],
+     (2, "", "error: cannot read CNF a: [Errno 2] No such file or directory: 'a'")),
+    (["gen-cnf", "3", "--out="], (2, "", "error: cannot write : [Errno 2] No such file or directory: ''")),
+    (["bench", "3", "--styles=-x"], (2, "", "error: unknown style '-x'")),
+    (["gen-cnf", "-3"], (2, "", "pigeonproof gen-cnf: error: argument n: n must be a positive integer")),
+    (["gen-cnf", ""], (2, "", "pigeonproof gen-cnf: error: argument n: n must be a positive integer")),
+    (["count", "--", "--style"], (2, "", "pigeonproof count: error: argument n: n must be a positive integer")),
+    (["count", "-", "-"], (2, "", "pigeonproof count: error: argument n: n must be a positive integer")),
+    (["count", "abc", "-h"], (2, "", "pigeonproof count: error: argument n: n must be a positive integer")),
+    (["check", "a"], (2, "", "pigeonproof check: error: the following arguments are required: proof")),
+    (["check"], (2, "", "pigeonproof check: error: the following arguments are required: cnf, proof")),
+    (["count", "-1e3"], (2, "", "pigeonproof count: error: the following arguments are required: n")),
+    (["count", "--bogus"], (2, "", "pigeonproof count: error: the following arguments are required: n")),
+    (["gen-proof", "3", "--style", "x"],
+     (2, "", "pigeonproof gen-proof: error: argument --style: invalid choice: 'x' (choose from 'ours', 'cook')")),
+    (["count", "3", "--style="],
+     (2, "", "pigeonproof count: error: argument --style: invalid choice: '' (choose from 'ours', 'cook')")),
+    (["gen-cnf", "3", "--out"], (2, "", "pigeonproof gen-cnf: error: argument --out: expected one argument")),
+    (["gen-cnf", "3", "--out", "--encoding", "amo"],
+     (2, "", "pigeonproof gen-cnf: error: argument --out: expected one argument")),
+    (["gen-cnf", "3", "--out", "--", "x"],
+     (2, "", "pigeonproof gen-cnf: error: argument --out: expected one argument")),
+    (["bench", "3", "--verify-up-to", "-1e3"],
+     (2, "", "pigeonproof bench: error: argument --verify-up-to: expected one argument")),
+    (["bench", "3", "--verify-up-to", "x"],
+     (2, "", "pigeonproof bench: error: argument --verify-up-to: invalid int value: 'x'")),
+    (["count", "3", "--breakdown=1"],
+     (2, "", "pigeonproof count: error: argument --breakdown: ignored explicit argument '1'")),
+    (["count", "3", "-hx"], (2, "", "pigeonproof count: error: argument -h/--help: ignored explicit argument 'x'")),
+    (["count", "3", "--=x"],
+     (2, "", "pigeonproof count: error: ambiguous option: --=x could match --help, --style, --breakdown")),
+    (["gen-proof", "3", "--bogus"], (2, "", "pigeonproof: error: unrecognized arguments: --bogus")),
+    (["count", "3", "--bogus=1", "-x", "-1"], (2, "", "pigeonproof: error: unrecognized arguments: --bogus=1 -x -1")),
+    (["count", "3", "4", "--"], (2, "", "pigeonproof: error: unrecognized arguments: 4 --")),
+    (["count", "3", "--", "--style"], (2, "", "pigeonproof: error: unrecognized arguments: --style")),
+    (["count", "3", "--style", "ours", "--"], (2, "", "pigeonproof: error: unrecognized arguments: --")),
+    (["count", "3", ""], (2, "", "pigeonproof: error: unrecognized arguments: ")),
+    (["--bogus", "count", "3", "--x"], (2, "", "pigeonproof: error: unrecognized arguments: --bogus --x")),
+    (["frob"], (2, "", "pigeonproof: error: argument command: invalid choice: 'frob' "
+                "(choose from 'gen-cnf', 'gen-proof', 'check', 'count', 'bench')")),
+    (["--", "count", "3"], (2, "", "pigeonproof: error: argument command: invalid choice: '--' "
+                            "(choose from 'gen-cnf', 'gen-proof', 'check', 'count', 'bench')")),
+    ([], (2, "", "pigeonproof: error: the following arguments are required: command")),
+    (["-x"], (2, "", "pigeonproof: error: the following arguments are required: command")),
+    (["--help=x"], (2, "", "pigeonproof: error: argument -h/--help: ignored explicit argument 'x'")),
+]
+
+
+def run_argv(argv, capsys):
+    """``(exit code, stdout, last stderr line)`` of ``main(argv)`` in process;
+    a usage error raises ``SystemExit(2)`` and help ``SystemExit(0)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()[-1] if err else ""
+
+
+@pytest.mark.parametrize("argv, expected", ARGV_MATRIX, ids=[" ".join(a) or "-" for a, _ in ARGV_MATRIX])
+def test_argv_is_parsed_as_before(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, last = expected
+    if isinstance(out, Path):
+        out = out.read_text()
+    assert run_argv(argv, capsys) == (code, out, last)
+
+
+def argparse_reference():
+    """argparse's parser for the table ``cli.COMMANDS``: the reference that
+    the CLI's own reading of argv is compared against."""
+    import argparse
+
+    def checked(convert):
+        def text_to_value(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return text_to_value
+
+    parser = argparse.ArgumentParser(prog="pigeonproof")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, positionals, options) in COMMANDS.items():
+        command = commands.add_parser(name, help=text)
+        for positional, convert, _ in positionals:
+            command.add_argument(positional, type=checked(convert))
+        for flag, value, default, _ in options:
+            if value is None:
+                command.add_argument(flag, action="store_true")
+            elif type(value) is tuple:
+                command.add_argument(flag, choices=value, default=default)
+            else:
+                command.add_argument(flag, type=checked(value), default=default)
+        command.set_defaults(func=func)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: ``("args", function, arguments)``, or
+    ``("exit", code, last stderr line, first word of stdout)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            func, args = parse(argv)
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            return "exit", exc.code, lines[-1] if lines else "", out.getvalue()[:6]
+    values = {key: value for key, value in vars(args).items() if key not in ("func", "command")}
+    return "args", func, values
+
+
+def argparse_parse(argv):
+    args = argparse_reference().parse_args(argv)
+    return args.func, args
+
+
+#: Words argv is drawn from: the commands, every flag and a prefix of it,
+#: choices, numbers and the words argparse reads in its own way.
+ARGV_WORDS = sorted({
+    *COMMANDS, "Count", "-h", "--help", "--he", "-hh", "-hx", "-h=", "-h=h", "--help=x",
+    *(word for _, _, _, options in COMMANDS.values() for flag, value, _, _ in options
+      for word in (flag, flag[:4], f"{flag}=cook", f"{flag}=", *(value if type(value) is tuple else ()))),
+    "3", " 3", "0", "-3", "-1.5", "-.5", "-1e3", "-1\n", "\u0663", "x", "-", "--", "", "-x", "-x y",
+    "--bogus", "--bogus=1", "--=x", "---x", "=",
+})
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="the grammar is that of argparse in Python 3.10 and 3.11"
+)
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=8))
+@example(["check", "f.cnf", "--", "--"])
+def test_argv_is_read_as_argparse_reads_it(argv):
+    # Help texts differ only in line wrapping, so only their first word is compared.
+    expected = parse_outcome(argparse_parse, argv)
+    if expected[0] == "args" and [] in expected[2].values():
+        # A "--" after the one that ended the options is a word, but argparse
+        # drops it from a second positional and passes an empty list; the CLI
+        # passes the word, so "check f.cnf -- --" reads a proof file named "--".
+        values = {key: "--" if value == [] else value for key, value in expected[2].items()}
+        expected = ("args", expected[1], values)
+    assert parse_outcome(COMMAND_LINE.parse, argv) == expected
+
+
+#: What the help of each subcommand names: its positionals, options and choices.
+HELP_NAMES = {
+    "gen-cnf": ["n", "--encoding", "standard", "amo", "--out"],
+    "gen-proof": ["n", "--style", "ours", "cook", "--deletions", "--out"],
+    "check": ["cnf", "proof", "--strict-deletions"],
+    "count": ["n", "--style", "ours", "cook", "--breakdown"],
+    "bench": ["n_max", "--styles", "--verify-up-to", "--out"],
+}
+
+
+def test_help_names_cover_the_command_table():
+    from pigeonproof.cli import COMMANDS
+
+    assert list(COMMANDS) == list(HELP_NAMES)
+    for command, (_, _, positionals, options) in COMMANDS.items():
+        names = [name for name, _, _ in positionals]
+        for flag, value, _, _ in options:
+            names += [flag, *value] if type(value) is tuple else [flag]
+        assert sorted(names) == sorted(HELP_NAMES[command]), command
+
+
+@pytest.mark.parametrize("command", [None, *HELP_NAMES])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_argument(command, flag, capsys):
+    argv = [flag] if command is None else [command, "3", flag]
+    code, out, last = run_argv(argv, capsys)
+    assert (code, last) == (0, "")
+    usage = "usage: pigeonproof" + (f" {command}" if command else "")
+    assert out.startswith(usage + " [-h] ")
+    names = list(HELP_NAMES) if command is None else ["-h", "--help", *HELP_NAMES[command]]
+    for name in names:
+        assert name in out, name
+
+
+#: One argument vector per subcommand, each writing its result to stdout; the
+#: large ones write more than the stdout buffer holds, so a write fails while
+#: the command runs, not only at the final flush.
+STDOUT_ARGV = {
+    "gen-cnf": ["gen-cnf", "3"],
+    "gen-cnf-large": ["gen-cnf", "60"],
+    "gen-proof": ["gen-proof", "3"],
+    "gen-proof-large": ["gen-proof", "40"],
+    "check": ["check", "php3.cnf", "php3.drat"],
+    "count": ["count", "3"],
+    "bench": ["bench", "3"],
+}
+
+
+def run_with_stdout(src, argv, stdout, cwd, shell_redirect=""):
+    """``(exit code, stderr)`` of a CLI child whose stdout is ``stdout``, or,
+    given ``shell_redirect``, whatever that redirection of ``sh`` makes it."""
+    cmd = [sys.executable, "-m", "pigeonproof.cli", *argv]
+    if shell_redirect:
+        cmd = ["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *cmd]
+    result = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, env=child_env(src), cwd=cwd)
+    return result.returncode, result.stderr.decode()
+
+
+@pytest.fixture
+def check_inputs(tmp_path):
+    """``tmp_path``, holding the PHP(3) formula and proof ``check`` reads."""
+    assert main(["gen-cnf", "3", "--out", str(tmp_path / "php3.cnf")]) == 0
+    assert main(["gen-proof", "3", "--out", str(tmp_path / "php3.drat")]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", STDOUT_ARGV)
+def test_stdout_pipe_closed_by_its_reader_exits_2_quietly(name, cli_srcs, check_inputs):
+    for backend, src in cli_srcs:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            assert run_with_stdout(src, STDOUT_ARGV[name], write, check_inputs) == (2, ""), backend
+        finally:
+            os.close(write)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", STDOUT_ARGV)
+def test_stdout_that_cannot_be_written_exits_2_without_traceback(name, cli_srcs, check_inputs):
+    expected = (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+    for backend, src in cli_srcs:
+        with open("/dev/full", "wb") as full:
+            assert run_with_stdout(src, STDOUT_ARGV[name], full, check_inputs) == expected, backend
+
+
+@pytest.mark.parametrize("name", STDOUT_ARGV)
+def test_closed_stdout(name, cli_srcs, check_inputs):
+    # check and count print their one line as print() does, to nowhere when
+    # stdout is closed; a command whose result is a stream of data fails.
+    if name in ("check", "count"):
+        expected = (0, "")
+    else:
+        expected = (2, "error: cannot write stdout: [Errno 9] Bad file descriptor\n")
+    for backend, src in cli_srcs:
+        assert run_with_stdout(src, STDOUT_ARGV[name], None, check_inputs, ">&-") == expected, backend
+
+
+@pytest.mark.parametrize(
+    "argv", [["count"], ["check", "no.cnf", "no.drat"], ["bench", "3", "--verify-up-to", "3"]],
+    ids=["usage", "input", "progress"],
+)
+def test_unwritable_stderr_exits_2(argv, cli_srcs, tmp_path):
+    # A usage error, an unreadable input and bench's progress lines each
+    # write to stderr, here open for reading only; the run still ends with
+    # exit code 2, not in a failed interpreter teardown.
+    for backend, src in cli_srcs:
+        code, _ = run_with_stdout(src, argv, subprocess.DEVNULL, tmp_path, "2</dev/null")
+        assert code == 2, backend

@@ -11,9 +11,13 @@ from pigeonproof.cli import main
 
 SRC = Path(pigeonproof.__file__).resolve().parent.parent
 
+#: Modules no CLI run loads: the CLI parses its argv without ``argparse``,
+#: whose help translation imports ``gettext`` and ``locale``.
+CLI_NEVER_LOADS = {"argparse", "gettext", "locale"}
+
 #: Modules a ``check`` run must not load: the generators, the counting
 #: formulas and ``dataclasses`` (which imports ``inspect``).
-CHECK_NEVER_LOADS = {
+CHECK_NEVER_LOADS = CLI_NEVER_LOADS | {
     "dataclasses",
     "pigeonproof.counts",
     "pigeonproof.encodings",
@@ -32,7 +36,7 @@ NATIVE_CHECK_NEVER_LOADS = CHECK_NEVER_LOADS | {
 
 #: Modules a ``gen-proof`` run must not load: ``dataclasses``, ``fractions``
 #: and the checker.
-GEN_NEVER_LOADS = {
+GEN_NEVER_LOADS = CLI_NEVER_LOADS | {
     "dataclasses",
     "fractions",
     "pigeonproof.checker",
@@ -42,7 +46,9 @@ GEN_NEVER_LOADS = {
 #: The package modules a ``gen-proof`` run loads on the compiled core, which
 #: builds and writes the whole proof: the builders, their data model and the
 #: text formats stay unloaded.
-NATIVE_GEN_LOADS = {"pigeonproof", "pigeonproof.cli", "pigeonproof._fastcheck"}
+NATIVE_GEN_LOADS = {
+    "pigeonproof", "pigeonproof.cli", "pigeonproof._argv", "pigeonproof._fastcheck",
+}
 
 #: Modules a ``count`` run must not load: the closed forms are integer
 #: numerators, so neither ``fractions`` (and ``decimal``) nor ``dataclasses``.
