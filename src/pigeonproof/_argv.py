@@ -6,8 +6,8 @@ and messages, without importing argparse, whose help translation imports
 positionals, as ``--opt value`` or ``--opt=value``, cut to any unique prefix;
 the last of a repeated option wins; ``--`` ends the options; ``-`` and
 negative numbers are positionals.  A usage error prints the usage line and
-``<prog> <command>: error: <message>`` to stderr and raises
-``SystemExit(2)``; ``-h`` prints help and raises ``SystemExit(0)``.
+``<prog> <command>: error: <message>`` to stderr with :func:`report` and
+raises ``SystemExit(2)``; ``-h`` prints help and raises ``SystemExit(0)``.
 
 The table maps a command's name to ``(function, help, positionals,
 options)``.  A positional is ``(name, convert, help)``; an option is ``(flag,
@@ -28,6 +28,13 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn
 
 _HELP = ("-h", "--help")
+
+
+def report(message: str) -> None:
+    """Print the diagnostic ``message`` to stderr, or nowhere when stderr is
+    closed (None), where ``print`` would write it to stdout."""
+    if sys.stderr is not None:
+        print(message, file=sys.stderr)
 
 
 def _dest(flag: str) -> str:
@@ -213,5 +220,5 @@ class CommandLine:
     def fail(self, command: str | None, message: str) -> NoReturn:
         """Report a usage error of ``command`` (None: of the program) and exit 2."""
         prog = self.prog if command is None else f"{self.prog} {command}"
-        print(f"usage: {self.usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        report(f"usage: {self.usage(command)}\n{prog}: error: {message}")
         raise SystemExit(2)

@@ -24,22 +24,18 @@
    a growth that fails leaves the object as it was and raises MemoryError.
 
    All emitted text, DIMACS or DRAT lines, is written by one formatter,
-   write_part, from the rows of a part of a model.HoleRows block: its row
-   literals, back to back, and the length of each row, so no clause tuple
-   is ever built.  A plain clause is a row of constants, so a chunk of
-   clauses is a part of one hole, written straight.  A part of more holes
-   is formatted once, at its first hole, and each literal of step -1 or 1
-   is then stepped in place from hole to hole.  The text goes through one
-   buffer, 64 KiB or the length of a shorter text, reused for the whole
-   call, to a file descriptor with write(2) without the GIL, or as str
-   chunks to a callable.  Two module functions feed it.  format_rows takes
-   the parts of a Python block; it takes only exact tuples, exact ints and
-   values within int64, and otherwise returns None having written nothing,
-   and formats._format_python then formats the clauses, so the bytes and
-   the errors are those of the pure-Python path.  write_proof builds the
-   rows of a whole gen-proof refutation itself, with C twins of the
-   builders of proof_ours and proof_cook, a part at a time; tests hold its
-   bytes to the Python builders, the reference. */
+   write_part, from the rows of a part: its row literals, back to back, and
+   the length of each row, so no clause tuple is ever built.  A plain clause
+   is a row of constants, written as a part of one hole.  A part of more
+   holes is formatted once, at its first hole, and each literal of step -1
+   or 1 is then stepped in place from hole to hole.  The text goes through
+   one 64 KiB buffer, reused for the whole call, to a file descriptor with
+   write(2) without the GIL, or as str chunks to a callable.  Two module
+   functions feed it, each building its rows a part at a time with C twins
+   of the Python builders: write_cnf the clauses of the DIMACS encodings of
+   encodings, for gen-cnf, and write_proof a whole gen-proof refutation of
+   proof_ours and proof_cook.  Tests hold their bytes to the Python
+   builders, the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1224,56 +1220,15 @@ static inline char *write_literal(char *out, int64_t v)
     return out;
 }
 
-/* A row literal of format_rows: its value at the hole being formatted, and
-   its step. */
+/* A row literal: its value at the hole being formatted, and its step. */
 typedef struct {
     int64_t value, step;
 } RowLit;
 
-/* Read the exact int v into *out: 1 if it lies within int64, 0 if it does
-   not or is not an exact int, -1 with an exception set. */
-static int read_int64(PyObject *v, long long *out)
-{
-    int overflow;
-    if (!PyLong_CheckExact(v))
-        return 0;
-    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
-    if (*out == -1 && PyErr_Occurred())
-        return -1;
-    return !overflow;
-}
-
-/* Read the row literal spec of format_rows into *lit, for a part of holes
-   holes, where its value at hole h is first + step * (h - 1): 1 if it is
-   an exact int within int64 (a constant: step 0) or an exact tuple
-   (first, step) of two exact ints with step -1 or 1 and first and its
-   value at the last hole within int64, 0 if not, -1 with an exception set. */
-static int read_row_literal(PyObject *spec, Py_ssize_t holes, RowLit *lit)
-{
-    long long f, s = 0;
-    int ok;
-    if (PyTuple_CheckExact(spec) && PyTuple_GET_SIZE(spec) == 2) {
-        if ((ok = read_int64(PyTuple_GET_ITEM(spec, 0), &f)) < 1)
-            return ok;
-        if ((ok = read_int64(PyTuple_GET_ITEM(spec, 1), &s)) < 1)
-            return ok;
-        if (s != -1 && s != 1)
-            return 0;
-    } else if ((ok = read_int64(spec, &f)) < 1) {
-        return ok;
-    }
-    /* The values run monotonically, so both ends within int64 is enough. */
-    if (holes > 0 && ((s > 0 && f > INT64_MAX - (holes - 1)) ||
-                      (s < 0 && f < INT64_MIN + (holes - 1))))
-        return 0;
-    lit->value = (int64_t)f;
-    lit->step = (int64_t)s;
-    return 1;
-}
-
-/* Where format_rows writes text: the file descriptor fd or, when fd is -1,
-   the callable write, with a str.  The text is staged in buf, len of its
-   cap bytes in use, and written out whenever the next bytes do not fit. */
+/* Where write_cnf and write_proof write text: the file descriptor fd or,
+   when fd is -1, the callable write, with a str.  The text is staged in
+   buf, len of its cap bytes in use, and written out whenever the next bytes
+   do not fit. */
 typedef struct {
     int fd;
     PyObject *write;
@@ -1440,12 +1395,14 @@ static Py_ssize_t format_hole(Stage *st, const Py_ssize_t *lens, Py_ssize_t nrow
 /* Write the text of a part, its nrows rows at holes 1 to holes, hole by
    hole, with lens[r] the length of row r and lits the literals, row by
    row.  A part of one hole is written straight.  Otherwise the text of the
-   first hole is formatted once and copied at each hole.  Between holes
+   first hole is formatted once and copied at each hole.  Every literal has
+   step 0 or a step with the sign of its value, as the builders make them,
+   so a literal's magnitude only grows from hole to hole.  Between holes
    each literal of step -1 or 1 is stepped in place: its last digit moves
-   by one, carrying or borrowing into the digits before it, and the hole is
-   formatted again only when a literal's width or sign changes.  lits ends
-   at the values of the last hole; no value is stepped past it.  0, or -1
-   with an exception set. */
+   up by one, carrying into the digits before it, and the hole is formatted
+   again only when a carry widens a literal.  lits ends at the values of
+   the last hole; no value is stepped past it.  0, or -1 with an exception
+   set. */
 static int write_part(Sink *s, const Py_ssize_t *lens, Py_ssize_t nrows, Py_ssize_t holes,
                       RowLit *lits, int delete, Stage *st)
 {
@@ -1477,27 +1434,15 @@ static int write_part(Sink *s, const Py_ssize_t *lens, Py_ssize_t nrows, Py_ssiz
             return 0;
         again = 0;
         for (i = 0; i < nstep; i++) {
-            int64_t v, w;
             k = st->steppers[i];
-            v = lits[k].value;
-            w = lits[k].value = v + lits[k].step;
+            lits[k].value += lits[k].step;
             digit = st->text + st->last[k];
-            if ((v < 0) != (w < 0)) {
-                again = 1;
-            } else if ((w > v) == (w >= 0)) { /* one more in magnitude */
-                while (*digit == '9')
-                    *digit-- = '0';
-                if (is_digit(*digit))
-                    ++*digit;
-                else
-                    again = 1; /* 9...9 became 10...0 */
-            } else { /* one less: the magnitude was at least 1 */
-                char *end = digit;
-                while (*digit == '0')
-                    *digit-- = '9';
-                if (--*digit == '0' && digit != end && !is_digit(digit[-1]))
-                    again = 1; /* 10...0 became 9...9 */
-            }
+            while (*digit == '9')
+                *digit-- = '0';
+            if (is_digit(*digit))
+                ++*digit;
+            else
+                again = 1; /* 9...9 became 10...0 */
         }
         if (again)
             length = format_hole(st, lens, nrows, lits, delete);
@@ -1521,94 +1466,6 @@ static int sink_target(Sink *s, PyObject *target)
         s->write = target;
     }
     return 0;
-}
-
-static PyObject *format_rows(PyObject *module, PyObject *args)
-{
-    PyObject *parts, *flag, *target, *result = NULL;
-    Sink sink = {-1, NULL, NULL, 0, 0, 0};
-    Stage st = {0};
-    RowLit *lits = NULL;
-    Py_ssize_t *lens = NULL;
-    Py_ssize_t nparts, p, r, j, k, holes, nlits = 0, nrows = 0, bound = 0;
-    int delete, ok;
-    if (!PyArg_ParseTuple(args, "OOO:format_rows", &parts, &flag, &target) ||
-        sink_target(&sink, target) < 0)
-        return NULL;
-    if (!PyBool_Check(flag) || !PyTuple_CheckExact(parts))
-        Py_RETURN_NONE;
-    delete = flag == Py_True;
-    /* Pass 1: only exact tuples (holes, rows) with holes an exact int and
-       every row an exact tuple; count their rows and literals, and bound
-       the length of their text by CHUNK, the most the buffer holds. */
-    nparts = PyTuple_GET_SIZE(parts);
-    for (p = 0; p < nparts; p++) {
-        PyObject *part = PyTuple_GET_ITEM(parts, p), *rows;
-        Py_ssize_t part_lits = 0;
-        if (!PyTuple_CheckExact(part) || PyTuple_GET_SIZE(part) != 2 ||
-            !PyLong_CheckExact(PyTuple_GET_ITEM(part, 0)) ||
-            !PyTuple_CheckExact(rows = PyTuple_GET_ITEM(part, 1)))
-            Py_RETURN_NONE;
-        if ((holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(part, 0))) < 0) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "negative hole count");
-            return NULL;
-        }
-        for (r = 0; r < PyTuple_GET_SIZE(rows); r++) {
-            PyObject *row = PyTuple_GET_ITEM(rows, r);
-            if (!PyTuple_CheckExact(row))
-                Py_RETURN_NONE;
-            part_lits += PyTuple_GET_SIZE(row);
-        }
-        nlits += part_lits;
-        nrows += PyTuple_GET_SIZE(rows);
-        if (bound < CHUNK)
-            bound += (4 * PyTuple_GET_SIZE(rows) + LIT_WIDTH * part_lits) *
-                     (holes < CHUNK ? holes : CHUNK);
-    }
-    /* Pass 2: the length of every row, and only literals read_row_literal
-       takes, so that nothing is written unless every part is. */
-    if ((lits = resized(NULL, nlits + 1, sizeof *lits)) == NULL ||
-        (lens = resized(NULL, nrows + 1, sizeof *lens)) == NULL)
-        goto done;
-    for (p = k = nrows = 0; p < nparts; p++) {
-        PyObject *rows = PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 1);
-        holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(PyTuple_GET_ITEM(parts, p), 0));
-        for (r = 0; r < PyTuple_GET_SIZE(rows); r++) {
-            PyObject *row = PyTuple_GET_ITEM(rows, r);
-            lens[nrows++] = PyTuple_GET_SIZE(row);
-            for (j = 0; j < PyTuple_GET_SIZE(row); j++, k++) {
-                if ((ok = read_row_literal(PyTuple_GET_ITEM(row, j), holes, &lits[k])) < 0)
-                    goto done;
-                if (ok == 0) {
-                    result = Py_NewRef(Py_None);
-                    goto done;
-                }
-            }
-        }
-    }
-    /* Pass 3: the text, part by part, through one buffer, no larger than
-       the text needs. */
-    sink.cap = bound < CHUNK ? bound + 1 : CHUNK;
-    if ((sink.buf = resized(NULL, sink.cap, 1)) == NULL)
-        goto done;
-    for (p = k = r = 0; p < nparts; p++) {
-        PyObject *part = PyTuple_GET_ITEM(parts, p);
-        Py_ssize_t part_rows = PyTuple_GET_SIZE(PyTuple_GET_ITEM(part, 1));
-        holes = PyLong_AsSsize_t(PyTuple_GET_ITEM(part, 0));
-        if (write_part(&sink, lens + r, part_rows, holes, lits + k, delete, &st) < 0)
-            goto done;
-        for (; part_rows > 0; part_rows--)
-            k += lens[r++];
-    }
-    if (sink_flush(&sink) == 0)
-        result = PyLong_FromSsize_t(sink.total);
-done:
-    PyMem_Free(lits);
-    PyMem_Free(lens);
-    PyMem_Free(sink.buf);
-    stage_free(&st);
-    return result;
 }
 
 /* -- proof generation ---------------------------------------------------- */
@@ -1642,8 +1499,9 @@ typedef struct {
     int64_t base, sign;
 } Member;
 
-/* Largest n of write_proof: every variable id, below n^3 / 2, then fits in
-   int64 with room to spare.  cli keeps n within pigeonproof.MAX_N. */
+/* Largest n of write_cnf and write_proof: every variable id and clause
+   count, below n^3, then fits in int64 with room to spare.  cli keeps n
+   within pigeonproof.MAX_N. */
 #define PROOF_MAX_N (1 << 20)
 
 /* sign times a member's literal, as a row literal over the holes. */
@@ -1763,26 +1621,35 @@ static int put_definitions(Gen *g, int64_t k, const Layout *prev, const Layout *
     return 0;
 }
 
+/* Add the rows defining the fresh auxiliary y of the non-final group gi of
+   layer L, whose n members are m: (y, members...), then (-y, -member) for
+   each member (encodings.aux_definition_rows).  0, or -1 with MemoryError
+   set. */
+static int add_y_definition(Gen *g, const Layout *L, int64_t gi, const Member *m, int n)
+{
+    Member ny = {L->y_base + gi * L->layer, -1};
+    RowLit *row = new_row(&g->rows, n + 1);
+    int i;
+    if (row == NULL)
+        return -1;
+    row[0] = member_lit(ny, -1);
+    for (i = 0; i < n; i++)
+        row[i + 1] = member_lit(m[i], 1);
+    for (i = 0; i < n; i++)
+        if (add_row(g, 2, (RowLit[]){member_lit(ny, 1), member_lit(m[i], -1)}) < 0)
+            return -1;
+    return 0;
+}
+
 /* Iteration k's definitions of the fresh group auxiliaries of layer L, four
    rows per non-final group (proof_ours.y_definition_clauses). */
 static int put_y_definitions(Gen *g, const Layout *L)
 {
     int64_t gi, count = group_count(L->layer + 1);
     Member m[4];
-    int i, n;
-    for (gi = 0; gi < count - 1; gi++) {
-        Member ny = {L->y_base + gi * L->layer, -1};
-        RowLit *row;
-        n = group_members(L, gi, count, m);
-        if ((row = new_row(&g->rows, n + 1)) == NULL)
+    for (gi = 0; gi < count - 1; gi++)
+        if (add_y_definition(g, L, gi, m, group_members(L, gi, count, m)) < 0)
             return -1;
-        row[0] = member_lit(ny, -1);
-        for (i = 0; i < n; i++)
-            row[i + 1] = member_lit(m[i], 1);
-        for (i = 0; i < n; i++)
-            if (add_row(g, 2, (RowLit[]){member_lit(ny, 1), member_lit(m[i], -1)}) < 0)
-                return -1;
-    }
     return put_part(g, (Py_ssize_t)L->layer);
 }
 
@@ -1836,6 +1703,29 @@ static int put_php_standard(Gen *g, const Layout *L)
     return put_part(g, (Py_ssize_t)n);
 }
 
+/* The clauses of php_amo on layer L: the at-least-one clauses, then group
+   by group over the holes, a non-final group's auxiliary definition and
+   then every pair of its members, the member of smaller index first
+   (encodings.iter_php_amo_clauses). */
+static int put_php_amo(Gen *g, const Layout *L)
+{
+    int64_t gi, count = group_count(L->layer + 1);
+    Member m[4];
+    int i, j, n;
+    if (put_alo(g, L) < 0)
+        return -1;
+    for (gi = 0; gi < count; gi++) {
+        n = group_members(L, gi, count, m);
+        if (gi < count - 1 && add_y_definition(g, L, gi, m, n) < 0)
+            return -1;
+        for (i = 0; i < n; i++)
+            for (j = i + 1; j < n; j++)
+                if (add_row(g, 2, (RowLit[]){member_lit(m[i], -1), member_lit(m[j], -1)}) < 0)
+                    return -1;
+    }
+    return put_part(g, (Py_ssize_t)L->layer);
+}
+
 /* The additions of iteration k, the builders of the family in table order
    (proof_ours.OURS, proof_cook.COOK), on layouts by layer. */
 static int put_iteration(Gen *g, int64_t k, const Layout *layouts, int chained)
@@ -1849,25 +1739,75 @@ static int put_iteration(Gen *g, int64_t k, const Layout *layouts, int chained)
     return put_alo(g, nxt);
 }
 
+/* Check n against least and PROOF_MAX_N and point g at target with its
+   buffer.  0, or -1 with an exception set. */
+static int gen_start(Gen *g, Py_ssize_t n, Py_ssize_t least, PyObject *target)
+{
+    if (sink_target(&g->sink, target) < 0)
+        return -1;
+    if (n < least || n > PROOF_MAX_N) {
+        PyErr_Format(PyExc_ValueError, "n must be from %zd to %d, got %zd", least,
+                     PROOF_MAX_N, n);
+        return -1;
+    }
+    g->sink.buf = resized(NULL, g->sink.cap, 1);
+    return g->sink.buf == NULL ? -1 : 0;
+}
+
+/* Write out what g has staged and free it: the number of characters
+   written, or NULL with an exception set if ok is not 0 or the write fails. */
+static PyObject *gen_finish(Gen *g, int ok)
+{
+    PyObject *result = NULL;
+    if (ok == 0 && sink_flush(&g->sink) == 0)
+        result = PyLong_FromSsize_t(g->sink.total);
+    PyMem_Free(g->sink.buf);
+    PyMem_Free(g->rows.lits);
+    PyMem_Free(g->rows.lens);
+    stage_free(&g->st);
+    return result;
+}
+
+static PyObject *write_cnf(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n;
+    int amo, ok;
+    PyObject *target;
+    Gen g = {{-1, NULL, NULL, 0, CHUNK, 0}, {0}, {0}, 0};
+    Layout L;
+    int64_t vars, clauses;
+    char header[64];
+    if (!PyArg_ParseTuple(args, "npO:write_cnf", &n, &amo, &target))
+        return NULL;
+    if (gen_start(&g, n, 1, target) < 0)
+        return gen_finish(&g, -1);
+    /* encodings.php_amo_num_vars and php_amo_clause_count, whose per-hole
+       f_group(n) is 7n/2 - 4 for n >= 2; php_standard_clause_count. */
+    L = (Layout){n, 0, (int64_t)n * (n + 1)};
+    vars = L.y_base + (amo ? n * (group_count(n + 1) - 1) : 0);
+    clauses = n + 1 + (amo ? n * (n == 1 ? 1 : 7 * (int64_t)n / 2 - 4) : L.y_base * n / 2);
+    ok = sink_put(&g.sink, header,
+                  PyOS_snprintf(header, sizeof header, "p cnf %lld %lld\n", (long long)vars,
+                                (long long)clauses));
+    if (ok == 0)
+        ok = amo ? put_php_amo(&g, &L) : put_php_standard(&g, &L);
+    return gen_finish(&g, ok);
+}
+
 static PyObject *write_proof(PyObject *module, PyObject *args)
 {
     Py_ssize_t n;
-    int chained, deletions;
-    PyObject *target, *result = NULL;
+    int chained, deletions, ok = -1;
+    PyObject *target;
     Gen g = {{-1, NULL, NULL, 0, CHUNK, 0}, {0}, {0}, 0};
     Layout *layouts = NULL;
     int64_t k, base;
-    if (!PyArg_ParseTuple(args, "nppO:write_proof", &n, &chained, &deletions, &target) ||
-        sink_target(&g.sink, target) < 0)
+    if (!PyArg_ParseTuple(args, "nppO:write_proof", &n, &chained, &deletions, &target))
         return NULL;
-    if (n < 2 || n > PROOF_MAX_N) {
-        PyErr_Format(PyExc_ValueError, "n must be from 2 to %d, got %zd", PROOF_MAX_N, n);
-        return NULL;
-    }
     /* Layer n is the input formula; each layer below takes the next ids
        (encodings._layouts_down_to). */
-    if ((layouts = resized(NULL, n + 1, sizeof *layouts)) == NULL ||
-        (g.sink.buf = resized(NULL, g.sink.cap, 1)) == NULL)
+    if (gen_start(&g, n, 2, target) < 0 ||
+        (layouts = resized(NULL, n + 1, sizeof *layouts)) == NULL)
         goto done;
     base = (int64_t)n * (n + 1);
     layouts[n] = (Layout){n, 0, base};
@@ -1888,44 +1828,31 @@ static PyObject *write_proof(PyObject *module, PyObject *args)
             goto done;
     }
     g.delete = 0;
-    if (new_row(&g.rows, 0) == NULL || put_part(&g, 1) < 0 || sink_flush(&g.sink) < 0)
-        goto done;
-    result = PyLong_FromSsize_t(g.sink.total);
+    if (new_row(&g.rows, 0) != NULL)
+        ok = put_part(&g, 1);
 done:
     PyMem_Free(layouts);
-    PyMem_Free(g.sink.buf);
-    PyMem_Free(g.rows.lits);
-    PyMem_Free(g.rows.lens);
-    stage_free(&g.st);
-    return result;
+    return gen_finish(&g, ok);
 }
 
 static PyMethodDef module_methods[] = {
-    {"format_rows", format_rows, METH_VARARGS,
-     "format_rows(parts, delete, sink) -> int | None\n\n"
-     "Write the text lines of the clauses of a model.HoleRows block with these\n"
-     "parts, as deletions if delete is True: the text formats._format_python\n"
-     "gives for those clauses.  A part is (holes, rows), its clauses the rows\n"
-     "at holes 1 to holes, hole by hole and in row order within a hole.  A row\n"
-     "is a tuple of literals: an int, the same at every hole, or (first, step),\n"
-     "whose value at hole h is first + step * (h - 1).  A tuple of clauses is\n"
-     "a part of one hole.  sink is a file descriptor, written with write(2)\n"
-     "without the GIL, or a callable, passed the text as str chunks.  Either\n"
-     "gets at most 64 KiB at a time, unless a row of a part of one hole is\n"
-     "longer.  Returns the number of characters written.  ValueError for a\n"
-     "negative hole count.  None, with nothing written, unless delete is a\n"
-     "bool, parts, every part and every row an exact tuple, every hole count\n"
-     "an exact int, every literal an exact int or an exact tuple of two exact\n"
-     "ints with step -1 or 1, and every int and every value formatted within\n"
-     "int64."},
+    {"write_cnf", write_cnf, METH_VARARGS,
+     "write_cnf(n, amo, sink) -> int\n\n"
+     "Write the DIMACS CNF of php_amo(n) if amo, else of php_standard(n), as\n"
+     "formats.write_dimacs writes encodings.iter_php_amo_clauses or\n"
+     "iter_php_standard_clauses under their header, to the sink as\n"
+     "write_proof writes.  Returns the number of characters written.\n"
+     "ValueError unless n is from 1 to 2**20."},
     {"write_proof", write_proof, METH_VARARGS,
      "write_proof(n, chained, deletions, sink) -> int\n\n"
      "Write the DRAT refutation of php_standard(n) that proof_ours.iter_blocks\n"
      "yields for proof_ours.OURS if chained, else for proof_cook.COOK, with\n"
      "deletions if deletions, as formats.write_drat_blocks writes it.  Every\n"
-     "builder runs here, and every part goes through the formatter of\n"
-     "format_rows, to the same sinks.  Returns the number of characters\n"
-     "written.  ValueError unless n is from 2 to 2**20."},
+     "builder runs here.  sink is a file descriptor, written with write(2)\n"
+     "without the GIL, or a callable, passed the text as str chunks of at\n"
+     "most 64 KiB, or, from a row longer than that on, of the room that row\n"
+     "took.  Returns the number of characters written.  ValueError unless n\n"
+     "is from 2 to 2**20, or for a negative descriptor."},
     {NULL, NULL, 0, NULL},
 };
 

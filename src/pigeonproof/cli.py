@@ -5,10 +5,11 @@ Subcommands: gen-cnf, gen-proof, check, count, bench, one row each of
 diagnostics to stderr.  Exit codes: 0 on success (proof accepted, for
 ``check``), 1 for a rejected or incomplete proof, 2 for usage or I/O errors,
 among them a stdout that cannot be written (silently when its reader has
-gone).  No environment variables are consulted.  Each subcommand imports
-the modules it needs when it runs, so ``check`` loads neither the proof
-generators nor the counting formulas, and ``gen-proof`` on the compiled core
-loads no module of the package beyond this one, ``_argv`` and the core.
+gone).  Diagnostics go nowhere when stderr is closed.  No environment
+variables are consulted.  Each subcommand imports the modules it needs when
+it runs, so ``check`` loads neither the proof generators nor the counting
+formulas, and ``gen-cnf`` and ``gen-proof`` on the compiled core load no
+module of the package beyond this one, ``_argv`` and the core.
 
 The arguments are read as argparse reads them, without argparse: options
 go before, between or after the positionals, as ``--opt value`` or
@@ -31,7 +32,7 @@ from types import SimpleNamespace
 from typing import IO, Iterator, NoReturn
 
 from . import _check_n
-from ._argv import CommandLine
+from ._argv import CommandLine, report
 
 #: Module and builder table of the proof family per ``--style``, and the
 #: table's layout style (``chained``), which names the family to the compiled
@@ -52,8 +53,8 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _open_out(path: str | None, raw: bool = False) -> Iterator[IO]:
-    """stdout, or the file at ``path``: a ``formats.OutputFile``, or given
-    ``raw`` an unbuffered binary file for the compiled core to write."""
+    """stdout, or the file at ``path``: UTF-8 text that translates no newlines,
+    or given ``raw`` an unbuffered binary file for the compiled core."""
     if path is None or path == "-":
         if sys.stdout is None:  # closed by the caller, as with ">&-"
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -63,9 +64,7 @@ def _open_out(path: str | None, raw: bool = False) -> Iterator[IO]:
         if raw:
             handle = open(path, "wb", buffering=0)
         else:
-            from .formats import OutputFile
-
-            handle = OutputFile(path)
+            handle = open(path, "w", encoding="utf-8", newline="")
         with handle:
             yield handle
     except OSError as exc:
@@ -88,22 +87,29 @@ def _integer(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def cmd_gen_cnf(args: SimpleNamespace) -> int:
-    from . import encodings, formats
-
-    n = args.n
-    _check_n(n, minimum=1)  # before --out is opened, and truncated
-    if args.encoding == "standard":
-        num_vars = n * (n + 1)
-        clause_count = encodings.php_standard_clause_count(n)
-        clauses = encodings.iter_php_standard_clauses(n)
-    else:
-        num_vars = encodings.php_amo_num_vars(n)
-        clause_count = encodings.php_amo_clause_count(n)
-        clauses = encodings.iter_php_amo_clauses(n)
-    with _open_out(args.out) as out:
-        formats.write_dimacs(out, num_vars, clauses, clause_count)
+def _core_write(write, path: str | None, *args) -> int:
+    """Write with the compiled core's ``write(*args, sink)`` to ``--out``."""
+    with _open_out(path, raw=True) as out:
+        write(*args, out.write if out is sys.stdout else out.fileno())
     return 0
+
+
+def cmd_gen_cnf(args: SimpleNamespace) -> int:
+    n, amo = args.n, args.encoding == "amo"
+    _check_n(n, minimum=1)  # before --out is opened, and truncated
+    try:  # the compiled core builds and writes the whole formula
+        from ._fastcheck import write_cnf
+    except ImportError:  # no compiled core: the Python encodings, the reference
+        from . import encodings, formats
+
+        if amo:
+            num_vars, clauses = encodings.php_amo_num_vars(n), encodings.iter_php_amo_clauses(n)
+        else:
+            num_vars, clauses = n * (n + 1), encodings.iter_php_standard_clauses(n)
+        with _open_out(args.out) as out:
+            formats.write_dimacs(out, num_vars, clauses, len(clauses))
+        return 0
+    return _core_write(write_cnf, args.out, n, amo)
 
 
 def cmd_gen_proof(args: SimpleNamespace) -> int:
@@ -119,10 +125,7 @@ def cmd_gen_proof(args: SimpleNamespace) -> int:
         with _open_out(args.out) as out:
             formats.write_drat_blocks(out, blocks)
         return 0
-    with _open_out(args.out, raw=True) as out:
-        sink = out.write if out is sys.stdout else out.fileno()
-        write_proof(args.n, GENERATORS[args.style][2], args.deletions, sink)
-    return 0
+    return _core_write(write_proof, args.out, args.n, GENERATORS[args.style][2], args.deletions)
 
 
 def cmd_check(args: SimpleNamespace) -> int:
@@ -193,10 +196,7 @@ def _bench_verify(n: int, styles: list[str]) -> int:
         start = time.perf_counter()
         verdict = checker.verify(formula, proof_ours.family_lines(n, _family(style)))
         elapsed = time.perf_counter() - start
-        print(
-            f"verify n={n} style={style}: {verdict.status} in {elapsed:.2f}s",
-            file=sys.stderr,
-        )
+        report(f"verify n={n} style={style}: {verdict.status} in {elapsed:.2f}s")
         if not verdict.accepted:
             failures += 1
     return failures
@@ -239,15 +239,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return func(args)
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report(f"error: {exc}")
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        report("error: out of memory")
         return 2
     except BrokenPipeError:  # the reader of stdout has gone
         return 2
     except OSError as exc:  # the commands turn every other file's errors into UsageError
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        report(f"error: cannot write stdout: {exc}")
         return 2
 
 
@@ -272,7 +272,7 @@ def run() -> NoReturn:
         except OSError as exc:
             # A run that failed already said why.
             if code != 2 and not isinstance(exc, BrokenPipeError):
-                print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+                report(f"error: cannot write stdout: {exc}")
             code = 2
     if sys.stderr is not None:
         with contextlib.suppress(OSError):

@@ -4,28 +4,22 @@ Emission is canonical and byte-stable: one clause per line, space-separated
 literals, a ``0`` terminator, LF line endings.  Deletion lines in DRAT carry
 a ``d `` prefix.  Binary DRAT is not supported.
 
-Every writer hands a :class:`~pigeonproof.model.HoleRows` block to the
-compiled core whole, straight from its rows, and any other clause iterable
-in parts of one hole and ``_CHUNK`` rows, since a clause is a row of
-constants.  One ``_fastcheck.format_rows`` call formats such parts with no
-clause tuple built, through one buffer of at most 64 KiB: to the file
-descriptor of an :class:`OutputFile` (the ``--out`` of ``gen-cnf``), its
-buffer flushed first, and as ``str`` chunks to ``out.write`` for any other
-handle and for a run of fewer than ``_CHUNK`` plain clauses.  It declines input it
-does not take, and without the compiled core everything is declined; the
-``%``-template join of :func:`_format_python` then formats the clauses
-instead.  Both give the same bytes.
+Every writer formats its clauses with one ``%``-template join per chunk of
+``_CHUNK`` clauses, a :class:`~pigeonproof.model.HoleRows` block's expanded
+hole by hole, and passes the text to ``out.write``, so any handle's newline
+translation, encoding or compression applies to every line.  The CLI writes
+``gen-cnf`` and ``gen-proof`` with the compiled core's ``write_cnf`` and
+``write_proof`` when it imports, which give the same bytes.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import re
 import warnings
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .model import (
     DELETE,
@@ -33,7 +27,6 @@ from .model import (
     Block,
     Clause,
     CnfFormula,
-    HoleRows,
     Proof,
     ProofLine,
     row_clauses,
@@ -55,14 +48,7 @@ class _Templates(dict):
 
 # _TEMPLATES[delete][len(clause)] % clause is the clause's text line.
 _TEMPLATES = (_Templates(""), _Templates("d "))
-_CHUNK = 4096  # plain clauses handed to the formatter at a time
-
-try:  # the compiled core formats and writes the parts of a block in one call
-    from ._fastcheck import format_rows as _format_rows
-except ImportError:  # pragma: no cover - depends on the build environment
-
-    def _format_rows(parts: object, delete: bool, sink: object) -> None:
-        return None
+_CHUNK = 4096  # clauses formatted at a time
 
 
 def _text_lines(data: str | bytes | Iterable[str]) -> Iterable[str]:
@@ -161,45 +147,19 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _format_python(chunk: Iterable[Clause], delete: bool) -> str:
+def _format_clauses(chunk: Iterable[Clause], delete: bool) -> str:
     templates = _TEMPLATES[delete]
     return "".join([templates[len(c)] % c for c in chunk])
 
 
-class OutputFile(io.TextIOWrapper):
-    """The UTF-8 text file at ``path``, created or truncated, that writes
-    ``"\n"`` as itself, with no layer between its buffer and the file.  The
-    writers hand the compiled core its file descriptor, its buffer flushed;
-    any other handle gets the text through its ``write``, which may
-    translate newlines or compress."""
-
-    def __init__(self, path: str | os.PathLike[str]) -> None:
-        super().__init__(open(path, "wb"), encoding="utf-8", newline="")
-
-
-def _sink(out: IO[str]) -> int | Callable[[str], object]:
-    """Where ``format_rows`` writes the text for ``out``."""
-    if type(out) is OutputFile:
-        out.flush()
-        return out.fileno()
-    return out.write
-
-
 def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
-    block = isinstance(clauses, HoleRows)
-    if block and _format_rows(clauses.parts, delete, _sink(out)) is not None:
-        return
-    clauses = iter(clauses)  # plain, or a declined block's: parts of one hole
+    clauses = iter(clauses)
     while chunk := tuple(islice(clauses, _CHUNK)):
-        # A short run, such as one of write_drat's, is not worth a write(2) of
-        # its own: it goes into the buffer of out.
-        sink = _sink(out) if len(chunk) == _CHUNK else out.write
-        if _format_rows(((1, chunk),), delete, sink) is None:
-            try:  # int tuples, as a block's clauses are, with no scan for types
-                text = _format_python(chunk, delete)
-            except TypeError:  # a plain clause is a row: a (first, step) in it
-                text = _format_python(row_clauses(chunk, 0, 1), delete)
-            out.write(text)
+        try:  # int tuples, as a block's clauses are, with no scan for types
+            text = _format_clauses(chunk, delete)
+        except TypeError:  # a plain clause is a row: a (first, step) in it
+            text = _format_clauses(row_clauses(chunk, 0, 1), delete)
+        out.write(text)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:

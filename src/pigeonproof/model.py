@@ -82,8 +82,9 @@ class HoleRows:
     ``first + step * (h - 1)`` at hole h (from 1).  A part's clauses are its
     rows taken hole by hole, in row order within each hole, and the parts
     follow one another; so a list of clauses is a part of one hole.
-    Iterating yields the clauses as int tuples; ``formats`` writes their
-    text from the rows, tuple-free.
+    Iterating yields the clauses as int tuples, which ``formats`` writes.
+    The compiled core builds the same rows in C, for ``gen-cnf`` and
+    ``gen-proof``, and writes their text straight from them.
     """
 
     __slots__ = ("parts",)

@@ -699,3 +699,26 @@ def test_unwritable_stderr_exits_2(argv, cli_srcs, tmp_path):
     for backend, src in cli_srcs:
         code, _ = run_with_stdout(src, argv, subprocess.DEVNULL, tmp_path, "2</dev/null")
         assert code == 2, backend
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["bench", "3", "--verify-up-to", "3"], 0, "n,ours,cook\n2,{},{}\n3,{},{}\n"),
+        (["check", "no.cnf", "no.drat"], 2, ""),
+        (["count", "abc"], 2, ""),
+    ],
+    ids=["progress", "input", "usage"],
+)
+def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code, stdout, cli_srcs, tmp_path):
+    # With descriptor 2 closed, sys.stderr is None, and print(file=None)
+    # would write to stdout: bench's progress lines would join its CSV.
+    from pigeonproof import count_cook, count_ours
+
+    expected = stdout.format(*(count(n) for n in (2, 3) for count in (count_ours, count_cook)))
+    for backend, src in cli_srcs:
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "pigeonproof.cli", *argv],
+            stdout=subprocess.PIPE, env=child_env(src), cwd=tmp_path, text=True,
+        )
+        assert (result.returncode, result.stdout) == (code, expected), backend

@@ -16,7 +16,6 @@ from pigeonproof import (
     emit_dimacs,
     emit_drat,
     encodings,
-    formats,
     generate_cook,
     generate_ours,
     parse_dimacs,
@@ -240,27 +239,21 @@ def test_emit_dimacs_is_unchanged(encode):
 
 def written_both_ways(write):
     """The text ``write(out)`` writes to a ``StringIO``, after checking that
-    it writes the same to a ``formats.OutputFile``, whose file descriptor the
-    compiled core writes."""
+    it writes the same to a UTF-8 file that translates no newlines, as the
+    CLI opens ``--out``."""
     out = io.StringIO()
     write(out)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.txt")
-        with formats.OutputFile(path) as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             write(handle)
         with open(path, "rb") as handle:
             assert handle.read() == out.getvalue().encode()
     return out.getvalue()
 
 
-@pytest.fixture
-def pure_format(monkeypatch):
-    """Make ``formats`` format every row with the template join."""
-    monkeypatch.setattr(formats, "_format_rows", lambda parts, delete, sink: None)
-
-
 @pytest.mark.parametrize("encode", sorted(DIMACS_DIGESTS, key=lambda f: f.__name__))
-def test_row_dimacs_emission_is_unchanged(pure_format, encode):
+def test_row_dimacs_emission_is_unchanged(encode):
     rows_of = getattr(encodings, f"iter_{encode.__name__}_clauses")
     texts = []
     for n in range(1, 7):
@@ -274,7 +267,7 @@ def test_row_dimacs_emission_is_unchanged(pure_format, encode):
 
 @pytest.mark.parametrize("deletions", [False, True])
 @pytest.mark.parametrize("style", ["ours", "cook"])
-def test_block_emission_matches_line_emission(pure_format, style, deletions):
+def test_block_emission_matches_line_emission(style, deletions):
     module, family = {
         "ours": (proof_ours, proof_ours.OURS),
         "cook": (proof_cook, proof_cook.COOK),
@@ -290,7 +283,7 @@ def test_block_emission_matches_line_emission(pure_format, style, deletions):
 
 
 @pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
-def test_block_emission_beyond_golden_sizes_is_unchanged(pure_format, style, n, deletions):
+def test_block_emission_beyond_golden_sizes_is_unchanged(style, n, deletions):
     family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
     text = written_both_ways(
         lambda out: write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))

@@ -13,7 +13,6 @@ import os
 import random
 import subprocess
 import sys
-import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -31,6 +30,7 @@ from pigeonproof import (
     checker,
     count_cook,
     count_ours,
+    emit_dimacs,
     emit_drat,
     encodings,
     formats,
@@ -41,7 +41,7 @@ from pigeonproof import (
     verify,
 )
 from pigeonproof.cli import main
-from pigeonproof.model import DELETE, HoleRows, row_clauses
+from pigeonproof.model import DELETE, HoleRows
 from pigeonproof.propagation import ClauseDatabase
 from test_formats import BUILDER_DIGESTS, DIMACS_DIGESTS, DRAT_DIGESTS, sha256, written_both_ways
 from test_package import (
@@ -187,39 +187,19 @@ def test_native_check_loads_no_python_engine(fastcheck, tmp_path):
     assert modules & NATIVE_CHECK_NEVER_LOADS == set()
 
 
-#: Run in a child: wrap the core's row formatter to keep the sinks it is
-#: given and the counts it returns, forbid the template join, run the CLI, and
-#: print the formatter's module, whether every sink was a file descriptor,
-#: and whether the core wrote every byte of the output file after the header.
-_FORMATS_IN_THE_CORE = """\
-from pigeonproof import cli, formats
-core, sinks, written = formats._format_rows, set(), []
-def format_rows(parts, delete, sink):
-    sinks.add("fd" if type(sink) is int else "write")
-    written.append(core(parts, delete, sink))
-    return written[-1]
-def format_python(*args):
-    raise AssertionError("_format_python called")
-formats._format_rows, formats._format_python = format_rows, format_python
-assert cli.main({argv!r}) == 0
-with open({out!r}, "rb") as handle:
-    handle.readline()  # the header
-    print(core.__module__, sinks == {{"fd"}}, None not in written and len(handle.read()) == sum(written))
-"""
-
-#: Run in a child: wrap the core's proof writer to keep the sinks it is given
-#: and the counts it returns, run the CLI, and print the writer's module,
-#: whether its one call got a file descriptor, and whether the count it
-#: returned is the size of the output file.
-_PROOF_IN_THE_CORE = """\
+#: Run in a child: wrap the core writer ``writer`` to keep the sinks it is
+#: given and the counts it returns, run the CLI, and print the writer's
+#: module, whether its one call got a file descriptor, and whether the count
+#: it returned is the size of the output file.
+_WRITER_IN_THE_CORE = """\
 import os
 from pigeonproof import _fastcheck, cli
-core, sinks, written = _fastcheck.write_proof, [], []
-def write_proof(n, chained, deletions, sink):
-    sinks.append("fd" if type(sink) is int else "write")
-    written.append(core(n, chained, deletions, sink))
+core, sinks, written = getattr(_fastcheck, {writer!r}), [], []
+def write(*args):
+    sinks.append("fd" if type(args[-1]) is int else "write")
+    written.append(core(*args))
     return written[-1]
-_fastcheck.write_proof = write_proof
+setattr(_fastcheck, {writer!r}, write)
 assert cli.main({argv!r}) == 0
 print(core.__module__, sinks == ["fd"], written == [os.path.getsize({out!r})])
 """
@@ -228,9 +208,10 @@ print(core.__module__, sinks == ["fd"], written == [os.path.getsize({out!r})])
 def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
     """Every line ``gen-proof`` and ``gen-cnf`` write, at-least-one clauses,
     empty clause and deletions included, is written by the core, straight
-    to the descriptor of the file that ``--out`` opens.  ``gen-proof`` is one
-    call of the core, which builds the rows too, so no module that could
-    write a line in Python (the formats, the builders) is even loaded."""
+    to the descriptor of the file that ``--out`` opens.  Each is one call of
+    the core, which builds the rows too, so no module that could write a
+    line in Python (the formats, the builders, the encodings) is even
+    loaded."""
     src = package_with_core(fastcheck, tmp_path)
     for argv, golden in (
         (["gen-proof", "4"], "proof-ours-4.drat"),
@@ -241,30 +222,33 @@ def test_native_gen_proof_formats_in_the_core(fastcheck, tmp_path):
         (["gen-cnf", "4", "--encoding", "amo"], "php-amo-4.cnf"),
     ):
         out = tmp_path / "out.txt"
-        hook = _PROOF_IN_THE_CORE if argv[0] == "gen-proof" else _FORMATS_IN_THE_CORE
-        code = hook.format(argv=argv + ["--out", str(out)], out=str(out))
+        writer = "write_proof" if argv[0] == "gen-proof" else "write_cnf"
+        argv += ["--out", str(out)]
+        code = _WRITER_IN_THE_CORE.format(writer=writer, argv=argv, out=str(out))
         hooks, modules = loaded_by(code, src)
         assert hooks == "pigeonproof._fastcheck True True", argv
         assert modules & GEN_NEVER_LOADS == set()
-        if argv[0] == "gen-proof":
-            assert {m for m in modules if m.startswith("pigeonproof")} == NATIVE_GEN_LOADS
+        assert {m for m in modules if m.startswith("pigeonproof")} == NATIVE_GEN_LOADS, argv
         if golden:
             assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class _Digest:
-    """An output that keeps the SHA-256 of the text written to it."""
+    """An output that keeps the SHA-256 and the length of the text written
+    to it."""
 
     def __init__(self):
         self.hash = hashlib.sha256()
+        self.size = 0
 
     def write(self, text):
         self.hash.update(text.encode())
+        self.size += len(text)
 
 
 @pytest.mark.parametrize("deletions", [False, True])
 @pytest.mark.parametrize("family", [proof_ours.OURS, proof_cook.COOK], ids=["ours", "cook"])
-def test_core_proof_is_the_python_builders_proof(fastcheck, native_format, family, deletions):
+def test_core_proof_is_the_python_builders_proof(fastcheck, family, deletions):
     """The core's own builders write, byte for byte, what the Python builders
     yield: ``write_drat_blocks(iter_blocks(...))``, the reference."""
     for n in range(2, 41):
@@ -296,16 +280,58 @@ def test_core_proof_writes_to_a_descriptor_and_rejects_bad_arguments(fastcheck, 
         fastcheck.write_proof(40, True, False, fail)
 
 
-def test_descriptor_writes_follow_buffered_text(native_format, tmp_path, monkeypatch):
-    """Text written to a file before the core writes to its descriptor comes
-    first: a comment, the DIMACS header, the template join's text of a
-    declined chunk or block between two that the core writes, and a last
-    run of fewer than ``_CHUNK`` clauses, which goes through ``write``."""
-    monkeypatch.setattr(formats, "_CHUNK", 2)
-    clauses = [(1, 2), (-3,), (True, 4), (5,), (6, -7), (8,), (-9,)]  # chunk 2 is declined
+@pytest.mark.parametrize("encode", [php_standard, php_amo], ids=["standard", "amo"])
+def test_core_cnf_is_the_python_encodings_cnf(fastcheck, encode):
+    """The core's own builders write, byte for byte, what ``write_dimacs``
+    writes for the rows of the Python encodings, the reference."""
+    amo = encode is php_amo
+    for n in range(1, 41):
+        reference, core = _Digest(), _Digest()
+        formula = encode(n)
+        rows = (encodings.iter_php_amo_clauses if amo else encodings.iter_php_standard_clauses)(n)
+        formats.write_dimacs(reference, formula.num_vars, rows, len(formula.clauses))
+        written = fastcheck.write_cnf(n, amo, core.write)
+        assert core.hash.hexdigest() == reference.hash.hexdigest(), n
+        assert written == core.size
+
+
+def test_core_cnf_writes_to_a_descriptor_and_rejects_bad_arguments(fastcheck, tmp_path):
+    path = tmp_path / "php.cnf"
+    with open(path, "wb", buffering=0) as handle:
+        written = fastcheck.write_cnf(4, True, handle.fileno())
+    assert path.read_bytes() == (GOLDEN / "php-amo-4.cnf").read_bytes()
+    assert written == path.stat().st_size
+    for n in (0, -5, 2**20 + 1):
+        with pytest.raises(ValueError, match=f"n must be from 1 to 1048576, got {n}"):
+            fastcheck.write_cnf(n, False, [].append)
+    for fd in (-1, -(2**40)):
+        with pytest.raises(ValueError, match="bad file descriptor"):
+            fastcheck.write_cnf(3, False, fd)
+    with pytest.raises(TypeError):
+        fastcheck.write_cnf("4", True, [].append)
+    # Text is written as it is formatted: a sink that fails stops the writer
+    # at its first chunk, the 64 KiB staged.
+    texts = []
+
+    def fail(text):
+        texts.append(text)
+        raise RuntimeError("sink full")
+
+    with pytest.raises(RuntimeError, match="sink full"):
+        fastcheck.write_cnf(40, False, fail)
+    assert [len(text) for text in texts] == [STAGED]
+    assert texts[0].startswith("p cnf 1640 32841\n1 2 3 ")
+
+
+def test_library_writes_interleave_with_other_text(tmp_path):
+    """The library writers pass each chunk's text to ``write`` as they
+    format it, in order with any other text: a comment, the DIMACS header,
+    plain clauses, clauses holding a literal the templates take as an int,
+    hole-row blocks and deletions."""
+    clauses = [(1, 2), (-3,), (True, 4), (5,), (6, -7), (8,), (-9,)]
     blocks = [
         ("a", 1, HoleRows([(3, (((1, 1), -9),))])),
-        ("b", 1, HoleRows([(2, (((True, 1),),))])),  # declined
+        ("b", 1, HoleRows([(2, (((True, 1),),))])),
         (DELETE, 1, HoleRows([(2, ((4, (7, -1)),))])),
     ]
 
@@ -319,19 +345,15 @@ def test_descriptor_writes_follow_buffered_text(native_format, tmp_path, monkeyp
         "c first\np cnf 9 7\n1 2 0\n-3 0\n1 4 0\n5 0\n6 -7 0\n8 0\n-9 0\n"
         "1 -9 0\n2 -9 0\n3 -9 0\n1 0\n2 0\nd 4 7 0\nd 4 6 0\nc last\n"
     )
-    path = tmp_path / "mixed.txt"
-    with formats.OutputFile(path) as handle:
-        write(handle)
-    assert path.read_bytes() == expected.encode()
     assert written_both_ways(write) == expected
 
 
 @pytest.mark.parametrize("opener", ["gzip", "bz2", "lzma", "crlf", "utf-16"])
-def test_writers_leave_other_handles_to_their_write(native_format, tmp_path, opener):
-    """A handle other than an ``OutputFile`` gets all its text through its
-    ``write``, even where it has a file descriptor: a compressed file holds
-    a stream that decompresses to the text, and a handle that translates
-    newlines, or encodes ASCII as other bytes, does so on every line."""
+def test_writers_leave_other_handles_to_their_write(tmp_path, opener):
+    """The library writers give a handle all its text through its ``write``,
+    even where it has a file descriptor: a compressed file holds a stream
+    that decompresses to the text, and a handle that translates newlines,
+    or encodes ASCII as other bytes, does so on every line."""
     blocks = list(proof_ours.iter_blocks(7, proof_ours.OURS, True))
     formula = php_standard(7)
     path = tmp_path / "out"
@@ -358,17 +380,17 @@ def test_writers_leave_other_handles_to_their_write(native_format, tmp_path, ope
 
 
 #: Run in a child with the core's path: print to stdout, which is a pipe and
-#: so block-buffered, then write a proof there with the core, which passes
-#: its text to stdout's write, and print again.
+#: so block-buffered, then write a formula and a proof there with the core,
+#: which passes its text to stdout's write, printing between and after.
 _AFTER_PRINT = """
 import importlib.util, sys
-from pigeonproof import formats, proof_ours
 spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
 core = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(core)
-formats._format_rows = core.format_rows
 print("c first")
-formats.write_drat_blocks(sys.stdout, proof_ours.iter_blocks(4, proof_ours.OURS))
+core.write_cnf(4, True, sys.stdout.write)
+print("c middle")
+core.write_proof(4, True, False, sys.stdout.write)
 print("c last")
 """
 
@@ -376,13 +398,12 @@ print("c last")
 def test_block_writes_to_stdout_follow_earlier_prints(fastcheck):
     result = subprocess.run(
         [sys.executable, "-c", _AFTER_PRINT, fastcheck.__file__],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    golden = (GOLDEN / "proof-ours-4.drat").read_bytes()
-    assert result.stdout == b"c first\n" + golden + b"c last\n"
+    cnf, proof = ((GOLDEN / name).read_bytes() for name in ("php-amo-4.cnf", "proof-ours-4.drat"))
+    assert result.stdout == b"c first\n" + cnf + b"c middle\n" + proof + b"c last\n"
 
 
 # Writes a proof to a FIFO that a thread of the same process reads; the core
@@ -390,11 +411,9 @@ def test_block_writes_to_stdout_follow_earlier_prints(fastcheck):
 # writes, which the core resumes after running the handler.
 _FIFO_WRITE = """
 import hashlib, importlib.util, signal, sys, threading, time
-from pigeonproof import formats, proof_ours
 spec = importlib.util.spec_from_file_location("_fastcheck", sys.argv[1])
 core = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(core)
-formats._format_rows = core.format_rows
 fifo = sys.argv[2]
 pieces, ticks = [], []
 
@@ -408,8 +427,8 @@ reader = threading.Thread(target=read)
 reader.start()
 signal.signal(signal.SIGALRM, lambda *args: ticks.append(1))
 signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
-with formats.OutputFile(fifo) as out:
-    formats.write_drat_blocks(out, proof_ours.iter_blocks(40, proof_ours.OURS))
+with open(fifo, "wb", buffering=0) as out:
+    core.write_proof(40, True, False, out.fileno())
 signal.setitimer(signal.ITIMER_REAL, 0)
 reader.join()
 data = b"".join(pieces)
@@ -423,7 +442,6 @@ def test_block_writer_fills_a_fifo_that_a_thread_reads(fastcheck, tmp_path):
     os.mkfifo(fifo)
     result = subprocess.run(
         [sys.executable, "-c", _FIFO_WRITE, fastcheck.__file__, str(fifo)],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
@@ -1203,73 +1221,37 @@ def test_cnf_header_never_sizes_arrays(fastcheck, tmp_path):
     assert result.stdout.split() == ["capped", "ACCEPTED"]
 
 
-# -- formatting clause chunks: the native row call against the template join --
-
-
-@pytest.fixture
-def native_format(fastcheck, monkeypatch):
-    """Make ``formats`` format rows with the freshly compiled core."""
-    monkeypatch.setattr(formats, "_format_rows", fastcheck.format_rows)
-
+# -- formatting clause chunks: the template join against a reference --
 
 #: Characters the core stages before each write.
 STAGED = 1 << 16
 
 
-def _formats(fastcheck, parts, delete):
-    """The text ``format_rows`` writes for ``parts`` to a callable, the same
-    as it writes to a file descriptor; None, with nothing written to either,
-    if it declines."""
-    texts = []
-    with tempfile.TemporaryFile() as file:
-        written = [fastcheck.format_rows(parts, delete, sink) for sink in (texts.append, file.fileno())]
-        file.seek(0)
-        data = file.read()
-    text = "".join(texts)
-    assert data == text.encode()
-    assert all(len(chunk) <= STAGED for chunk in texts)
-    if written == [None, None]:
-        assert text == ""
-        return None
-    assert written == [len(text)] * 2
-    return text
+def _written(clauses, delete):
+    """The text ``formats._write_clauses`` writes for ``clauses``."""
+    out = io.StringIO()
+    formats._write_clauses(out, delete, clauses)
+    return out.getvalue()
 
 
-class _Writes(list):
-    """An output that keeps each string written to it."""
-
-    write = list.append
-
-
-def _writes(clauses, delete, native):
-    """The strings ``formats._write_clauses`` writes for ``clauses`` with the
-    row formatter of the module ``native``, or with none."""
-    out = _Writes()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_format_rows", native.format_rows if native else _declined)
-        formats._write_clauses(out, delete, clauses)
-    return out
+def _reference_text(clauses, delete):
+    """The text lines of ``clauses`` of ints, built without the templates."""
+    prefix = "d " if delete else ""
+    return "".join(prefix + "".join(f"{lit} " for lit in clause) + "0\n" for clause in clauses)
 
 
-def _declined(*args):
-    return None
+def _check_written(clauses, delete, expected):
+    """``clauses`` are written as the lines of ``expected``, as deletions if
+    ``delete``, or raise it if it is an exception type."""
+    if isinstance(expected, str):
+        prefix = "d " if delete else ""
+        lines = expected.splitlines(keepends=True)
+        assert _written(clauses, delete) == "".join(prefix + line for line in lines)
+    else:
+        with pytest.raises(expected):
+            _written(clauses, delete)
 
 
-def _written(clauses, delete, native):
-    """The text of :func:`_writes`, or the type and message of the exception."""
-    try:
-        return "".join(_writes(clauses, delete, native))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def _same_text(fastcheck, clauses, delete):
-    native = _written(clauses, delete, fastcheck)
-    assert native == _written(clauses, delete, None)
-    return native
-
-
-INT64 = (-(2**63), 2**63 - 1)
 _LITERALS = st.one_of(
     st.integers(-(10**6), 10**6),
     st.sampled_from(
@@ -1281,14 +1263,9 @@ _LITERALS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_LITERALS, max_size=6).map(tuple), max_size=20), st.booleans())
-def test_format_fuzz_agrees_with_template_join(fastcheck, chunk, delete):
-    # A chunk of clauses is a part of one hole.
-    native = _formats(fastcheck, ((1, tuple(chunk)),), delete)
-    fits = all(INT64[0] <= lit <= INT64[1] for clause in chunk for lit in clause)
-    assert (native is not None) == fits
-    if fits:
-        assert native == formats._format_python(chunk, delete)
-    assert _same_text(fastcheck, chunk, delete) == formats._format_python(chunk, delete)
+def test_format_fuzz_agrees_with_template_join(chunk, delete):
+    # The template join writes every int as its decimal text, beyond int64 too.
+    assert _written(chunk, delete) == _reference_text(chunk, delete)
 
 
 class _Lit(enum.IntEnum):
@@ -1303,51 +1280,33 @@ class _Clause(tuple):
     pass
 
 
-#: Chunks the native formatter declines: the template join formats them, or
-#: raises, on both paths alike.
+#: Chunks of clauses that are not plain int tuples, and the text the
+#: template join writes for them, or the error it raises.
 FALLBACK_CHUNKS = {
-    "bool": [(1, 2), (True, -3)],
-    "int-enum": [(_Lit.ONE, 2)],
-    "int-subclass": [(_Int(7),)],
-    "tuple-subclass": [(1,), _Clause((2, 3))],
-    "list-clause": [(1,), [2, 3]],
-    "list-unit": [[4]],
-    "str": [(1, "2")],
-    "float": [(1.5, 2)],
-    "none": [(None,)],
-    "beyond-int64": [(1,), (2**64,)],
-    # A clause is a row; this one holds a pair literal of step 0.
-    "pair-step-0": [(1,), (3, (7, 0))],
+    "bool": ([(1, 2), (True, -3)], "1 2 0\n1 -3 0\n"),
+    "int-enum": ([(_Lit.ONE, 2)], "1 2 0\n"),
+    "int-subclass": ([(_Int(7),)], "7 0\n"),
+    "tuple-subclass": ([(1,), _Clause((2, 3))], "1 0\n2 3 0\n"),
+    "list-clause": ([(1,), [2, 3]], TypeError),
+    "list-unit": ([[4]], TypeError),
+    "str": ([(1, "2")], TypeError),
+    "float": ([(1.5, 2)], "1 2 0\n"),
+    "none": ([(None,)], TypeError),
+    "beyond-int64": ([(1,), (2**64,)], "1 0\n18446744073709551616 0\n"),
+    # A clause is a row; these hold a pair literal, its value at one hole.
+    "pair-step-0": ([(1,), (3, (7, 0))], ValueError),
+    "pair-step-1": ([(5, (2, -1))], "5 2 0\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_CHUNKS))
 @pytest.mark.parametrize("delete", [False, True])
-def test_format_fallback_chunks_match_template_join(fastcheck, case, delete):
-    chunk = FALLBACK_CHUNKS[case]
-    assert _formats(fastcheck, ((1, tuple(chunk)),), delete) is None
-    _same_text(fastcheck, chunk, delete)
+def test_format_fallback_chunks_match_template_join(case, delete):
+    chunk, expected = FALLBACK_CHUNKS[case]
+    _check_written(chunk, delete, expected)
 
 
-def test_format_declines_a_delete_flag_that_is_not_a_bool(fastcheck):
-    clause = ((1, ((1, 2),)),)
-    assert _formats(fastcheck, clause, 1) is None
-    assert _formats(fastcheck, clause, False) == "1 2 0\n"
-    assert _formats(fastcheck, clause, True) == "d 1 2 0\n"
-    assert _formats(fastcheck, ((1, ()),), True) == ""
-    assert _formats(fastcheck, (), True) == ""
-    assert _formats(fastcheck, ((1, [(1, 2)]),), False) is None  # rows not a tuple
-    assert _formats(fastcheck, [(1, ((1, 2),))], False) is None  # parts not a tuple
-    assert _formats(fastcheck, ((1, ((1, 2),), 0),), False) is None  # not a pair
-    assert _formats(fastcheck, ((True, ((1, 2),)),), False) is None  # holes a bool
-    with pytest.raises(TypeError):
-        fastcheck.format_rows(clause, False)
-    # A clause holding a pair literal is a row: the pair's value at each hole.
-    assert _formats(fastcheck, ((2, ((5, (2, -1)),)),), False) == "5 2 0\n5 1 0\n"
-    assert _same_text(fastcheck, [(5, (2, -1))], False) == "5 2 0\n"
-
-
-def test_format_spans_several_chunks(fastcheck):
+def test_format_spans_several_chunks():
     rng = random.Random(7)
     clauses = [
         tuple(rng.choice((-1, 1)) * rng.randrange(1, 10**rng.randrange(1, 19))
@@ -1355,11 +1314,12 @@ def test_format_spans_several_chunks(fastcheck):
         for _ in range(3 * formats._CHUNK + 5)
     ]
     for delete in (False, True):
-        text = _same_text(fastcheck, clauses, delete)
+        text = _written(clauses, delete)
+        assert text == _reference_text(clauses, delete)
         assert text.count("\n") == len(clauses)
 
 
-# -- formatting rows over holes: the native row call against the expansion --
+# -- formatting rows over holes: the template join against the expansion --
 
 #: Values a row literal reaches: decade boundaries (each digit wraps, and the
 #: width changes), zero, and the ends of int64 and beyond.
@@ -1387,154 +1347,128 @@ def _hole_rows(draw):
     return holes, tuple(tuple(literal() for _ in range(draw(st.integers(0, 4)))) for _ in range(nrows))
 
 
-def _fits(rows, holes):
-    """Whether every int, every first and every value formatted lies within int64."""
-    values = [lit for clause in row_clauses(rows, 0, holes) for lit in clause]
-    firsts = [lit[0] if type(lit) is tuple else lit for row in rows for lit in row]
-    return all(INT64[0] <= value <= INT64[1] for value in values + firsts)
+def _expanded(holes, rows):
+    """The clauses of the part ``(holes, rows)``, hole by hole."""
+    return [
+        tuple(lit[0] + lit[1] * h if type(lit) is tuple else lit for lit in row)
+        for h in range(holes)
+        for row in rows
+    ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_hole_rows(), st.booleans())
 @example((150, (((9 - 149, 1), (-10, -1), (2**63 - 150, 1), (-(2**63) + 150, -1)),)), False)
 @example((21, (((-10, 1), (10, -1), (99, 1), (-99, -1), (100, -1)),)), True)
-def test_format_rows_fuzz_agrees_with_expansion(fastcheck, part, delete):
-    holes, rows = part
-    native = _formats(fastcheck, (part,), delete)
-    expanded = formats._format_python(list(row_clauses(rows, 0, holes)), delete)
-    assert (native is not None) == (not rows or _fits(rows, holes))
-    if native is not None:
-        assert native == expanded
-    block = HoleRows([part])
-    assert _same_text(fastcheck, block, delete) == formats._format_python(list(block), delete)
+def test_format_rows_fuzz_agrees_with_expansion(part, delete):
+    assert _written(HoleRows([part]), delete) == _reference_text(_expanded(*part), delete)
 
 
-#: Rows over four holes that the native row formatter declines: their
-#: expansion is formatted, or raises, on both paths alike.
+#: Rows over four holes that are not tuples of ints and (first, ±1) pairs,
+#: and the text the template join writes for their clauses, or the error.
 FALLBACK_ROWS = {
-    "bool-first": (((True, 1), 2),),
-    "bool-step": (((1, True),),),
-    "int-enum": (((_Lit.ONE, 1),),),
-    "int-subclass": ((_Int(7),),),
-    "tuple-subclass-row": (_Clause(((1, 1),)),),
-    "list-row": ([(1, 1), (2, -1)],),
-    "list-literal": (([1, 1],),),
-    "list-of-rows": [((1, 1),)],
-    "step-0": (((7, 0), (1, 1)),),
-    "step-2": (((1, 2),),),
-    "short-literal": (((1,),),),
-    "str": (("2",),),
-    "float": ((1.5,),),
-    "beyond-int64": ((2**63,),),
+    "bool-first": ((((True, 1), 2),), "1 2 0\n2 2 0\n3 2 0\n4 2 0\n"),
+    "bool-step": ((((1, True),),), "1 0\n2 0\n3 0\n4 0\n"),
+    "int-enum": ((((_Lit.ONE, 1),),), "1 0\n2 0\n3 0\n4 0\n"),
+    "int-subclass": (((_Int(7),),), "7 0\n" * 4),
+    "tuple-subclass-row": ((_Clause(((1, 1),)),), "1 0\n2 0\n3 0\n4 0\n"),
+    "list-row": (([(1, 1), (2, -1)],), "1 2 0\n2 1 0\n3 0 0\n4 -1 0\n"),
+    "list-literal": ((([1, 1],),), TypeError),
+    "list-of-rows": ([((1, 1),)], "1 0\n2 0\n3 0\n4 0\n"),
+    "step-0": ((((7, 0), (1, 1)),), ValueError),
+    "step-2": ((((1, 2),),), "1 0\n3 0\n5 0\n7 0\n"),
+    "short-literal": ((((1,),),), ValueError),
+    "str": ((("2",),), TypeError),
+    "float": (((1.5,),), "1 0\n" * 4),
+    "beyond-int64": (((2**63,),), f"{2**63} 0\n" * 4),
     # The first three holes fit in int64; the fourth leaves it.
-    "last-hole-above-int64": (((2**63 - 3, 1),),),
-    "last-hole-below-int64": (((-(2**63) + 2, -1),),),
+    "last-hole-above-int64": (
+        (((2**63 - 3, 1),),), "".join(f"{2**63 - 3 + h} 0\n" for h in range(4))
+    ),
+    "last-hole-below-int64": (
+        (((-(2**63) + 2, -1),),), "".join(f"{-(2**63) + 2 - h} 0\n" for h in range(4))
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_ROWS))
 @pytest.mark.parametrize("delete", [False, True])
-def test_format_fallback_rows_match_expansion(fastcheck, case, delete):
-    rows = FALLBACK_ROWS[case]
-    # A declined part declines the whole call: nothing of the first is written.
-    assert _formats(fastcheck, ((2, (((1, 1),),)), (4, rows)), delete) is None
-    _same_text(fastcheck, HoleRows([(4, rows)]), delete)
+def test_format_fallback_rows_match_expansion(case, delete):
+    rows, expected = FALLBACK_ROWS[case]
+    _check_written(HoleRows([(4, rows)]), delete, expected)
 
 
-def test_format_rows_rejects_bad_hole_ranges(fastcheck):
+def test_format_rows_rejects_bad_hole_ranges():
     rows = (((1, 1),),)
     for holes in (-1, -(2**62)):
         with pytest.raises(ValueError, match="negative hole count"):
-            fastcheck.format_rows(((holes, rows),), False, [].append)
-    with pytest.raises(ValueError, match="negative hole count"):
-        HoleRows([(2, rows), (-1, rows)])
-    with pytest.raises(OverflowError):
-        fastcheck.format_rows(((2**64, rows),), False, [].append)
-    for fd in (-1, -(2**40)):
-        with pytest.raises(ValueError, match="bad file descriptor"):
-            fastcheck.format_rows(((1, rows),), False, fd)
-    # Text is written as it is formatted: a sink that fails stops a range of
-    # holes past any buffer at its first chunk.
-    texts = []
-
-    def fail(text):
-        texts.append(text)
-        raise RuntimeError("sink full")
-
-    with pytest.raises(RuntimeError, match="sink full"):
-        fastcheck.format_rows(((2**62, rows),), False, fail)
-    assert [len(text) for text in texts] == [STAGED]
-    assert texts[0].startswith("1 0\n2 0\n")
-    assert _formats(fastcheck, ((2**62, ()),), False) == ""
-    assert _formats(fastcheck, ((0, rows),), True) == ""
-    assert _formats(fastcheck, ((3, rows),), 1) is None  # delete is not a bool
-    assert _formats(fastcheck, ((3, rows),), True) == "d 1 0\nd 2 0\nd 3 0\n"
+            HoleRows([(2, rows), (holes, rows)])
+    assert _written(HoleRows([(2**62, ())]), False) == ""
+    assert _written(HoleRows([(0, rows)]), True) == ""
+    assert _written(HoleRows([(3, rows)]), True) == "d 1 0\nd 2 0\nd 3 0\n"
 
 
-@pytest.mark.parametrize("width", [37, formats._CHUNK + 3])
-def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, width, tmp_path):
-    """A block of more than 8 * _CHUNK lines reaches the output in chunks of
-    the staged 64 KiB, a hole of more text than that included, and the same
-    bytes reach a file through its descriptor."""
-    rows = tuple(((-(10 * r + 1), -1), (5 * r + 2, 1), 7) for r in range(width))
-    holes = 8 * formats._CHUNK // width + 2
-    block = HoleRows([(holes, rows), (2, rows[:1])])
-    assert len(block) > 8 * formats._CHUNK
-    expected = formats._format_python(list(block), True)
-    assert len(expected) > 4 * STAGED
-    for native in (fastcheck, None):
-        out = _writes(block, True, native)
-        assert "".join(out) == expected
-        assert len(out) > 3
-    out = _writes(block, True, fastcheck)
-    assert [len(text) for text in out[:-1]] == [STAGED] * (len(out) - 1)
-    path = tmp_path / "block.drat"
-    with pytest.MonkeyPatch.context() as patch, formats.OutputFile(path) as handle:
-        patch.setattr(formats, "_format_rows", fastcheck.format_rows)
-        formats._write_clauses(handle, True, block)
+@pytest.mark.parametrize("n", [37, 12000])
+def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, n, tmp_path):
+    """The core hands its text to a callable in chunks of the staged 64 KiB,
+    and writes the same bytes to a file through its descriptor.  A row
+    longer than that (an at-least-one clause of PHP(12000)) is handed over
+    whole, in one chunk of its own."""
+    if n == 12000:
+        chunks = []
+
+        def sink(text):
+            chunks.append(text)
+            if len(text) > STAGED:
+                raise RuntimeError("long row")
+
+        with pytest.raises(RuntimeError, match="long row"):
+            fastcheck.write_cnf(n, False, sink)
+        rows = (" ".join(str(p * n + h) for h in range(1, n + 1)) + " 0\n" for p in range(n + 1))
+        long_row = next(row for row in rows if len(row) > STAGED)
+        assert chunks[-1] == long_row
+        assert all(len(chunk) <= STAGED for chunk in chunks[:-1])
+        return
+    chunks = []
+    written = fastcheck.write_cnf(n, False, chunks.append)
+    expected = emit_dimacs(php_standard(n))
+    assert "".join(chunks) == expected and written == len(expected) > 4 * STAGED
+    assert [len(chunk) for chunk in chunks[:-1]] == [STAGED] * (len(chunks) - 1)
+    path = tmp_path / "php.cnf"
+    with open(path, "wb", buffering=0) as handle:
+        fastcheck.write_cnf(n, False, handle.fileno())
     assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("deletions", [False, True])
 @pytest.mark.parametrize("style", ["ours", "cook"])
-def test_native_block_emission_matches_digests_and_golden_files(native_format, style, deletions):
-    family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
+def test_native_block_emission_matches_digests_and_golden_files(fastcheck, style, deletions):
     texts = []
     for n in range(2, 9):
-        text = written_both_ways(
-            lambda out: formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
-        )
-        texts.append(text)
+        parts = []
+        fastcheck.write_proof(n, style == "ours", deletions, parts.append)
+        texts.append("".join(parts))
         golden = GOLDEN / f"proof-{style}-{n}{'-deletions' if deletions else ''}.drat"
         if golden.exists():
-            assert golden.read_bytes() == text.encode(), golden.name
+            assert golden.read_bytes() == texts[-1].encode(), golden.name
     assert sha256("".join(texts)) == DRAT_DIGESTS[style, deletions]
 
 
 @pytest.mark.parametrize("style, n, deletions", sorted(BUILDER_DIGESTS))
-def test_native_block_emission_beyond_golden_sizes_is_unchanged(native_format, style, n, deletions):
-    family = {"ours": proof_ours.OURS, "cook": proof_cook.COOK}[style]
-    text = written_both_ways(
-        lambda out: formats.write_drat_blocks(out, proof_ours.iter_blocks(n, family, deletions))
-    )
-    assert sha256(text) == BUILDER_DIGESTS[style, n, deletions]
+def test_native_block_emission_beyond_golden_sizes_is_unchanged(fastcheck, style, n, deletions):
+    core = _Digest()
+    fastcheck.write_proof(n, style == "ours", deletions, core.write)
+    assert core.hash.hexdigest() == BUILDER_DIGESTS[style, n, deletions]
 
 
 @pytest.mark.parametrize("encode", [php_standard, php_amo], ids=["standard", "amo"])
-def test_native_dimacs_emission_matches_digests_and_golden_files(native_format, encode):
-    rows_of = getattr(encodings, f"iter_{encode.__name__}_clauses")
+def test_native_dimacs_emission_matches_digests_and_golden_files(fastcheck, encode):
     texts = []
     for n in range(1, 7):
-        formula = encode(n)
-        text, rows_text = (
-            written_both_ways(
-                lambda out: formats.write_dimacs(out, formula.num_vars, clauses, len(formula.clauses))
-            )
-            for clauses in (formula.clauses, rows_of(n))
-        )
-        assert rows_text == text, n
-        texts.append(text)
+        parts = []
+        fastcheck.write_cnf(n, encode is php_amo, parts.append)
+        texts.append("".join(parts))
         golden = GOLDEN / f"php-{encode.__name__[4:]}-{n}.cnf"
         if golden.exists():
-            assert golden.read_bytes() == text.encode(), golden.name
+            assert golden.read_bytes() == texts[-1].encode(), golden.name
     assert sha256("".join(texts)) == DIMACS_DIGESTS[encode]

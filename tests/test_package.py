@@ -43,9 +43,10 @@ GEN_NEVER_LOADS = CLI_NEVER_LOADS | {
     "pigeonproof.propagation",
 }
 
-#: The package modules a ``gen-proof`` run loads on the compiled core, which
-#: builds and writes the whole proof: the builders, their data model and the
-#: text formats stay unloaded.
+#: The package modules a ``gen-proof`` or ``gen-cnf`` run loads on the
+#: compiled core, which builds and writes the whole proof or formula: the
+#: builders, the encodings, their data model and the text formats stay
+#: unloaded.
 NATIVE_GEN_LOADS = {
     "pigeonproof", "pigeonproof.cli", "pigeonproof._argv", "pigeonproof._fastcheck",
 }
@@ -135,11 +136,11 @@ def test_internals_import_from_their_module_only(module):
 
 
 def test_compiled_core_exports_only_what_is_used(fastcheck):
-    # checker builds a FastDatabase, formats writes text with format_rows and
-    # cli writes gen-proof's proof with write_proof; a native entry point that
-    # no caller uses fails here.
+    # checker builds a FastDatabase, and cli writes gen-cnf's formula with
+    # write_cnf and gen-proof's proof with write_proof; a native entry point
+    # that no caller uses fails here.
     public = {name for name in dir(fastcheck) if not name.startswith("_")}
-    assert public == {"FastDatabase", "format_rows", "write_proof"}
+    assert public == {"FastDatabase", "write_cnf", "write_proof"}
 
 
 def test_python_engine_has_the_public_names_of_the_core(fastcheck):
@@ -211,6 +212,25 @@ def test_gen_proof_loads_no_checker_and_no_dataclasses(cli_srcs, tmp_path):
                 assert "pigeonproof.proof_ours" in package
             else:
                 assert package == NATIVE_GEN_LOADS, args
+
+
+def test_gen_cnf_loads_only_the_core_or_the_encodings(cli_srcs, tmp_path):
+    # Without the compiled core the Python encodings and formats write the
+    # formula; with it the core does, and no other module of the package loads.
+    for encoding in ("standard", "amo"):
+        code = (
+            "from pigeonproof import cli\n"
+            f"assert cli.main(['gen-cnf', '6', '--encoding', {encoding!r}, "
+            f"'--out', {str(tmp_path / 'php.cnf')!r}]) == 0"
+        )
+        for backend, src in cli_srcs:
+            _, modules = loaded_by(code, src)
+            assert modules & GEN_NEVER_LOADS == set()
+            package = {m for m in modules if m.split(".")[0] == "pigeonproof"}
+            if backend == "python":
+                assert {"pigeonproof.encodings", "pigeonproof.formats"} <= package
+            else:
+                assert package == NATIVE_GEN_LOADS, encoding
 
 
 @pytest.mark.parametrize("extra", [[], ["--breakdown"], ["--style", "cook", "--breakdown"]])
