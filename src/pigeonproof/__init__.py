@@ -25,7 +25,7 @@ MAX_N = 5000
 
 def _check_n(n: int, minimum: int) -> None:
     if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
+        raise ValueError(f"n >= {minimum} is required, got {n}")
     if n > MAX_N:
         raise ValueError(f"n > {MAX_N} is not supported (memory guard)")
 

@@ -32,10 +32,12 @@
    one 64 KiB buffer, reused for the whole call, to a file descriptor with
    write(2) without the GIL, or as str chunks to a callable.  Two module
    functions feed it, each building its rows a part at a time with C twins
-   of the Python builders: write_cnf the clauses of the DIMACS encodings of
-   encodings, for gen-cnf, and write_proof a whole gen-proof refutation of
-   proof_ours and proof_cook.  Tests hold their bytes to the Python
-   builders, the reference. */
+   of the Python builders, which read line for line alike: write_cnf the
+   clauses of the DIMACS encodings of encodings, for gen-cnf, and
+   write_proof a whole gen-proof refutation of proof_ours and proof_cook.
+   Both sides make a group member as a row literal bound to its layer
+   (group_members, as encodings.group_members).  Tests hold their bytes to
+   the Python builders, the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1493,21 +1495,15 @@ typedef struct {
     int64_t layer, x_base, y_base;
 } Layout;
 
-/* A group member over the holes, as in encodings.member_literal: its
-   literal at hole h is sign * (base + h). */
-typedef struct {
-    int64_t base, sign;
-} Member;
-
 /* Largest n of write_cnf and write_proof: every variable id and clause
    count, below n^3, then fits in int64 with room to spare.  cli keeps n
    within pigeonproof.MAX_N. */
 #define PROOF_MAX_N (1 << 20)
 
-/* sign times a member's literal, as a row literal over the holes. */
-static inline RowLit member_lit(Member m, int64_t sign)
+/* The complement of the row literal l at every hole (encodings.negated). */
+static inline RowLit negated(RowLit l)
 {
-    return (RowLit){sign * m.sign * (m.base + 1), sign * m.sign};
+    return (RowLit){-l.value, -l.step};
 }
 
 /* Room for one more row of n literals in the part being built: its first
@@ -1571,25 +1567,21 @@ static int put_alo(Gen *g, const Layout *L)
     return 0;
 }
 
-/* The members of group gi of the chain of layer L over its layer + 1
-   pigeons, with count groups, into m (at most 4); return how many
-   (encodings.groups). */
-static int group_members(const Layout *L, int64_t gi, int64_t count, Member *m)
+/* The members of group gi of the at-most-one chain over the layer + 1
+   pigeons of layer L, in count groups, as row literals over the holes into
+   m (at most 4); return how many (encodings.group_members).  Group 0 takes
+   pigeons 0..2, or all of up to four; each later group the previous
+   group's auxiliary, negated, and the next two pigeons; the final group
+   the two or three that remain. */
+static int group_members(const Layout *L, int64_t gi, int64_t count, RowLit *m)
 {
-    int64_t p, first = 2 * gi + 1, stop;
+    int64_t p, first = gi ? 2 * gi + 1 : 0;
+    int64_t stop = gi == count - 1 ? L->layer + 1 : 2 * gi + 3;
     int n = 0;
-    if (count == 1) {
-        first = 0;
-        stop = L->layer + 1;
-    } else {
-        if (gi == 0)
-            first = 0;
-        else /* the previous auxiliary, negated */
-            m[n++] = (Member){L->y_base + (gi - 1) * L->layer, -1};
-        stop = gi == count - 1 ? L->layer + 1 : first + (gi == 0 ? 3 : 2);
-    }
+    if (gi)
+        m[n++] = (RowLit){-(L->y_base + (gi - 1) * L->layer + 1), -1};
     for (p = first; p < stop; p++)
-        m[n++] = (Member){L->x_base + p * L->layer, 1};
+        m[n++] = (RowLit){L->x_base + p * L->layer + 1, 1};
     return n;
 }
 
@@ -1625,18 +1617,17 @@ static int put_definitions(Gen *g, int64_t k, const Layout *prev, const Layout *
    layer L, whose n members are m: (y, members...), then (-y, -member) for
    each member (encodings.aux_definition_rows).  0, or -1 with MemoryError
    set. */
-static int add_y_definition(Gen *g, const Layout *L, int64_t gi, const Member *m, int n)
+static int add_y_definition(Gen *g, const Layout *L, int64_t gi, const RowLit *m, int n)
 {
-    Member ny = {L->y_base + gi * L->layer, -1};
+    RowLit y = {L->y_base + gi * L->layer + 1, 1};
     RowLit *row = new_row(&g->rows, n + 1);
     int i;
     if (row == NULL)
         return -1;
-    row[0] = member_lit(ny, -1);
+    row[0] = y;
+    memcpy(row + 1, m, (size_t)n * sizeof *m);
     for (i = 0; i < n; i++)
-        row[i + 1] = member_lit(m[i], 1);
-    for (i = 0; i < n; i++)
-        if (add_row(g, 2, (RowLit[]){member_lit(ny, 1), member_lit(m[i], -1)}) < 0)
+        if (add_row(g, 2, (RowLit[]){negated(y), negated(m[i])}) < 0)
             return -1;
     return 0;
 }
@@ -1646,7 +1637,7 @@ static int add_y_definition(Gen *g, const Layout *L, int64_t gi, const Member *m
 static int put_y_definitions(Gen *g, const Layout *L)
 {
     int64_t gi, count = group_count(L->layer + 1);
-    Member m[4];
+    RowLit m[4];
     for (gi = 0; gi < count - 1; gi++)
         if (add_y_definition(g, L, gi, m, group_members(L, gi, count, m)) < 0)
             return -1;
@@ -1658,13 +1649,13 @@ static int put_y_definitions(Gen *g, const Layout *L)
 static int put_derived(Gen *g, const Layout *L)
 {
     int64_t gi, count = group_count(L->layer + 1);
-    Member m[4];
+    RowLit m[4];
     int i, j, n;
     for (gi = 0; gi < count; gi++) {
         n = group_members(L, gi, count, m);
         for (i = 0; i < n; i++)
             for (j = i + 1; j < n; j++)
-                if (add_row(g, 2, (RowLit[]){member_lit(m[j], -1), member_lit(m[i], -1)}) < 0)
+                if (add_row(g, 2, (RowLit[]){negated(m[j]), negated(m[i])}) < 0)
                     return -1;
     }
     return put_part(g, (Py_ssize_t)L->layer);
@@ -1710,7 +1701,7 @@ static int put_php_standard(Gen *g, const Layout *L)
 static int put_php_amo(Gen *g, const Layout *L)
 {
     int64_t gi, count = group_count(L->layer + 1);
-    Member m[4];
+    RowLit m[4];
     int i, j, n;
     if (put_alo(g, L) < 0)
         return -1;
@@ -1720,7 +1711,7 @@ static int put_php_amo(Gen *g, const Layout *L)
             return -1;
         for (i = 0; i < n; i++)
             for (j = i + 1; j < n; j++)
-                if (add_row(g, 2, (RowLit[]){member_lit(m[i], -1), member_lit(m[j], -1)}) < 0)
+                if (add_row(g, 2, (RowLit[]){negated(m[i]), negated(m[j])}) < 0)
                     return -1;
     }
     return put_part(g, (Py_ssize_t)L->layer);
@@ -1782,7 +1773,8 @@ static PyObject *write_cnf(PyObject *module, PyObject *args)
     if (gen_start(&g, n, 1, target) < 0)
         return gen_finish(&g, -1);
     /* encodings.php_amo_num_vars and php_amo_clause_count, whose per-hole
-       f_group(n) is 7n/2 - 4 for n >= 2; php_standard_clause_count. */
+       counts.f_group(n) is 7n/2 - 4 for n >= 2; php_standard has n + 1
+       at-least-one clauses and n(n + 1)/2 pairs in each of its n holes. */
     L = (Layout){n, 0, (int64_t)n * (n + 1)};
     vars = L.y_base + (amo ? n * (group_count(n + 1) - 1) : 0);
     clauses = n + 1 + (amo ? n * (n == 1 ? 1 : 7 * (int64_t)n / 2 - 4) : L.y_base * n / 2);

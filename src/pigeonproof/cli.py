@@ -113,8 +113,6 @@ def cmd_gen_cnf(args: SimpleNamespace) -> int:
 
 
 def cmd_gen_proof(args: SimpleNamespace) -> int:
-    if args.n < 2:
-        raise UsageError("proof generation needs n >= 2")
     _check_n(args.n, minimum=2)  # before --out is opened, and truncated
     try:  # the compiled core builds and writes the whole proof
         from ._fastcheck import write_proof

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .encodings import f_group
+
+def f_group(k: int) -> int:
+    """Group clauses per hole when a layer has k holes (k+1 pigeons): seven
+    per non-final group of the at-most-one chain, then the pairs of the
+    final group (see ``encodings.group_members``)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return 1
+    return (7 * k) // 2 - 4
 
 
 class IterationCount(NamedTuple):

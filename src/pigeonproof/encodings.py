@@ -19,21 +19,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import _check_n
+from .counts import f_group
 from .model import CnfFormula, HoleRows, Row, RowLiteral
-
-# Group members are symbolic until bound to a layout (see member_literal):
-# ("x", p) stands for the pigeon-p literals x_var(p, h), ("ny", g) for the
-# negated group-g auxiliaries -y_var(g, h), over the layer's holes h.
-Member = tuple[str, int]
-
-
-def f_group(k: int) -> int:
-    """Group clauses per hole when a layer has k holes (k+1 pigeons)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return 1
-    return (7 * k) // 2 - 4
 
 
 def group_count(pigeons: int) -> int:
@@ -41,65 +28,6 @@ def group_count(pigeons: int) -> int:
     if pigeons < 2:
         raise ValueError("a group chain needs at least 2 pigeons")
     return max(1, (pigeons - 1) // 2)
-
-
-class Group(NamedTuple):
-    """One link of a hole's at-most-one chain.
-
-    ``members`` are the constrained literals (three of them except in the
-    final group); ``y_new`` is the index of the fresh auxiliary introduced
-    for this group, or None for the final group.  The field ``index`` hides
-    the method ``tuple.index``, which nothing here uses.
-    """
-
-    index: int
-    members: tuple[Member, ...]
-    y_new: int | None
-
-    @property
-    def final(self) -> bool:
-        return self.y_new is None
-
-
-class GroupLayout(NamedTuple):
-    """Partition of one hole's pigeon literals into chained groups."""
-
-    pigeons: int
-    groups: tuple[Group, ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-
-def groups(pigeons: int) -> GroupLayout:
-    """Group structure for an at-most-one chain over ``pigeons`` literals.
-
-    Up to four pigeons form a single group with no auxiliaries.  Otherwise
-    group 0 takes pigeons 0..2 and a fresh auxiliary; each intermediate group
-    takes the previous auxiliary (negated) plus the next two pigeons; the
-    final group takes the last auxiliary plus the remaining two or three.
-    """
-    count = group_count(pigeons)
-    if count == 1:
-        return GroupLayout(
-            pigeons,
-            (Group(0, tuple(("x", p) for p in range(pigeons)), None),),
-        )
-    parts: list[Group] = [Group(0, (("x", 0), ("x", 1), ("x", 2)), 0)]
-    for g in range(1, count - 1):
-        parts.append(
-            Group(g, (("ny", g - 1), ("x", 2 * g + 1), ("x", 2 * g + 2)), g)
-        )
-    first_rest = 2 * (count - 1) + 1
-    parts.append(
-        Group(
-            count - 1,
-            (("ny", count - 2),) + tuple(("x", p) for p in range(first_rest, pigeons)),
-            None,
-        )
-    )
-    return GroupLayout(pigeons, tuple(parts))
 
 
 class LayerLayout(NamedTuple):
@@ -131,31 +59,35 @@ class LayerLayout(NamedTuple):
         return range(self.x_base + 1, self.y_base + self.y_count + 1)
 
 
-def member_literal(member: Member, layout: LayerLayout, sign: int = 1) -> RowLiteral:
-    """``sign`` times a group member's literal, as a row literal over the holes.
+def negated(lit: RowLiteral) -> RowLiteral:
+    """The complement of the row literal ``(first, step)`` at every hole."""
+    return -lit[0], -lit[1]
 
-    A member's literal is ±(base + h), since x_var(p, h) == x_var(p, 0) + h
-    and y_var(g, h) == y_var(g, 0) + h, so over the holes it is the row
-    literal ``(first, step)``: step 1 for a positive literal, -1 for a
-    negative one (see :class:`~pigeonproof.model.HoleRows`).
+
+def group_members(layout: LayerLayout, g: int, count: int) -> list[RowLiteral]:
+    """The members of group ``g`` of the at-most-one chain over the layer's
+    pigeons, in ``count`` groups, as row literals over the holes.
+
+    Up to four pigeons form a single group with no auxiliaries.  Otherwise
+    group 0 takes pigeons 0..2; each later group takes the previous group's
+    auxiliary, negated, and the next two pigeons; the final group takes the
+    two or three that remain.  A member is ±(base + h) in the hole h, since
+    x_var(p, h) == x_var(p, 0) + h and y_var(g, h) == y_var(g, 0) + h: the
+    row literal ``(first, step)``, step 1 for a pigeon and -1 for a negated
+    auxiliary (see :class:`~pigeonproof.model.HoleRows`).
     """
-    kind, index = member
-    if kind == "x":
-        base = layout.x_var(index, 0)
-    else:
-        base, sign = layout.y_var(index, 0), -sign
-    return sign * (base + 1), sign
+    first = 2 * g + 1 if g else 0
+    stop = layout.layer + 1 if g == count - 1 else 2 * g + 3
+    members = [(-layout.y_var(g - 1, 1), -1)] if g else []
+    return members + [(layout.x_var(p, 1), 1) for p in range(first, stop)]
 
 
-def aux_definition_rows(group: Group, layout: LayerLayout) -> list[Row]:
-    """The four rows defining a non-final group's fresh auxiliary y: the
-    positive clause (y, members...) and (-y, -member) for each member."""
-    ny = ("ny", group.y_new)  # the negated auxiliary, as a member
-    neg_y = member_literal(ny, layout)
-    return [
-        (member_literal(ny, layout, -1), *(member_literal(m, layout) for m in group.members)),
-        *((neg_y, member_literal(m, layout, -1)) for m in group.members),
-    ]
+def aux_definition_rows(layout: LayerLayout, g: int, members: list[RowLiteral]) -> list[Row]:
+    """The four rows defining the fresh auxiliary y of the non-final group
+    ``g``: the positive clause (y, members...) and (-y, -member) for each
+    member."""
+    y = (layout.y_var(g, 1), 1)
+    return [(y, *members), *((negated(y), negated(m)) for m in members)]
 
 
 def _layouts_down_to(n: int, k_min: int, chained: bool) -> dict[int, LayerLayout]:
@@ -187,10 +119,6 @@ def layer_layout(n: int, k: int, chained: bool = True) -> LayerLayout:
 # -- formulas ---------------------------------------------------------------
 
 
-def php_standard_clause_count(n: int) -> int:
-    return (n + 1) + n * (n + 1) * n // 2
-
-
 def _alo_rows(layout: LayerLayout) -> tuple[Row, ...]:
     """The at-least-one clause of every pigeon, each a row of constants."""
     return tuple(
@@ -203,11 +131,8 @@ def iter_php_standard_clauses(n: int) -> HoleRows:
     """The clauses of ``php_standard(n)`` as rows: the at-least-one clauses
     over one hole, then each pair p < q of pigeons over the n holes."""
     layout = LayerLayout(n, 0, n * (n + 1), 0)
-    pairs = tuple(
-        (member_literal(("x", p), layout, -1), member_literal(("x", q), layout, -1))
-        for p, q in combinations(range(n + 1), 2)
-    )
-    return HoleRows([(1, _alo_rows(layout)), (n, pairs)])
+    pairs = combinations([(-layout.x_var(p, 1), -1) for p in range(n + 1)], 2)
+    return HoleRows([(1, _alo_rows(layout)), (n, tuple(pairs))])
 
 
 def php_standard(n: int) -> CnfFormula:
@@ -231,13 +156,14 @@ def php_amo_clause_count(n: int) -> int:
 def iter_php_amo_clauses(n: int) -> HoleRows:
     """The clauses of ``php_amo(n)`` as rows: the at-least-one clauses over
     one hole, then every group's clauses of a hole over the n holes."""
-    layout = LayerLayout(n, 0, n * (n + 1), group_count(n + 1) - 1)
+    count = group_count(n + 1)
+    layout = LayerLayout(n, 0, n * (n + 1), count - 1)
     rows: list[Row] = []
-    for group in groups(n + 1).groups:
-        if not group.final:
-            rows.extend(aux_definition_rows(group, layout))
-        negated = [member_literal(m, layout, -1) for m in group.members]
-        rows.extend(combinations(negated, 2))
+    for g in range(count):
+        members = group_members(layout, g, count)
+        if g < count - 1:  # the final group adds no auxiliary
+            rows += aux_definition_rows(layout, g, members)
+        rows += combinations(map(negated, members), 2)
     return HoleRows([(1, _alo_rows(layout)), (n, tuple(rows))])
 
 

@@ -7,9 +7,11 @@ a ``d `` prefix.  Binary DRAT is not supported.
 Every writer formats its clauses with one ``%``-template join per chunk of
 ``_CHUNK`` clauses, a :class:`~pigeonproof.model.HoleRows` block's expanded
 hole by hole, and passes the text to ``out.write``, so any handle's newline
-translation, encoding or compression applies to every line.  The CLI writes
-``gen-cnf`` and ``gen-proof`` with the compiled core's ``write_cnf`` and
-``write_proof`` when it imports, which give the same bytes.
+translation, encoding or compression applies to every line.  A literal must
+be an int: any other raises TypeError rather than be written as a different
+number.  The CLI writes ``gen-cnf`` and ``gen-proof`` with the compiled
+core's ``write_cnf`` and ``write_proof`` when it imports, which give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -29,7 +31,6 @@ from .model import (
     CnfFormula,
     Proof,
     ProofLine,
-    row_clauses,
     validate_clause,
 )
 
@@ -147,19 +148,15 @@ def parse_dimacs(data: str | bytes | Iterable[str]) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _format_clauses(chunk: Iterable[Clause], delete: bool) -> str:
-    templates = _TEMPLATES[delete]
-    return "".join([templates[len(c)] % c for c in chunk])
-
-
 def _write_clauses(out: IO[str], delete: bool, clauses: Iterable[Clause]) -> None:
+    templates = _TEMPLATES[delete]
     clauses = iter(clauses)
     while chunk := tuple(islice(clauses, _CHUNK)):
-        try:  # int tuples, as a block's clauses are, with no scan for types
-            text = _format_clauses(chunk, delete)
-        except TypeError:  # a plain clause is a row: a (first, step) in it
-            text = _format_clauses(row_clauses(chunk, 0, 1), delete)
-        out.write(text)
+        # %d would write a float or a bool as a number, and writes an int subclass by value.
+        for kind in set(map(type, chain.from_iterable(chunk))) - {int}:
+            if kind is bool or not issubclass(kind, int):
+                raise TypeError(f"a literal must be an int, not {kind.__name__}")
+        out.write("".join([templates[len(c)] % c for c in chunk]))
 
 
 def emit_dimacs(formula: CnfFormula) -> str:

@@ -81,10 +81,11 @@ class HoleRows:
     literals: an int is the same at every hole, and ``(first, step)`` is
     ``first + step * (h - 1)`` at hole h (from 1).  A part's clauses are its
     rows taken hole by hole, in row order within each hole, and the parts
-    follow one another; so a list of clauses is a part of one hole.
-    Iterating yields the clauses as int tuples, which ``formats`` writes.
-    The compiled core builds the same rows in C, for ``gen-cnf`` and
-    ``gen-proof``, and writes their text straight from them.
+    follow one another; so a list of clauses is a part of one hole.  A row
+    literal ``(first, step)`` exists only here: iterating yields the clauses
+    as int tuples, which ``formats`` writes.  The compiled core builds the
+    same rows in C, for ``gen-cnf`` and ``gen-proof``, and writes their text
+    straight from them.
     """
 
     __slots__ = ("parts",)
@@ -98,27 +99,24 @@ class HoleRows:
         return sum(holes * len(rows) for holes, rows in self.parts)
 
     def __iter__(self) -> Iterator[Clause]:
-        return chain.from_iterable(
-            row_clauses(rows, 0, holes) for holes, rows in self.parts
-        )
+        return chain.from_iterable(row_clauses(rows, holes) for holes, rows in self.parts)
 
 
-def _column(lit: RowLiteral, start: int, stop: int) -> Iterable[int]:
-    """The values of the row literal ``lit`` at holes ``start + 1`` to ``stop``."""
+def _column(lit: RowLiteral, holes: int) -> Iterable[int]:
+    """The values of the row literal ``lit`` at holes 1 to ``holes``."""
     if type(lit) is not tuple:
-        return repeat(lit, stop - start)
+        return repeat(lit, holes)
     first, step = lit
-    return range(first + step * start, first + step * stop, step)
+    return range(first, first + step * holes, step)
 
 
-def row_clauses(rows: Sequence[Row], start: int, stop: int) -> Iterator[Clause]:
-    """The clauses of ``rows`` at holes ``start + 1`` to ``stop``, hole by hole."""
-    count = stop - start
-    if count == 1 and tuple not in set(map(type, chain.from_iterable(rows))):
+def row_clauses(rows: Sequence[Row], holes: int) -> Iterator[Clause]:
+    """The clauses of ``rows`` at holes 1 to ``holes``, hole by hole."""
+    if holes == 1 and tuple not in set(map(type, chain.from_iterable(rows))):
         # At one hole, rows of constants (plain clauses) are their own clauses.
         return iter(rows)
     columns = [
-        zip(*[_column(lit, start, stop) for lit in row]) if row else repeat((), count)
+        zip(*[_column(lit, holes) for lit in row]) if row else repeat((), holes)
         for row in rows
     ]
     return chain.from_iterable(zip(*columns))

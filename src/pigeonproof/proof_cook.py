@@ -4,7 +4,7 @@ Same layer-by-layer reduction as the chained-group proof, and the same
 driver (:func:`proof_ours.iter_blocks`), but every inner layer keeps the
 pairwise hole encoding: each iteration adds the four definition clauses for
 every fresh variable, no pigeon exempt (``proof_ours.definition_clauses`` on
-a plan without a group layout), then for every pair of fresh variables
+a plan that is not chained), then for every pair of fresh variables
 sharing a hole a helper clause followed by the pairwise target -- both
 plain RUP -- and finally the at-least-one clauses.
 """

@@ -18,11 +18,14 @@ constraint, so the empty clause closes the proof.  Every clause is written
 pivot first; at-least-one clauses and the empty clause need no pivot.
 
 Every literal the builders write is ±(base + h) in the hole h or a
-constant.  So every block is a :class:`~pigeonproof.model.HoleRows`: clause
-rows of ``(first, step)`` and int literals swept hole by hole; the
-at-least-one clauses and the empty clause are rows of constants over one
-hole.  ``formats`` writes their text from the rows in C, and iterating a
-block yields the same clause tuples to every other consumer.
+constant; a group member is made bound to its layer, as such a row literal
+(``encodings.group_members``).  So every block is a
+:class:`~pigeonproof.model.HoleRows`: clause rows of ``(first, step)`` and
+int literals swept hole by hole; the at-least-one clauses and the empty
+clause are rows of constants over one hole.  Iterating a block yields its
+clauses as int tuples, which ``formats`` writes.  The compiled core builds
+the same rows with C twins of these builders, line for line, and writes
+their text itself.
 
 Both proof families share this module's driver, :func:`iter_blocks`: a
 family is a table ``(chained, ((tag, builder), ...))`` naming the layout
@@ -36,15 +39,15 @@ from itertools import combinations, repeat
 from typing import Callable, Iterator, NamedTuple
 
 from .encodings import (
-    GroupLayout,
     LayerLayout,
     _alo_rows,
     _check_n,
     _layouts_down_to,
     aux_definition_rows,
-    groups,
+    group_count,
+    group_members,
     iter_php_standard_clauses,
-    member_literal,
+    negated,
 )
 from .model import DELETE, Block, HoleRows, Proof, ProofLine, Row
 
@@ -57,17 +60,17 @@ EMPTY = "empty"
 
 
 class IterationPlan(NamedTuple):
-    """Everything one iteration needs: both layouts and the group structure.
+    """Everything one iteration needs: both layouts and the proof style.
 
     ``prev`` is layer k+1 (the standard input layer when k = n-1), ``next``
-    the fresh layer k.  ``group_layout`` is None for the pairwise proof
-    style, which introduces no auxiliaries.
+    the fresh layer k.  ``chained`` is False for the pairwise proof style,
+    which introduces no auxiliaries.
     """
 
     k: int
     prev: LayerLayout
     next: LayerLayout
-    group_layout: GroupLayout | None
+    chained: bool
 
 
 def iteration_plan(n: int, k: int, chained: bool = True) -> IterationPlan:
@@ -81,12 +84,7 @@ def iteration_plan(n: int, k: int, chained: bool = True) -> IterationPlan:
 def _plans(n: int, chained: bool) -> dict[int, IterationPlan]:
     layouts = _layouts_down_to(n, 1, chained)
     return {
-        k: IterationPlan(
-            k,
-            layouts[k + 1],
-            layouts[k],
-            groups(k + 1) if chained else None,
-        )
+        k: IterationPlan(k, layouts[k + 1], layouts[k], chained)
         for k in range(n - 1, 0, -1)
     }
 
@@ -98,12 +96,11 @@ def definition_clauses(plan: IterationPlan) -> HoleRows:
     one part per pigeon.  In the chained style the top pigeon p = k drops
     the two clauses with a negated pivot: propagation only ever walks
     towards lower pigeon indices, so they are never needed.  The pairwise
-    style (no group layout) keeps all four rows for every pigeon, as Cook's
-    construction does.
+    style keeps all four rows for every pigeon, as Cook's construction
+    does.
     """
     k = plan.k
     prev, nxt = plan.prev, plan.next
-    keep_top = plan.group_layout is None
     x_top = (prev.x_var(k + 1, 1), 1)  # the removed pigeon, hole by hole
     not_top = (-x_top[0], -1)
     parts = []
@@ -111,7 +108,7 @@ def definition_clauses(plan: IterationPlan) -> HoleRows:
         xk, xp = nxt.x_var(p, 1), prev.x_var(p, 1)
         x_moved = prev.x_var(p, k + 1)  # the same in every hole
         rows: tuple[Row, ...] = (((xk, 1), (-xp, -1)), ((xk, 1), -x_moved, not_top))
-        if p < k or keep_top:
+        if p < k or not plan.chained:
             not_xk = (-xk, -1)
             rows = ((not_xk, (xp, 1), x_moved), (not_xk, (xp, 1), x_top)) + rows
         parts.append((k, rows))
@@ -125,11 +122,10 @@ def y_definition_clauses(plan: IterationPlan) -> HoleRows:
     but it turns each group into an exactly-one block, which is what keeps
     every later check a plain propagation instead of a case split.
     """
-    group_layout = plan.group_layout
+    nxt, count = plan.next, group_count(plan.k + 1)
     rows: list[Row] = []
-    if group_layout is not None:
-        for group in group_layout.groups[:-1]:  # the final group adds no auxiliary
-            rows.extend(aux_definition_rows(group, plan.next))
+    for g in range(count - 1):  # the final group adds no auxiliary
+        rows += aux_definition_rows(nxt, g, group_members(nxt, g, count))
     return HoleRows([(plan.k, tuple(rows))])
 
 
@@ -140,13 +136,11 @@ def derived_group_clauses(plan: IterationPlan) -> HoleRows:
     with the larger pigeon index is the pivot.  Requires the iteration's
     definition clauses to be in the working formula already.
     """
-    group_layout = plan.group_layout
-    if group_layout is None:
-        raise ValueError("derived group clauses need a group layout")
+    nxt, count = plan.next, group_count(plan.k + 1)
     rows: list[Row] = []
-    for group in group_layout.groups:
-        negated = [member_literal(m, plan.next, -1) for m in group.members]
-        rows.extend((neg_j, neg_i) for neg_i, neg_j in combinations(negated, 2))
+    for g in range(count):
+        members = map(negated, group_members(nxt, g, count))
+        rows += ((neg_j, neg_i) for neg_i, neg_j in combinations(members, 2))
     return HoleRows([(plan.k, tuple(rows))])
 
 

@@ -224,7 +224,7 @@ def test_unwritable_out_path_exits_2_without_traceback(command, cli_srcs, tmp_pa
         (["gen-proof", "5001"], "n > 5000 is not supported (memory guard)"),
         (["gen-proof", "5001", "--style", "cook", "--deletions"],
          "n > 5000 is not supported (memory guard)"),
-        (["gen-proof", "1"], "proof generation needs n >= 2"),
+        (["gen-proof", "1"], "n >= 2 is required, got 1"),
     ],
     ids=[f"command{i}" for i in range(5)],
 )

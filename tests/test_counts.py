@@ -5,9 +5,9 @@ from pigeonproof.counts import (
     cook_iteration_count,
     count_cook_breakdown,
     count_ours_breakdown,
+    f_group,
     ours_iteration_count,
 )
-from pigeonproof.encodings import f_group
 
 
 def test_f_group_values():

@@ -5,15 +5,15 @@ import pytest
 
 import brute_force
 from pigeonproof import CnfFormula, emit_dimacs, php_amo, php_standard
+from pigeonproof.counts import f_group
 from pigeonproof.encodings import (
-    f_group,
     group_count,
-    groups,
+    group_members,
     layer_layout,
-    member_literal,
+    negated,
     php_amo_clause_count,
 )
-from pigeonproof.model import row_clauses
+from pigeonproof.model import HoleRows
 
 
 def test_php_standard_smallest():
@@ -153,62 +153,70 @@ def test_group_count_values():
     assert [group_count(m) for m in range(2, 10)] == [1, 1, 1, 2, 2, 3, 3, 4]
 
 
+def _pigeons(layout, *ps):
+    return [(layout.x_var(p, 1), 1) for p in ps]
+
+
+def _not_aux(layout, g):
+    return (-layout.y_var(g, 1), -1)
+
+
 def test_groups_small_is_single_final():
-    chain = groups(3)
-    assert chain.group_count == 1
-    assert chain.groups[0].members == (("x", 0), ("x", 1), ("x", 2))
-    assert chain.groups[0].final
+    # up to four pigeons are one group, with no auxiliary
+    for k in (1, 2, 3):
+        layout = layer_layout(k + 1, k)
+        assert group_count(k + 1) == 1
+        assert group_members(layout, 0, 1) == _pigeons(layout, *range(k + 1))
 
 
 def test_groups_m5():
-    chain = groups(5)
-    assert chain.group_count == 2
-    first, last = chain.groups
-    assert first.members == (("x", 0), ("x", 1), ("x", 2))
-    assert first.y_new == 0
-    assert last.members == (("ny", 0), ("x", 3), ("x", 4))
-    assert last.final
+    layout = layer_layout(5, 4)
+    assert group_members(layout, 0, 2) == _pigeons(layout, 0, 1, 2)
+    assert group_members(layout, 1, 2) == [_not_aux(layout, 0), *_pigeons(layout, 3, 4)]
 
 
 def test_groups_m6_final_has_three_x():
-    chain = groups(6)
-    assert chain.group_count == 2
-    assert chain.groups[1].members == (("ny", 0), ("x", 3), ("x", 4), ("x", 5))
+    layout = layer_layout(6, 5)
+    assert group_members(layout, 1, 2) == [_not_aux(layout, 0), *_pigeons(layout, 3, 4, 5)]
 
 
 def test_groups_m8_intermediate():
-    chain = groups(8)
-    assert chain.group_count == 3
-    assert chain.groups[1].members == (("ny", 0), ("x", 3), ("x", 4))
-    assert chain.groups[1].y_new == 1
-    assert chain.groups[2].members == (("ny", 1), ("x", 5), ("x", 6), ("x", 7))
+    # each group after the first chains in the previous group's auxiliary
+    layout = layer_layout(8, 7)
+    assert group_count(8) == 3
+    assert group_members(layout, 0, 3) == _pigeons(layout, 0, 1, 2)
+    assert group_members(layout, 1, 3) == [_not_aux(layout, 0), *_pigeons(layout, 3, 4)]
+    assert group_members(layout, 2, 3) == [_not_aux(layout, 1), *_pigeons(layout, 5, 6, 7)]
 
 
 def test_groups_rejects_single_pigeon():
     with pytest.raises(ValueError):
-        groups(1)
+        group_count(1)
 
 
 @pytest.mark.parametrize("k", range(2, 30))
 def test_group_structure_matches_clause_budget(k):
-    # 7 clauses per non-final group plus all pairs of the final one = f(k)
-    chain = groups(k + 1)
-    final = chain.groups[-1]
-    size = len(final.members)
-    budget = 7 * (chain.group_count - 1) + size * (size - 1) // 2
+    # 7 clauses per non-final group plus all pairs of the final one = f(k);
+    # the final group holds two or three pigeons after the chained auxiliary
+    count = group_count(k + 1)
+    final = group_members(layer_layout(k + 1, k), count - 1, count)
+    if count > 1:
+        assert len(final) - 1 in (2, 3)
+    budget = 7 * (count - 1) + len(final) * (len(final) - 1) // 2
     assert budget == f_group(k)
 
 
 def test_member_literal_binding():
+    # a member is made bound to its layer: a row literal over the holes
     layout = layer_layout(6, 5)
-    pigeon, aux = member_literal(("x", 2), layout), member_literal(("ny", 0), layout)
-    assert pigeon == (layout.x_var(2, 1), 1)  # hole 1, then one more a hole
+    aux, pigeon = group_members(layout, 1, 2)[:2]
+    assert pigeon == (layout.x_var(3, 1), 1)  # hole 1, then one more a hole
     assert aux == (-layout.y_var(0, 1), -1)
-    rows = (pigeon,), (aux,), (member_literal(("ny", 0), layout, -1),)
-    assert list(row_clauses(rows, 0, 5)) == [
+    rows = (pigeon,), (aux,), (negated(aux),)
+    assert list(HoleRows([(5, rows)])) == [
         clause
         for h in range(1, 6)
-        for clause in ((layout.x_var(2, h),), (-layout.y_var(0, h),), (layout.y_var(0, h),))
+        for clause in ((layout.x_var(3, h),), (-layout.y_var(0, h),), (layout.y_var(0, h),))
     ]
 
 

@@ -326,9 +326,10 @@ def test_core_cnf_writes_to_a_descriptor_and_rejects_bad_arguments(fastcheck, tm
 def test_library_writes_interleave_with_other_text(tmp_path):
     """The library writers pass each chunk's text to ``write`` as they
     format it, in order with any other text: a comment, the DIMACS header,
-    plain clauses, clauses holding a literal the templates take as an int,
-    hole-row blocks and deletions."""
-    clauses = [(1, 2), (-3,), (True, 4), (5,), (6, -7), (8,), (-9,)]
+    plain clauses, clauses holding a literal the templates take as an int
+    (a subclass of int; a bool raises, see FALLBACK_CHUNKS), hole-row blocks
+    and deletions."""
+    clauses = [(1, 2), (-3,), (_Int(1), 4), (5,), (6, -7), (8,), (-9,)]
     blocks = [
         ("a", 1, HoleRows([(3, (((1, 1), -9),))])),
         ("b", 1, HoleRows([(2, (((True, 1),),))])),
@@ -1281,21 +1282,22 @@ class _Clause(tuple):
 
 
 #: Chunks of clauses that are not plain int tuples, and the text the
-#: template join writes for them, or the error it raises.
+#: template join writes for them, or the error it raises.  A literal that is
+#: not an int (a float, a bool) raises rather than be written as an int.
 FALLBACK_CHUNKS = {
-    "bool": ([(1, 2), (True, -3)], "1 2 0\n1 -3 0\n"),
+    "bool": ([(1, 2), (True, -3)], TypeError),
     "int-enum": ([(_Lit.ONE, 2)], "1 2 0\n"),
     "int-subclass": ([(_Int(7),)], "7 0\n"),
     "tuple-subclass": ([(1,), _Clause((2, 3))], "1 0\n2 3 0\n"),
     "list-clause": ([(1,), [2, 3]], TypeError),
     "list-unit": ([[4]], TypeError),
     "str": ([(1, "2")], TypeError),
-    "float": ([(1.5, 2)], "1 2 0\n"),
+    "float": ([(1.5, 2)], TypeError),
     "none": ([(None,)], TypeError),
     "beyond-int64": ([(1,), (2**64,)], "1 0\n18446744073709551616 0\n"),
-    # A clause is a row; these hold a pair literal, its value at one hole.
-    "pair-step-0": ([(1,), (3, (7, 0))], ValueError),
-    "pair-step-1": ([(5, (2, -1))], "5 2 0\n"),
+    # A row literal (first, step) exists only in a HoleRows part.
+    "pair-step-0": ([(1,), (3, (7, 0))], TypeError),
+    "pair-step-1": ([(5, (2, -1))], TypeError),
 }
 
 
@@ -1379,7 +1381,7 @@ FALLBACK_ROWS = {
     "step-2": ((((1, 2),),), "1 0\n3 0\n5 0\n7 0\n"),
     "short-literal": ((((1,),),), ValueError),
     "str": ((("2",),), TypeError),
-    "float": (((1.5,),), "1 0\n" * 4),
+    "float": (((1.5,),), TypeError),
     "beyond-int64": (((2**63,),), f"{2**63} 0\n" * 4),
     # The first three holes fit in int64; the fourth leaves it.
     "last-hole-above-int64": (

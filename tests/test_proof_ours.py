@@ -2,7 +2,7 @@ import pytest
 
 import naive_checker
 from pigeonproof import ProofLine, count_ours, generate_ours, php_standard, verify
-from pigeonproof.encodings import layer_layout
+from pigeonproof.encodings import group_count, layer_layout
 from pigeonproof.model import count_added
 from pigeonproof.proof_ours import (
     alo_clauses,
@@ -66,7 +66,7 @@ def test_y_definitions_chain_to_previous_group():
 def test_y_definition_count():
     for n, k in [(5, 4), (7, 6), (10, 9)]:
         plan = iteration_plan(n, k)
-        non_final = plan.group_layout.group_count - 1
+        non_final = group_count(k + 1) - 1
         assert len(y_definition_clauses(plan)) == 4 * non_final * k
 
 
