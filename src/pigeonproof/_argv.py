@@ -15,10 +15,13 @@ value, default, help)``, where ``value`` is None for a flag (default False),
 a tuple of choices, or the function that converts its text.  A conversion
 raises ValueError with the message to report.
 
-This is a module apart from ``cli`` because ``python -m pigeonproof.cli``
-compiles ``cli`` from its source on every run unless bytecode is cached, and
-the parse tree of one module holding both sets a ``gen-proof`` child's peak
-memory.
+This is a module apart from ``cli`` because, with bytecode writing off,
+``python -m pigeonproof.cli`` compiles ``cli`` from its source on every run
+of a tree that was never built (``src/`` on ``PYTHONPATH``, as the tests run
+it) or was edited since, and the parse tree of one module holding both sets
+a ``gen-proof`` child's peak memory.  ``setup.py build_ext --inplace``
+writes checked-hash bytecode for every module, so a child of a built tree
+compiles nothing.
 """
 
 from __future__ import annotations
