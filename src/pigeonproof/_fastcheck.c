@@ -11,14 +11,16 @@
    byte with the grammar of formats.parse_drat_line.  FastDatabase(fd) reads
    a DIMACS CNF with the same chunked reader and token rules and the grammar
    of formats.parse_dimacs, and stores each clause as soon as its 0 is read,
-   so checker.verify builds no clause tuple for a CNF file; at a line
-   parse_dimacs rejects it stops and hands back what checker needs to raise
-   parse_dimacs's error (see read_dimacs).  Literals are int32 in one flat
-   buffer; watch and occurrence lists are growable vectors of clause ids
-   indexed by literal code (v -> 2v, -v -> 2v+1).  The assignment, the
-   trail and the scratch marks (a bit per sign, see sign_bit) are indexed
-   by variable and grow with the largest variable seen, so the trail has
-   room for every variable and never grows during a check.
+   so checker.verify builds no clause tuple for a CNF file.  Both readers
+   report alike: each gives its warnings from C as it reaches them, and at
+   the first line the Python parser rejects it stops with a ValueError that
+   holds what checker needs to raise that parser's error (see db_check_drat
+   and read_dimacs).  Literals are int32 in one flat buffer; watch and
+   occurrence lists are growable vectors of clause ids indexed by literal
+   code (v -> 2v, -v -> 2v+1).  The assignment, the trail and the scratch
+   marks (a bit per sign, see sign_bit) are indexed by variable and grow
+   with the largest variable seen, so the trail has room for every variable
+   and never grows during a check.
 
    Arguments are validated and every array is grown before any state changes;
    a growth that fails leaves the object as it was and raises MemoryError.
@@ -26,18 +28,19 @@
    All emitted text, DIMACS or DRAT lines, is written by one formatter,
    write_part, from the rows of a part: its row literals, back to back, and
    the length of each row, so no clause tuple is ever built.  A plain clause
-   is a row of constants, written as a part of one hole.  A part of more
-   holes is formatted once, at its first hole, and each literal of step -1
-   or 1 is then stepped in place from hole to hole.  The text goes through
-   one 64 KiB buffer, reused for the whole call, to a file descriptor with
-   write(2) without the GIL, or as str chunks to a callable.  Two module
-   functions feed it, each building its rows a part at a time with C twins
-   of the Python builders, which read line for line alike: write_cnf the
-   clauses of the DIMACS encodings of encodings, for gen-cnf, and
-   write_proof a whole gen-proof refutation of proof_ours and proof_cook.
-   Both sides make a group member as a row literal bound to its layer
-   (group_members, as encodings.group_members).  Tests hold their bytes to
-   the Python builders, the reference. */
+   is a row of constants, written as a part of one hole.  Every part is
+   formatted once, at its first hole, into a stage, and each literal of
+   step -1 or 1 is then stepped in place from hole to hole; the stage is
+   copied out at each hole.  The text goes through one 64 KiB buffer,
+   reused for the whole call, to a file descriptor with write(2) without
+   the GIL, or as str chunks to a callable, every chunk but the last of
+   exactly 64 KiB.  Two module functions feed it, each building its rows a
+   part at a time with C twins of the Python builders, which read line for
+   line alike: write_cnf the clauses of the DIMACS encodings of encodings,
+   for gen-cnf, and write_proof a whole gen-proof refutation of proof_ours
+   and proof_cook.  Both sides make a group member as a row literal bound to
+   its layer (group_members, as encodings.group_members).  Tests hold their
+   bytes to the Python builders, the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -80,6 +83,8 @@ typedef struct {
     Py_ssize_t ntrail, head;
     lit_t *buf; /* literals of the current call's argument */
     Py_ssize_t cap_buf;
+    lit_t *key; /* the sorted copy of a parsed clause (has_duplicate) */
+    Py_ssize_t cap_key;
 } FastDatabase;
 
 /* Resized copy of p, or NULL with MemoryError set; p stays valid on failure. */
@@ -639,8 +644,7 @@ static PyObject *db_snapshot(FastDatabase *self, PyObject *unused)
 #define CHUNK 65536
 
 /* Outcomes of check_drat, in the order checker.py maps them to verdicts. */
-enum { INCOMPLETE, ACCEPTED, EMPTY_NOT_RUP, NOT_RUP_OR_RAT, NOT_PRESENT,
-       MALFORMED };
+enum { INCOMPLETE, ACCEPTED, EMPTY_NOT_RUP, NOT_RUP_OR_RAT, NOT_PRESENT };
 
 static int cmp_lits(const void *a, const void *b)
 {
@@ -829,21 +833,21 @@ static inline int next_number(const char **s, const char *end, long long *value)
     return NUMBER;
 }
 
-/* Does l[0..n) repeat a literal?  Seen on a sorted copy, left in *key: 1
-   or 0, or -1 with MemoryError set.  The copy is sorted, not marked in
-   self->mark, as this runs before cover() grows the per-variable arrays,
-   which a malformed line or a deletion matching no clause must not do. */
-static int has_duplicate(const lit_t *l, Py_ssize_t n, lit_t **key,
-                         Py_ssize_t *cap_key)
+/* Does l[0..n) repeat a literal?  Seen on a sorted copy, left in
+   self->key: 1 or 0, or -1 with MemoryError set.  The copy is sorted, not
+   marked in self->mark, as this runs before cover() grows the per-variable
+   arrays, which a malformed line or a deletion matching no clause must not
+   do. */
+static int has_duplicate(FastDatabase *self, const lit_t *l, Py_ssize_t n)
 {
     Py_ssize_t i;
-    if (reserve(key, cap_key, n) < 0)
+    if (reserve(&self->key, &self->cap_key, n) < 0)
         return -1;
     if (n > 0)
-        memcpy(*key, l, (size_t)n * sizeof **key);
-    sort_lits(*key, n);
+        memcpy(self->key, l, (size_t)n * sizeof *self->key);
+    sort_lits(self->key, n);
     for (i = 1; i < n; i++)
-        if ((*key)[i] == (*key)[i - 1])
+        if (self->key[i] == self->key[i - 1])
             return 1;
     return 0;
 }
@@ -861,10 +865,10 @@ enum { BLANK, ADD, DELETE, BAD };
 
 /* Parse one DRAT line with formats.parse_drat_line's grammar: BLANK for a
    blank or comment line, ADD or DELETE with the literals in self->buf and
-   their sorted copy in *key, or BAD if parse_drat_line would raise.  -1 with
-   MemoryError set. */
+   their sorted copy in self->key, or BAD if parse_drat_line would raise.  -1
+   with MemoryError set. */
 static int parse_line(FastDatabase *self, const char *s, const char *end,
-                      Py_ssize_t *count, lit_t **key, Py_ssize_t *cap_key)
+                      Py_ssize_t *count)
 {
     Py_ssize_t n = 0;
     int kind = ADD, terminated = 0, token, dup;
@@ -891,7 +895,7 @@ static int parse_line(FastDatabase *self, const char *s, const char *end,
     }
     if (token == NOT_NUMBER || !terminated || (kind == DELETE && n == 0))
         return BAD;
-    if ((dup = has_duplicate(self->buf, n, key, cap_key)) != 0)
+    if ((dup = has_duplicate(self, self->buf, n)) != 0)
         return dup < 0 ? -1 : BAD;
     *count = n;
     return kind;
@@ -899,19 +903,21 @@ static int parse_line(FastDatabase *self, const char *s, const char *end,
 
 /* check_drat(fd, strict_deletions): the forward check of the text DRAT file
    open as fd against the active clauses, as checker.verify does it; a
-   deletion removes the clause find_clause names. */
+   deletion removes the clause find_clause names.  A deletion that matches
+   no clause is a UserWarning as it is reached, naming the caller of
+   checker.verify, as checker._warn_not_present gives it.  At a line
+   formats.parse_drat_line rejects, the check stops with
+   ValueError(line, raw): the file line and its bytes, its break as text
+   mode gives it. */
 static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
 {
     Reader r = {0};
-    lit_t *key = NULL;
-    Py_ssize_t cap_key = 0, fileline = 0, proofline = 0, line = 0;
+    Py_ssize_t fileline = 0, line = 0;
     Py_ssize_t rup_calls = 0, rup_pass = 0, rat_calls = 0, rat_pass = 0;
     Py_ssize_t adds = 0, deletes = 0, cid;
-    PyObject *unmatched = NULL, *raw = Py_None, *result = NULL;
+    PyObject *raw, *stop, *result = NULL;
     int strict, outcome = INCOMPLETE;
     if (!PyArg_ParseTuple(args, "ip:check_drat", &r.fd, &strict))
-        return NULL;
-    if ((unmatched = PyList_New(0)) == NULL)
         return NULL;
     for (;;) {
         Py_ssize_t start, end, n;
@@ -921,25 +927,26 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
         if (got == 0)
             break;
         fileline++;
-        kind = parse_line(self, r.buf + start, r.buf + end, &n, &key, &cap_key);
+        kind = parse_line(self, r.buf + start, r.buf + end, &n);
         if (kind < 0)
             goto done;
         if (kind == BLANK)
             continue;
-        if (kind == BAD) { /* the raw line, its break as text mode gives it */
+        if (kind == BAD) {
             if ((raw = PyBytes_FromStringAndSize(NULL, end - start + ended)) == NULL)
                 goto done;
             memcpy(PyBytes_AS_STRING(raw), r.buf + start, (size_t)(end - start));
             if (ended)
                 PyBytes_AS_STRING(raw)[end - start] = '\n';
-            outcome = MALFORMED;
-            line = fileline;
-            break;
+            if ((stop = Py_BuildValue("(nN)", fileline, raw)) != NULL) {
+                PyErr_SetObject(PyExc_ValueError, stop);
+                Py_DECREF(stop);
+            }
+            goto done;
         }
-        line = ++proofline;
+        line++;
         if (kind == DELETE) {
-            PyObject *number;
-            if ((cid = find_clause(self, key, n)) >= 0) {
+            if ((cid = find_clause(self, self->key, n)) >= 0) {
                 deactivate(self, cid);
                 deletes++;
                 continue;
@@ -948,11 +955,10 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
                 outcome = NOT_PRESENT;
                 break;
             }
-            if ((number = PyLong_FromSsize_t(line)) == NULL)
-                goto done;
-            ok = PyList_Append(unmatched, number);
-            Py_DECREF(number);
-            if (ok < 0)
+            /* Level 1 is checker._check_file, 2 checker.verify. */
+            if (PyErr_WarnFormat(PyExc_UserWarning, 3,
+                                 "proof line %zd: deleted clause not in the formula",
+                                 line) < 0)
                 goto done;
             continue;
         }
@@ -978,13 +984,9 @@ static PyObject *db_check_drat(FastDatabase *self, PyObject *args)
             goto done;
         adds++;
     }
-    result = Py_BuildValue("(inOO(nnnnnn))", outcome, line, raw, unmatched,
-                           rup_calls, rup_pass, rat_calls, rat_pass, adds, deletes);
+    result = Py_BuildValue("(in(nnnnnn))", outcome, line, rup_calls, rup_pass,
+                           rat_calls, rat_pass, adds, deletes);
 done:
-    if (raw != Py_None)
-        Py_DECREF(raw);
-    Py_DECREF(unmatched);
-    PyMem_Free(key);
     PyMem_Free(r.buf);
     return result;
 }
@@ -1027,8 +1029,7 @@ static int parse_header(const char *s, const char *end, long long *num_vars,
 static int read_dimacs(FastDatabase *self, int fd)
 {
     Reader r = {0};
-    lit_t *key = NULL;
-    Py_ssize_t cap_key = 0, fileline = 0, start = 0, end, carried = 0, n, first, i;
+    Py_ssize_t fileline = 0, start = 0, end, carried = 0, n, first, i;
     long long limit = 0, declared = 0, value;
     PyObject *header = NULL, *clause = NULL, *raw, *stop;
     int ended, got, token, dup, result = -1;
@@ -1057,7 +1058,7 @@ static int read_dimacs(FastDatabase *self, int fd)
         while ((token = next_number(&s, e, &value)) == NUMBER) {
             if (value == 0) {
                 lit_t *l = self->buf + first;
-                if ((dup = has_duplicate(l, n - first, &key, &cap_key)) != 0) {
+                if ((dup = has_duplicate(self, l, n - first)) != 0) {
                     if (dup < 0)
                         goto done;
                     goto reject;
@@ -1119,7 +1120,6 @@ reject:
 done:
     Py_XDECREF(header);
     Py_XDECREF(clause);
-    PyMem_Free(key);
     PyMem_Free(r.buf);
     return result;
 }
@@ -1142,6 +1142,7 @@ static void db_dealloc(FastDatabase *self)
     PyMem_Free(self->mark);
     PyMem_Free(self->trail);
     PyMem_Free(self->buf);
+    PyMem_Free(self->key);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -1229,13 +1230,13 @@ typedef struct {
 
 /* Where write_cnf and write_proof write text: the file descriptor fd or,
    when fd is -1, the callable write, with a str.  The text is staged in
-   buf, len of its cap bytes in use, and written out whenever the next bytes
-   do not fit. */
+   buf, len of its CHUNK bytes in use, and written out whenever it is full,
+   so every write but the last is of exactly CHUNK bytes. */
 typedef struct {
     int fd;
     PyObject *write;
     char *buf;
-    Py_ssize_t len, cap, total; /* total: bytes written out so far */
+    Py_ssize_t len, total; /* total: bytes written out so far */
 } Sink;
 
 /* Write out the staged text: with write(2), all of it, resuming after a
@@ -1284,9 +1285,9 @@ static int sink_flush(Sink *s)
 static int sink_put(Sink *s, const char *data, Py_ssize_t n)
 {
     Py_ssize_t part;
-    while (n > (part = s->cap - s->len)) {
+    while (n > (part = CHUNK - s->len)) {
         memcpy(s->buf + s->len, data, (size_t)part);
-        s->len = s->cap;
+        s->len = CHUNK;
         if (sink_flush(s) < 0)
             return -1;
         data += part;
@@ -1295,48 +1296,6 @@ static int sink_put(Sink *s, const char *data, Py_ssize_t n)
     memcpy(s->buf + s->len, data, (size_t)n);
     s->len += n;
     return 0;
-}
-
-/* Where the next n bytes of text go: after the staged text, which is
-   written out first if they would not fit, in a buffer grown if even an
-   empty one is too small (for a row longer than CHUNK).  NULL with an
-   exception set on failure. */
-static inline char *sink_room(Sink *s, Py_ssize_t n)
-{
-    char *buf;
-    if (s->cap - s->len >= n)
-        return s->buf + s->len;
-    if (sink_flush(s) < 0)
-        return NULL;
-    if (s->cap < n) {
-        if ((buf = resized(s->buf, n, 1)) == NULL)
-            return NULL;
-        s->buf = buf;
-        s->cap = n;
-    }
-    return s->buf;
-}
-
-/* Write the text of a row of n literals at out: "d " if delete, each
-   literal's value and a space, and "0\n".  Unless last is NULL, last[j] is
-   set to the offset from origin of the last digit of literal j.  Returns
-   the end of what was written. */
-static char *format_row(char *out, const RowLit *lits, Py_ssize_t n, int delete,
-                        Py_ssize_t *last, const char *origin)
-{
-    Py_ssize_t j;
-    if (delete) {
-        *out++ = 'd';
-        *out++ = ' ';
-    }
-    for (j = 0; j < n; j++) {
-        out = write_literal(out, lits[j].value);
-        if (last != NULL)
-            last[j] = out - 2 - origin;
-    }
-    *out++ = '0';
-    *out++ = '\n';
-    return out;
 }
 
 /* Scratch of write_part, grown to its largest part: text holds the text of
@@ -1383,42 +1342,44 @@ static void stage_free(Stage *st)
 }
 
 /* Format the nrows rows of a part, of lens[r] literals each, at the current
-   values of lits into st->text; return its length. */
+   values of lits into st->text, and return its length.  A row's text is
+   "d " if delete, each literal's value and a space, and "0\n". */
 static Py_ssize_t format_hole(Stage *st, const Py_ssize_t *lens, Py_ssize_t nrows,
                               const RowLit *lits, int delete)
 {
-    Py_ssize_t r, k;
+    Py_ssize_t r, j, k = 0;
     char *out = st->text;
-    for (r = k = 0; r < nrows; k += lens[r++])
-        out = format_row(out, lits + k, lens[r], delete, st->last + k, st->text);
+    for (r = 0; r < nrows; r++) {
+        if (delete) {
+            *out++ = 'd';
+            *out++ = ' ';
+        }
+        for (j = 0; j < lens[r]; j++, k++) {
+            out = write_literal(out, lits[k].value);
+            st->last[k] = out - 2 - st->text;
+        }
+        *out++ = '0';
+        *out++ = '\n';
+    }
     return out - st->text;
 }
 
 /* Write the text of a part, its nrows rows at holes 1 to holes, hole by
    hole, with lens[r] the length of row r and lits the literals, row by
-   row.  A part of one hole is written straight.  Otherwise the text of the
-   first hole is formatted once and copied at each hole.  Every literal has
-   step 0 or a step with the sign of its value, as the builders make them,
-   so a literal's magnitude only grows from hole to hole.  Between holes
-   each literal of step -1 or 1 is stepped in place: its last digit moves
-   up by one, carrying into the digits before it, and the hole is formatted
-   again only when a carry widens a literal.  lits ends at the values of
-   the last hole; no value is stepped past it.  0, or -1 with an exception
-   set. */
+   row.  The text of the first hole is formatted once in st and copied out
+   at each hole.  Every literal has step 0 or a step with the sign of its
+   value, as the builders make them, so a literal's magnitude only grows
+   from hole to hole.  Between holes each literal of step -1 or 1 is
+   stepped in place: its last digit moves up by one, carrying into the
+   digits before it, and the hole is formatted again only when a carry
+   widens a literal.  lits ends at the values of the last hole; no value is
+   stepped past it.  0, or -1 with an exception set. */
 static int write_part(Sink *s, const Py_ssize_t *lens, Py_ssize_t nrows, Py_ssize_t holes,
                       RowLit *lits, int delete, Stage *st)
 {
     Py_ssize_t nstep = 0, nlits = 0, length, h, r, i, k;
-    char *out, *digit;
+    char *digit;
     int again;
-    if (holes == 1) {
-        for (r = k = 0; r < nrows; k += lens[r++]) {
-            if ((out = sink_room(s, 4 + LIT_WIDTH * lens[r])) == NULL)
-                return -1;
-            s->len = format_row(out, lits + k, lens[r], delete, NULL, NULL) - s->buf;
-        }
-        return 0;
-    }
     if (holes == 0 || nrows == 0)
         return 0;
     for (r = 0; r < nrows; r++)
@@ -1741,7 +1702,7 @@ static int gen_start(Gen *g, Py_ssize_t n, Py_ssize_t least, PyObject *target)
                      PROOF_MAX_N, n);
         return -1;
     }
-    g->sink.buf = resized(NULL, g->sink.cap, 1);
+    g->sink.buf = resized(NULL, CHUNK, 1);
     return g->sink.buf == NULL ? -1 : 0;
 }
 
@@ -1764,7 +1725,7 @@ static PyObject *write_cnf(PyObject *module, PyObject *args)
     Py_ssize_t n;
     int amo, ok;
     PyObject *target;
-    Gen g = {{-1, NULL, NULL, 0, CHUNK, 0}, {0}, {0}, 0};
+    Gen g = {{-1, NULL, NULL, 0, 0}, {0}, {0}, 0};
     Layout L;
     int64_t vars, clauses;
     char header[64];
@@ -1791,7 +1752,7 @@ static PyObject *write_proof(PyObject *module, PyObject *args)
     Py_ssize_t n;
     int chained, deletions, ok = -1;
     PyObject *target;
-    Gen g = {{-1, NULL, NULL, 0, CHUNK, 0}, {0}, {0}, 0};
+    Gen g = {{-1, NULL, NULL, 0, 0}, {0}, {0}, 0};
     Layout *layouts = NULL;
     int64_t k, base;
     if (!PyArg_ParseTuple(args, "nppO:write_proof", &n, &chained, &deletions, &target))
@@ -1841,10 +1802,9 @@ static PyMethodDef module_methods[] = {
      "yields for proof_ours.OURS if chained, else for proof_cook.COOK, with\n"
      "deletions if deletions, as formats.write_drat_blocks writes it.  Every\n"
      "builder runs here.  sink is a file descriptor, written with write(2)\n"
-     "without the GIL, or a callable, passed the text as str chunks of at\n"
-     "most 64 KiB, or, from a row longer than that on, of the room that row\n"
-     "took.  Returns the number of characters written.  ValueError unless n\n"
-     "is from 2 to 2**20, or for a negative descriptor."},
+     "without the GIL, or a callable, passed the text as str chunks of\n"
+     "64 KiB each but the last.  Returns the number of characters written.\n"
+     "ValueError unless n is from 2 to 2**20, or for a negative descriptor."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1864,14 +1824,14 @@ static PyMethodDef db_methods[] = {
      "included, is propagated, and then each resolvent on that trail.  RUP\n"
      "implies RAT, so the clause passes on a conflict of the first step."},
     {"check_drat", (PyCFunction)db_check_drat, METH_VARARGS,
-     "check_drat(fd, strict_deletions) -> (outcome, line, raw, unmatched, counters)\n\n"
+     "check_drat(fd, strict_deletions) -> (outcome, line, counters)\n\n"
      "Check the text DRAT file open as fd against the active clauses, line by\n"
      "line as checker.verify does, reading it in chunks.  outcome: 0 incomplete,\n"
      "1 accepted, 2 empty clause not RUP, 3 neither RUP nor RAT, 4 deleted\n"
-     "clause not present (strict), with line the proof line it stopped at; or\n"
-     "5, a line formats.parse_drat_line rejects, with line its file line and raw\n"
-     "its bytes.\n"
-     "unmatched lists the proof lines of deletions that matched no clause;\n"
+     "clause not present (strict), with line the proof line it stopped at.\n"
+     "A deletion that matches no clause is otherwise a UserWarning, given as\n"
+     "it is reached.  At a line formats.parse_drat_line rejects it raises\n"
+     "ValueError(line, raw): the file line and its bytes.\n"
      "counters are RUP calls, RUP passes, RAT calls, RAT passes, additions and\n"
      "deletions.  Only the empty clause gets rup, and every other addition\n"
      "gets rat alone, which holds RUP: the counters are those of\n"

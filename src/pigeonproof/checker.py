@@ -64,8 +64,8 @@ _EMPTY_NOT_RUP = "empty clause is not RUP (and has no pivot for RAT)"
 _NOT_RUP_OR_RAT = "RUP and RAT checks both failed"
 _NOT_PRESENT = "deletion of a clause not in the formula"
 
-#: Status and reason of each outcome of ``FastDatabase.check_drat`` that is a
-#: verdict; outcome ``_MALFORMED`` is a line to raise on.
+#: Status and reason of each outcome of ``FastDatabase.check_drat``, by its
+#: number.
 _OUTCOMES = (
     (INCOMPLETE, _NEVER_EMPTY),
     (ACCEPTED, None),
@@ -73,7 +73,6 @@ _OUTCOMES = (
     (REJECTED, _NOT_RUP_OR_RAT),
     (REJECTED, _NOT_PRESENT),
 )
-_MALFORMED = 5
 
 
 class Verdict(NamedTuple):
@@ -163,7 +162,7 @@ def _multiset_key(lits: Sequence[int]) -> tuple[int, ...]:
 
 
 def _warn_not_present(lineno: int) -> None:
-    # stacklevel 4 names the caller of verify.
+    # stacklevel 4 names the caller of verify, as the core's check_drat does.
     warnings.warn(
         f"proof line {lineno}: deleted clause not in the formula", stacklevel=4
     )
@@ -225,15 +224,16 @@ def _holds_deleted(db) -> bool:
 def _check_file(db, handle: BinaryIO, strict_deletions: bool) -> Verdict:
     """Check a DRAT file on a compiled database.
 
-    A malformed line is decoded as the text reader decodes it, so that
+    At a malformed line the core stops with its file line and bytes, decoded
+    here as the text reader decodes them, so that
     :func:`~pigeonproof.formats.parse_drat_line` raises the same error.
     """
-    outcome, line, raw, unmatched, _ = db.check_drat(handle.fileno(), strict_deletions)
-    for lineno in unmatched:
-        _warn_not_present(lineno)
-    if outcome == _MALFORMED:
+    try:
+        outcome, line, _ = db.check_drat(handle.fileno(), strict_deletions)
+    except ValueError as stop:
         from .formats import parse_drat_line
 
+        line, raw = stop.args
         parse_drat_line(raw.decode("utf-8", "surrogateescape"), line)
         raise RuntimeError(f"line {line}: the native parser rejects {raw!r}")
     status, reason = _OUTCOMES[outcome]

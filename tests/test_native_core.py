@@ -715,6 +715,37 @@ def test_file_check_counts_lines_as_the_python_backend(native, tmp_path):
     )
 
 
+def test_file_check_warns_for_the_caller_of_verify_and_stops_alike(native, tmp_path):
+    """On both backends an unmatched deletion is a UserWarning, given as it
+    is reached, that names the caller of verify: unmatched deletions and
+    then a malformed line give their warnings in order and then the same
+    ValueError, and a warning filtered into an error stops the check."""
+    formula = php_standard(2)
+    proof = emit_drat(proof_ours.iter_proof_lines(2)).encode()
+    path = tmp_path / "p.drat"
+    warned = ["proof line 1: deleted clause not in the formula",
+              "proof line 2: deleted clause not in the formula"]
+    for tail, expected in (
+        (proof, "ACCEPTED"),
+        (b"1 x 0\n" + proof, "line 4: bad token in '1 x 0\\n'"),
+    ):
+        path.write_bytes(b"d 1 2 3 0\nc note\nd -7 0\n" + tail)
+        for backend in ("native", "python"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = verify(formula, path, backend=backend).status
+                except ValueError as exc:
+                    result = str(exc)
+            assert result == expected, backend
+            assert [str(w.message) for w in caught] == warned, backend
+            assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UserWarning, match=warned[0]):
+                    verify(formula, path, backend=backend)
+
+
 def _through_pipe(formula, data, backend):
     """_outcome() of ``data`` read from a pipe, which cannot seek."""
     read_end, write_end = os.pipe()
@@ -894,9 +925,11 @@ _ENGINES = ("native", "python")
 
 def _file_counters(formula, path):
     """The counters of the native file call: RUP calls and passes, RAT calls
-    and passes, additions and deletions applied."""
+    and passes, additions and deletions applied.  The call's warnings for
+    unmatched deletions are left to the tests of verify."""
     db = checker.new_database(formula, "native")
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         return db.check_drat(handle.fileno(), False)[-1]
 
 
@@ -1412,24 +1445,27 @@ def test_format_rows_rejects_bad_hole_ranges():
 
 @pytest.mark.parametrize("n", [37, 12000])
 def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, n, tmp_path):
-    """The core hands its text to a callable in chunks of the staged 64 KiB,
-    and writes the same bytes to a file through its descriptor.  A row
-    longer than that (an at-least-one clause of PHP(12000)) is handed over
-    whole, in one chunk of its own."""
+    """The core hands its text to a callable in chunks of exactly the staged
+    64 KiB, all but the last, and writes the same bytes to a file through
+    its descriptor.  A row longer than that (an at-least-one clause of
+    PHP(12000)) is split across chunks like any other text."""
     if n == 12000:
+        # Staging the pairs of PHP(12000) would take gigabytes, so the sink
+        # stops the writer once it has been handed pigeon 1's row.
+        rows = [" ".join(str(p * n + h) for h in range(1, n + 1)) + " 0\n" for p in (0, 1)]
+        assert len(rows[1]) == 72_002 > STAGED
+        expected = f"p cnf {n * (n + 1)} {n + 1 + n * n * (n + 1) // 2}\n" + "".join(rows)
         chunks = []
 
         def sink(text):
             chunks.append(text)
-            if len(text) > STAGED:
-                raise RuntimeError("long row")
+            if sum(map(len, chunks)) >= len(expected):
+                raise RuntimeError("budget spent")
 
-        with pytest.raises(RuntimeError, match="long row"):
+        with pytest.raises(RuntimeError, match="budget spent"):
             fastcheck.write_cnf(n, False, sink)
-        rows = (" ".join(str(p * n + h) for h in range(1, n + 1)) + " 0\n" for p in range(n + 1))
-        long_row = next(row for row in rows if len(row) > STAGED)
-        assert chunks[-1] == long_row
-        assert all(len(chunk) <= STAGED for chunk in chunks[:-1])
+        assert [len(chunk) for chunk in chunks] == [STAGED] * 3
+        assert "".join(chunks).startswith(expected)
         return
     chunks = []
     written = fastcheck.write_cnf(n, False, chunks.append)
@@ -1440,6 +1476,26 @@ def test_row_block_is_written_a_hole_range_at_a_time(fastcheck, n, tmp_path):
     with open(path, "wb", buffering=0) as handle:
         fastcheck.write_cnf(n, False, handle.fileno())
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda core, sink: core.write_proof(40, True, False, sink),
+        lambda core, sink: core.write_proof(40, False, True, sink),
+        lambda core, sink: core.write_cnf(300, False, sink),
+    ],
+    ids=["ours-40", "cook-40-deletions", "cnf-300"],
+)
+def test_every_chunk_but_the_last_is_the_staged_64_kib(fastcheck, write):
+    """A row that does not fit in what is left of a chunk is split across
+    two, so no chunk but the last is short: not at a part of one hole (an
+    at-least-one clause), nor at a hole of a part of more."""
+    lengths = []
+    written = write(fastcheck, lambda text: lengths.append(len(text)))
+    assert written == sum(lengths) and len(lengths) > 40
+    assert lengths[:-1] == [STAGED] * (len(lengths) - 1)
+    assert 0 < lengths[-1] <= STAGED
 
 
 @pytest.mark.parametrize("deletions", [False, True])
